@@ -3,8 +3,8 @@
 Representations:
 
 * ``PolytopeBody`` -- exact rational H- and/or V-representation; conversions
-  go through the double description method (H -> V) and the incremental hull
-  (V -> H).  Polarity swaps the two representations exactly.
+  go through the double description method (H -> V, and V -> H on the polar
+  inside ``ExactHull``).  Polarity swaps the two representations exactly.
 * ``LpBallBody`` -- unit ball of an l_p norm, 1 < p < inf, in double
   precision.  p = 1 and p = inf are represented as exact cross/cube polytopes
   instead (see ``parse_body``).
@@ -232,6 +232,7 @@ class PolytopeBody(ConvexBody):
         self._vertices_extreme = bool(vertices_extreme)
         self._hrep_irredundant = bool(halfspaces_irredundant)
         self._hull = None
+        self._degenerate = None
         self.tree = tree
         self.tag = tag
         if vertices is not None:
@@ -307,7 +308,8 @@ class PolytopeBody(ConvexBody):
 
     def hull(self) -> ExactHull:
         if self._hull is None:
-            self._hull = ExactHull(self.vertices())
+            verts = self.vertices()  # first: DD here marks the vertices extreme
+            self._hull = ExactHull(verts, self._hrep, extreme=self._vertices_extreme)
         return self._hull
 
     def extreme_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -318,7 +320,7 @@ class PolytopeBody(ConvexBody):
             return verts
         if self.is_degenerate:
             return verts
-        return tuple(sorted(self.hull().vertex_points()))
+        return tuple(self.hull().vertex_points())
 
     def halfspaces(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
         if self._hrep is None:
@@ -333,25 +335,22 @@ class PolytopeBody(ConvexBody):
     def facet_halfspaces(self):
         """Irredundant facet list (recomputed from the hull if the stored
         halfspaces might contain redundant rows)."""
-        if self._hrep_irredundant:
-            return self.halfspaces()
-        rows = [
-            (tuple(x / c for x in a), Fraction(1))
-            for a, c in self.hull().facets()
-        ]
-        self._hrep = tuple(sorted(rows))
-        self._hrep_irredundant = True
-        self._float_cache.pop("A", None)
-        return self._hrep
+        if not self._hrep_irredundant:
+            self.hull()  # filters the stored rows
+            self._hrep = None
+            self._float_cache.pop("A", None)
+        return self.halfspaces()
 
     @property
     def is_degenerate(self) -> bool:
         if self._vertices is None:
             return False  # full-dimensional by origin-interior halfspaces
-        ints, _ = scale_to_int(self._vertices)
-        base = ints[0]
-        diffs = [[p[j] - base[j] for j in range(self.dim)] for p in ints[1:]]
-        return int_rank(diffs) < self.dim
+        if self._degenerate is None:
+            ints, _ = scale_to_int(self._vertices)
+            base = ints[0]
+            diffs = [[p[j] - base[j] for j in range(self.dim)] for p in ints[1:]]
+            self._degenerate = int_rank(diffs) < self.dim
+        return self._degenerate
 
     def volume_exact(self) -> Fraction:
         if self.is_degenerate:
@@ -391,6 +390,8 @@ class PolytopeBody(ConvexBody):
     def polar(self) -> "PolytopeBody":
         verts = None
         rows = None
+        if self._hrep is None and self._hull is not None:
+            self.halfspaces()  # a hull already built knows the facets
         if self._hrep is not None:
             verts = [a for a, _ in self._hrep]  # offsets normalized to 1
         if self._vertices is not None:
@@ -762,46 +763,60 @@ def invert_rational_matrix(M: Sequence[Sequence[Fraction]]) -> list[list[Fractio
 
 
 _HANNER_TOKEN = re.compile(r"\s*([SXL(),])\s*")
+# A Hanner body stores both representations in full, and one of them grows
+# exponentially with the leaf count (2^n vertices for the n-cube)
+MAX_HANNER_LEAVES = 16
 
 
 def parse_hanner(expr: str):
     """Parse an expression over S (segment), X(...) (product), L(...) (l1 sum).
 
-    Returns a nested tuple tree: 'S' or ('X'|'L', [children]).
+    Returns a nested tuple tree: 'S' or ('X'|'L', [children]).  The parser
+    keeps its own stack, so deep nesting ends in a ``BodyError``, not in
+    Python's recursion limit.
     """
     tokens = _HANNER_TOKEN.findall(expr)
     if "".join(_HANNER_TOKEN.sub("", expr).split()):
         raise BodyError(f"bad Hanner expression {expr!r}")
+    stack: list[tuple[str, list]] = []  # operators whose ')' is still open
     pos = 0
-
-    def parse_node():
-        nonlocal pos
+    leaves = 0
+    while True:
         if pos >= len(tokens):
             raise BodyError("truncated Hanner expression")
         t = tokens[pos]
         pos += 1
-        if t == "S":
-            return "S"
         if t in ("X", "L"):
             if pos >= len(tokens) or tokens[pos] != "(":
                 raise BodyError("expected '(' in Hanner expression")
             pos += 1
-            children = [parse_node()]
-            while pos < len(tokens) and tokens[pos] == ",":
+            stack.append((t, []))
+            continue
+        if t != "S":
+            raise BodyError(f"unexpected token {t!r}")
+        leaves += 1
+        node = "S"
+        # attach the finished node; each ')' finishes its operator in turn
+        while stack:
+            stack[-1][1].append(node)
+            if pos < len(tokens) and tokens[pos] == ",":
                 pos += 1
-                children.append(parse_node())
+                break
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise BodyError("expected ')' in Hanner expression")
             pos += 1
+            op, children = stack.pop()
             if len(children) < 2:
                 raise BodyError("X/L need at least two operands")
-            return (t, children)
-        raise BodyError(f"unexpected token {t!r}")
-
-    tree = parse_node()
+            node = (op, children)
+        else:
+            break
     if pos != len(tokens):
         raise BodyError("trailing tokens in Hanner expression")
-    return tree
+    if leaves > MAX_HANNER_LEAVES:
+        raise BodyError(f"Hanner expression has {leaves} leaves; at most "
+                        f"{MAX_HANNER_LEAVES} are supported")
+    return node
 
 
 def hanner_tree_str(tree) -> str:
@@ -1023,6 +1038,15 @@ def lagrangian_product(body: ConvexBody) -> LagrangianProductBody:
 # parsing
 
 
+_BODY_FIELDS = {
+    "cube": ("dim",), "cross": ("dim",), "lp_ball": ("p", "dim"),
+    "hpoly": ("A", "b"), "vpoly": ("vertices",), "hanner": ("expr",),
+    "polar": ("body",), "section": ("body", "normal"),
+    "projection": ("body", "normal"), "linimg": ("body", "matrix"),
+    "product": ("body",), "scaled": ("core", "scales2"),
+}
+
+
 def parse_body(description) -> ConvexBody:
     """Build a body from a JSON description (dict or JSON text)."""
     if isinstance(description, str):
@@ -1033,6 +1057,9 @@ def parse_body(description) -> ConvexBody:
     if not isinstance(description, dict) or "type" not in description:
         raise BodyError("body description must be an object with a 'type' field")
     t = description["type"]
+    missing = [k for k in _BODY_FIELDS.get(t, ()) if k not in description]
+    if missing:
+        raise BodyError(f"{t!r} body description lacks field(s) {', '.join(missing)}")
     if t == "cube":
         return PolytopeBody.cube(int(description["dim"]))
     if t == "cross":
@@ -1053,9 +1080,13 @@ def parse_body(description) -> ConvexBody:
     if t == "hpoly":
         A = description["A"]
         b = description["b"]
+        if not A:
+            raise BodyError("'hpoly' body needs at least one row")
         return PolytopeBody(len(A[0]), halfspaces=list(zip(A, b)))
     if t == "vpoly":
         verts = description["vertices"]
+        if not verts:
+            raise BodyError("'vpoly' body needs at least one vertex")
         return PolytopeBody(len(verts[0]), vertices=verts)
     if t == "hanner":
         return hanner_body(description["expr"])

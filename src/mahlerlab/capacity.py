@@ -423,12 +423,13 @@ def refine_estimate(S: ConvexBody, est: CapacityEstimate, rounds: int = 1,
 # reduction monotonicity experiment
 
 
-def random_rational_normal(rng: np.random.Generator, dim: int):
+def random_rational_normal(rng: np.random.Generator, dim: int,
+                           max_num: int = 9, max_den: int = 9):
     from fractions import Fraction
 
     while True:
-        nums = rng.integers(-9, 10, size=dim)
-        dens = rng.integers(1, 10, size=dim)
+        nums = rng.integers(-max_num, max_num + 1, size=dim)
+        dens = rng.integers(1, max_den + 1, size=dim)
         if np.any(nums != 0):
             return tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
 

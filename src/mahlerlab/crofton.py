@@ -76,28 +76,27 @@ class OddPolynomial:
                 out[..., i] += t
         return out
 
-    def coefficient_bound(self, radius: float) -> float:
-        """sum |c| * radius^deg, an interval bound for |g| on the sphere."""
-        return sum(abs(c) * radius ** sum(e) for c, e in self.terms)
 
-
-_MONO = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*((?:[pq]\d+(?:\^\d+)?\s*\*?\s*)*)$")
+_MONO = re.compile(
+    r"^([+-]*)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\*?((?:[pq]\d+(?:\^\d+)?\*?)*)$")
 _VAR = re.compile(r"([pq])(\d+)(?:\^(\d+))?")
+# a term starts at a sign that follows neither another sign nor the 'e' of
+# a float exponent
+_TERM_START = re.compile(r"(?<=[^eE+-])(?=[+-])")
 
 
 def parse_odd_polynomial(text: str, half_dim: int) -> OddPolynomial:
-    """Parse e.g. ``"q2^3"`` or ``"0.3*q1*p2^2 - q2^3"`` over R^{2N}."""
-    s = text.replace("-", "+-").replace(" ", "")
-    pieces = [p for p in s.split("+") if p]
+    """Parse e.g. ``"q2^3"``, ``"0.3*q1*p2^2 - q2^3"`` or ``"1e-1*q2^3"``
+    over R^{2N}."""
+    s = text.replace(" ", "")
+    pieces = [p for p in _TERM_START.split(s) if p]
     terms = []
     for piece in pieces:
         m = _MONO.match(piece)
-        if not m:
+        if not m or not (m.group(2) or m.group(3)):
             raise CroftonError(f"bad monomial {piece!r}")
-        coef_s, vars_s = m.groups()
-        coef = float(coef_s) if coef_s not in ("", "+", "-") else (
-            -1.0 if coef_s == "-" else 1.0
-        )
+        signs, coef_s, vars_s = m.groups()
+        coef = (-1.0) ** signs.count("-") * (float(coef_s) if coef_s else 1.0)
         exps = [0] * (2 * half_dim)
         for kind, idx_s, pow_s in _VAR.findall(vars_s):
             idx = int(idx_s)

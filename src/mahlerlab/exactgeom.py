@@ -2,14 +2,18 @@
 
 Everything here works over the rationals.  Input coordinates are
 `fractions.Fraction`; internally all computations are scaled to integers so
-that predicates reduce to signs of integer determinants (Bareiss elimination,
-no floating point anywhere).
+that predicates reduce to signs of integer dot products, ranks and
+determinants (Bareiss elimination, no floating point anywhere).
 
 Provides:
 
-* ``ExactHull`` -- incremental convex hull with simplicial facets, built by
-  inserting points in lexicographic order (a placing triangulation).  Yields
-  facet hyperplanes, hull vertices and the exact volume of the hull.
+* ``ExactHull`` -- the one V <-> H and volume kernel.  With the points
+  centred at their centroid, the facets are the vertices of the polar (double
+  description) unless an H-representation is passed in; vertices, redundant
+  rows and an always-on certificate follow from vertex-facet incidence.  The
+  exact volume cones from the centroid over a pulling triangulation of the
+  facets, built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact
+  volume computation for polytopes: a practical study*, 2000).
 * ``dd_vertices`` -- vertex enumeration for a bounded H-polytope
   ``{x : Ax <= b}`` by the double description method on the homogenization
   cone.
@@ -100,219 +104,186 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def facet_normal(points: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Normal of the hyperplane through d integer points in R^d.
-
-    Generalized cross product: signed cofactors of the (d-1) x d matrix of
-    differences.  Returns the zero vector if the points are affinely
-    degenerate.
-    """
-    d = len(points[0])
-    if d == 1:
-        return (1,)
-    base = points[0]
-    diffs = [[p[j] - base[j] for j in range(d)] for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [row[:j] + row[j + 1 :] for row in diffs]
-        normal.append((-1) ** j * bareiss_det(minor))
-    return gcd_reduce(normal)
-
-
 def scale_to_int(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
     """Scale rational vectors by a common denominator; returns (ints, lcm)."""
-    lcm = 1
-    for v in vectors:
-        for x in v:
-            f = Fraction(x)
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    out = []
-    for v in vectors:
-        out.append(tuple(int(Fraction(x) * lcm) for x in v))
-    return out, lcm
+    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+             for v in vectors]
+    lcm = math.lcm(*{x.denominator for v in fracs for x in v})
+    return [tuple(x.numerator * (lcm // x.denominator) for x in v) for v in fracs], lcm
 
 
 # ---------------------------------------------------------------------------
-# incremental hull / placing triangulation
+# V <-> H conversion and exact volume
 
 
 class DegenerateHullError(ValueError):
     """Input points do not span the ambient dimension."""
 
 
-class ExactHull:
-    """Convex hull of rational points with simplicial facet list.
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Points are inserted in lexicographic order on top of an initial full-rank
-    simplex.  Facets coplanar with the inserted point are treated as visible
-    (together with at least one strictly visible facet), which keeps every
-    horizon ridge non-degenerate; the final facet list is a triangulation of
-    the boundary.  ``volume`` cones that triangulation over the first hull
-    vertex.
+
+def _pulling(face: int, k: int, candidates, memo: dict) -> list[tuple[int, ...]]:
+    """Pulling triangulation of the k-face with vertex bitmask ``face``.
+
+    The cone from the face's lowest vertex over the triangulations of its
+    facets that miss that vertex.  The facets of a face are the
+    inclusion-maximal sets among its proper intersections ``face & m`` with
+    the ``candidates`` (the polytope's facet masks, or the intersections of
+    a face that contains this one).  A face's triangulation depends on the
+    face alone, so ``memo`` shares it between the faces that contain it.
+    """
+    out = memo.get(face)
+    if out is not None:
+        return out
+    verts = _bits(face)
+    if len(verts) == k + 1:
+        out = [tuple(verts)]
+    else:
+        subs = {face & m for m in candidates} - {0, face}
+        maximal: list[int] = []
+        for s in sorted(subs, key=int.bit_count, reverse=True):
+            if all(s & t != s for t in maximal):
+                maximal.append(s)
+        apex = verts[0]
+        out = [
+            (apex,) + simplex
+            for s in maximal
+            if not s >> apex & 1
+            for simplex in _pulling(s, k - 1, subs, memo)
+        ]
+    memo[face] = out
+    return out
+
+
+class ExactHull:
+    """Facets, vertices and exact volume of the convex hull of rational points.
+
+    The points are centred at their centroid, an interior point.  The facets
+    are the rows of ``halfspaces`` (pairs ``(a, b)`` meaning ``<a, x> <= b``,
+    redundant rows allowed) when an H-representation is known; otherwise
+    they are the vertices of the polar of the centred points, found by
+    double description.  A point is a vertex when the normals of the facets
+    through it have rank ``dim``; ``extreme=True`` says that every point is
+    one.  A row is kept when its incident vertices have rank ``dim``.
+
+    The certificate is always checked, and a failure raises
+    ``AssertionError``: every point satisfies every row, and every kept
+    facet passes through ``dim`` linearly independent centred vertices.
+
+    ``volume`` cones from the centroid over a pulling triangulation of the
+    facets (``facet_simplices``, tuples of point indices).  When the
+    vertices are symmetric about the centroid it takes one facet of each
+    +- pair and doubles the sum.
     """
 
-    def __init__(self, points: Sequence[Sequence[Fraction]], validate: bool | None = None):
-        pts = [tuple(Fraction(x) for x in p) for p in points]
+    def __init__(self, points: Sequence[Sequence[Fraction]],
+                 halfspaces: Sequence[tuple[Sequence[Fraction], Fraction]] | None = None,
+                 extreme: bool = False):
+        pts = sorted({tuple(Fraction(x) for x in p) for p in points})
         if not pts:
             raise ValueError("no points")
-        self.dim = len(pts[0])
-        seen = set()
-        uniq = []
-        for p in pts:
-            if p not in seen:
-                seen.add(p)
-                uniq.append(p)
-        uniq.sort()
-        self._frac_points = uniq
-        ints, lcm = scale_to_int(uniq)
-        self._pts = ints
-        self._lcm = lcm
-        self._build()
-        if validate is None:
-            validate = len(self._pts) * len(self.facet_simplices) <= 200_000
-        if validate:
-            self._validate()
+        d = self.dim = len(pts[0])
+        self._frac_points = pts
+        ints, lcm = scale_to_int(pts)
+        n = len(ints)
+        # centred integer coordinates x = scale * p - shift
+        shift = tuple(sum(p[j] for p in ints) for j in range(d))
+        if any(shift):
+            ints = [tuple(n * x - s for x, s in zip(p, shift)) for p in ints]
+        self._ints = ints
+        self._scale = n * lcm if any(shift) else lcm
+        rank = int_rank(ints)
+        if rank < d:
+            raise DegenerateHullError(f"points span affine rank {rank} < dim {d}")
 
-    # -- construction
+        if halfspaces is None:
+            nonzero = [p for p in ints if any(p)]
+            polar = dd_vertices(nonzero, [1] * len(nonzero))
+            rows = [gcd_reduce(scale_to_int([y + (Fraction(1),)])[0][0]) for y in polar]
+        else:
+            rows = []
+            for a, b in halfspaces:
+                a = tuple(Fraction(x) for x in a)
+                rhs = self._scale * Fraction(b) - sum(x * s for x, s in zip(a, shift))
+                rows.append(gcd_reduce(scale_to_int([a + (rhs,)])[0][0]))
+            rows = sorted(set(rows))
 
-    def _build(self) -> None:
-        pts = self._pts
-        d = self.dim
-        n = len(pts)
-        # initial simplex: greedy scan in lex order, keep points that grow the
-        # affine rank
-        chosen = [0]
-        for i in range(1, n):
-            if len(chosen) == d + 1:
-                break
-            cand = chosen + [i]
-            diffs = [
-                [pts[k][j] - pts[cand[0]][j] for j in range(d)] for k in cand[1:]
+        tight = []
+        for row in rows:
+            a, rhs = row[:-1], row[-1]
+            mask = 0
+            for i, p in enumerate(ints):
+                v = _dot(a, p)
+                if v > rhs:
+                    raise AssertionError("hull certificate failed: a point violates a facet")
+                if v == rhs:
+                    mask |= 1 << i
+            tight.append(mask)
+        if extreme:
+            vertex_ids = list(range(n))
+        else:
+            vertex_ids = [
+                i for i in range(n)
+                if int_rank([r[:-1] for r, m in zip(rows, tight) if m >> i & 1]) == d
             ]
-            if int_rank(diffs) == len(cand) - 1:
-                chosen.append(i)
-        if len(chosen) < d + 1:
-            raise DegenerateHullError(
-                f"points span affine rank {len(chosen) - 1} < dim {d}"
-            )
-        # interior reference: (d+1) * centroid of the initial simplex, kept
-        # integral
-        self._ref = tuple(sum(pts[i][j] for i in chosen) for j in range(d))
-        self._ref_scale = d + 1
-
-        self._facets: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-        self._next_fid = 0
-        self._ridges: dict[frozenset[int], list[int]] = {}
-        for drop in range(d + 1):
-            verts = tuple(chosen[k] for k in range(d + 1) if k != drop)
-            self._add_facet(verts)
-
-        used = set(chosen)
-        for i in range(n):
-            if i in used:
-                continue
-            self._insert(i)
-
-    def _add_facet(self, verts: tuple[int, ...]) -> None:
-        pts = self._pts
-        normal = facet_normal([pts[v] for v in verts])
-        if all(x == 0 for x in normal):
-            raise AssertionError("degenerate facet candidate")
-        offset = _dot(normal, pts[verts[0]])
-        # orient outward: reference point strictly inside
-        side = _dot(normal, self._ref) - self._ref_scale * offset
-        if side > 0:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        elif side == 0:
-            raise AssertionError("reference point on facet hyperplane")
-        fid = self._next_fid
-        self._next_fid += 1
-        self._facets[fid] = (tuple(sorted(verts)), normal, offset)
-        for ridge in self._facet_ridges(tuple(sorted(verts))):
-            self._ridges.setdefault(ridge, []).append(fid)
-
-    @staticmethod
-    def _facet_ridges(verts: tuple[int, ...]):
-        for k in range(len(verts)):
-            yield frozenset(verts[:k] + verts[k + 1 :])
-
-    def _remove_facet(self, fid: int) -> None:
-        verts, _, _ = self._facets.pop(fid)
-        for ridge in self._facet_ridges(verts):
-            lst = self._ridges[ridge]
-            lst.remove(fid)
-            if not lst:
-                del self._ridges[ridge]
-
-    def _insert(self, idx: int) -> None:
-        p = self._pts[idx]
-        strict = False
-        visible = []
-        for fid, (_, normal, offset) in self._facets.items():
-            v = _dot(normal, p) - offset
-            if v > 0:
-                strict = True
-                visible.append(fid)
-            elif v == 0:
-                visible.append(fid)
-        if not strict:
-            return  # inside or on the current hull
-        visible_set = set(visible)
-        horizon = []
-        for fid in visible:
-            verts, _, _ = self._facets[fid]
-            for ridge in self._facet_ridges(verts):
-                owners = self._ridges[ridge]
-                if len(owners) != 2:
-                    raise AssertionError("open ridge in hull complex")
-                other = owners[0] if owners[1] == fid else owners[1]
-                if other not in visible_set:
-                    horizon.append(ridge)
-        for fid in visible:
-            self._remove_facet(fid)
-        for ridge in horizon:
-            self._add_facet(tuple(sorted(ridge)) + (idx,))
-
-    def _validate(self) -> None:
-        for verts, normal, offset in self._facets.values():
-            for p in self._pts:
-                if _dot(normal, p) > offset:
-                    raise AssertionError("hull validation failed: point outside facet")
-
-    # -- queries
+        self._vertex_ids = vertex_ids
+        vmask = sum(1 << i for i in vertex_ids)
+        self._rows = []
+        self._masks = []
+        for row, m in zip(rows, tight):
+            m &= vmask
+            if int_rank([ints[i] for i in _bits(m)]) == d:
+                self._rows.append(row)
+                self._masks.append(m)
+            elif halfspaces is None:
+                raise AssertionError(
+                    "hull certificate failed: a facet has fewer than dim independent vertices")
+        vset = {ints[i] for i in vertex_ids}
+        self._symmetric = all(tuple(-x for x in v) in vset for v in vset)
+        self._simplices = None
+        self._volume = None
 
     @property
     def facet_simplices(self) -> list[tuple[int, ...]]:
-        return [f[0] for f in self._facets.values()]
+        if self._simplices is None:
+            memo: dict = {}
+            self._simplices = [
+                simplex
+                for row, m in zip(self._rows, self._masks)
+                if not self._symmetric or row[:-1] > tuple(-x for x in row[:-1])
+                for simplex in _pulling(m, self.dim - 1, self._masks, memo)
+            ]
+        return self._simplices
 
     def facets(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """Deduplicated supporting hyperplanes ``<a, x> <= c`` (original coords)."""
-        out = {}
-        for _, normal, offset in self._facets.values():
-            key = gcd_reduce(tuple(normal) + (offset,))
-            out[key] = (
-                tuple(Fraction(x) for x in key[:-1]),
-                Fraction(key[-1], self._lcm),
-            )
-        return sorted(out.values())
+        """Supporting hyperplanes ``<a, x> <= c`` in the input coordinates,
+        with ``a`` a primitive integer vector."""
+        out = []
+        for row, m in zip(self._rows, self._masks):
+            a = gcd_reduce(row[:-1])
+            v = self._frac_points[(m & -m).bit_length() - 1]
+            out.append((tuple(Fraction(x) for x in a), sum(x * y for x, y in zip(a, v))))
+        return sorted(out)
 
     def vertex_points(self) -> list[tuple[Fraction, ...]]:
-        idx = set()
-        for verts, _, _ in self._facets.values():
-            idx.update(verts)
-        return [self._frac_points[i] for i in sorted(idx)]
+        return [self._frac_points[i] for i in self._vertex_ids]
 
     def volume(self) -> Fraction:
-        d = self.dim
-        apex = self._pts[0]  # lexicographically smallest point, a hull vertex
-        total = 0
-        for verts, _, _ in self._facets.values():
-            rows = [
-                [self._pts[v][j] - apex[j] for j in range(d)] for v in verts
-            ]
-            total += abs(bareiss_det(rows))
-        return Fraction(total, math.factorial(d)) / Fraction(self._lcm) ** d
+        if self._volume is None:
+            pts = self._ints
+            total = sum(abs(bareiss_det([pts[i] for i in s])) for s in self.facet_simplices)
+            if self._symmetric:
+                total *= 2
+            d = self.dim
+            self._volume = Fraction(total, math.factorial(d) * self._scale**d)
+        return self._volume
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,9 @@ from .bodies import (
     DiagonalImageBody,
     LagrangianProductBody,
     LpBallBody,
-    PolytopeBody,
     fiber_min_gauge,
     hyperplane_projection,
     hyperplane_section,
-    orthogonal_complement_basis,
-    rational_vector,
-    _is_rational_vector,
 )
 
 
@@ -177,20 +173,7 @@ def reduce_product(S: LagrangianProductBody, u) -> LagrangianProductBody:
     if isinstance(base, DiagonalImageBody) and isinstance(dual, DiagonalImageBody):
         base, dual = base.core, dual.core
     new_base = hyperplane_projection(base, u)
-    if isinstance(dual, PolytopeBody) and _is_rational_vector(u):
-        basis = orthogonal_complement_basis(rational_vector(u))
-        rows = [
-            (
-                tuple(sum(a[k] * bv[k] for k in range(dual.dim)) for bv in basis),
-                b,
-            )
-            for a, b in dual.halfspaces()
-        ]
-        core = PolytopeBody(dual.dim - 1, halfspaces=rows, check_symmetry=False)
-        scales2 = [sum(x * x for x in bv) for bv in basis]
-        new_dual = DiagonalImageBody(core, scales2)
-    else:
-        new_dual = hyperplane_section(dual, u)
+    new_dual = hyperplane_section(dual, u)
     return LagrangianProductBody(new_base, new_dual)
 
 

@@ -17,6 +17,7 @@ from . import capacity as C
 from . import crofton as CR
 from . import embedding as E
 from . import volume as V
+from .capacity import random_rational_normal
 
 
 def random_hanner_expr(leaves: int, rng: np.random.Generator) -> str:
@@ -27,15 +28,6 @@ def random_hanner_expr(leaves: int, rng: np.random.Generator) -> str:
     left = random_hanner_expr(k, rng)
     right = random_hanner_expr(leaves - k, rng)
     return f"{op}({left}, {right})"
-
-
-def random_rational_normal(rng: np.random.Generator, dim: int,
-                           max_num: int = 9, max_den: int = 9):
-    while True:
-        nums = rng.integers(-max_num, max_num + 1, size=dim)
-        dens = rng.integers(1, max_den + 1, size=dim)
-        if np.any(nums != 0):
-            return tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
 
 
 def _suite(name: str, params: dict, cases: list[dict]) -> dict:

@@ -1,7 +1,8 @@
 """Volumes and volume products.
 
-Exact rational volumes for polytopes (placing triangulation of the vertex
-set), closed forms for l_p balls, and seeded hit-or-miss Monte Carlo for
+Exact rational volumes for polytopes (a cone from the centroid over a
+pulling triangulation of the facets, see ``exactgeom.ExactHull``), closed
+forms for l_p balls, and seeded hit-or-miss Monte Carlo for
 everything else.  The Monte Carlo sampler draws each block of samples from
 its own counter-based Philox stream keyed by (seed, block index), so a
 parallel scheduler would reproduce the sequential results bit for bit.
@@ -217,20 +218,25 @@ def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> VolumeRe
 
 
 def mahler_product(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> MahlerReport:
-    """vol(K) * vol(K°) against the bound 4^n / n!."""
-    pol = body.polar()
+    """vol(K) * vol(K°) against the bound 4^n / n!.
+
+    The polar is taken after the body's volume, so an exact polar starts
+    from both representations the body holds by then: the vertices double
+    description found for a section are the polar's facets.
+    """
     exact_product = None
     exact_ratio = None
     if isinstance(body, DiagonalImageBody):
         # per-axis scales cancel in the product; stay fully rational
         v1 = exact_polytope_volume(body)
+        pol = body.polar()
         v2 = exact_polytope_volume(pol)
         exact_product = body.core.volume_exact() * pol.core.volume_exact()
         product = float(exact_product)
         ci = 0.0
     else:
         v1 = volume_of(body, samples, seed)
-        v2 = volume_of(pol, samples, seed + 10**6)
+        v2 = volume_of(body.polar(), samples, seed + 10**6)
         product = v1.value * v2.value
         ci = abs(v1.value) * v2.ci_halfwidth + abs(v2.value) * v1.ci_halfwidth \
             + v1.ci_halfwidth * v2.ci_halfwidth

@@ -56,6 +56,23 @@ def shadow_area_oracle(body: B.PolytopeBody, u) -> float:
     return total / 2.0
 
 
+def hanner_volume(tree) -> tuple[Fraction, int]:
+    """Exact volume and dimension of a Hanner polytope from its tree alone
+    ('S' or (op, children)): vol(K x L) = vol K vol L and, for the l1 sum
+    of a k- and an l-dimensional body, vol(K + L) = vol K vol L k! l! / (k+l)!."""
+    if tree == "S":
+        return Fraction(2), 1
+    op, children = tree
+    vol, dim = hanner_volume(children[0])
+    for child in children[1:]:
+        v, k = hanner_volume(child)
+        vol *= v
+        if op == "L":
+            vol *= Fraction(math.factorial(dim) * math.factorial(k), math.factorial(dim + k))
+        dim += k
+    return vol, dim
+
+
 def random_symmetric_vpolytope(rng, dim, pairs, span=4) -> B.PolytopeBody:
     while True:
         pts = rng.integers(-span, span + 1, size=(pairs, dim))

@@ -340,7 +340,7 @@ def test_hanner_counts_match_hull_up_to_six_leaves():
             expr = random_hanner_expr(leaves, rng)
             body = B.hanner_body(expr)
             v_pred, f_pred = B.hanner_counts(expr)
-            hull = ExactHull(body.vertices(), validate=False)
+            hull = ExactHull(body.vertices())
             assert len(hull.vertex_points()) == v_pred
             assert len(hull.facets()) == f_pred
 

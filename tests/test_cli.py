@@ -126,3 +126,42 @@ def test_env_seed(capsys, monkeypatch):
                         "--body", '{"type":"lp_ball","p":2,"dim":2}',
                         "--samples", "10000", "--method", "mc")
     assert out["seed"] == 77
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends in exit code 1 with a message
+
+
+def test_missing_body_field_exit_one(capsys):
+    code = cli.main(["--no-log", "volume", "--body", '{"type":"cube"}'])
+    assert code == 1
+    assert "lacks field(s) dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("X(" * 1200 + "S, S" + ")" * 1200, "at least two operands"),
+    ("X(S, " * 1200 + "S" + ")" * 1200, "1201 leaves"),
+])
+def test_deep_hanner_nesting_exit_one(capsys, expr, message):
+    body = json.dumps({"type": "hanner", "expr": expr})
+    code = cli.main(["--no-log", "volume", "--body", body])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g, coef, exps, malformed", [
+    ("1e-1*q2^3", 0.1, (0, 0, 0, 3), "1e*q2^3"),
+    ("2.5E+0*q1^3", 2.5, (0, 0, 3, 0), "2.5E*q1^3"),
+])
+def test_crofton_accepts_float_literals(capsys, g, coef, exps, malformed):
+    from mahlerlab import crofton as CR
+
+    assert CR.parse_odd_polynomial(g, 2).terms == ((coef, exps),)
+    code, out = run_cli(capsys, "--no-log", "crofton", "--epsilon", "0.05",
+                        "--g", g, "--samples", "200", "--seed", "3")
+    assert code in (0, 2)  # 2 is the identity's own verdict, not a parse error
+    assert out["samples"] == 200
+    code = cli.main(["--no-log", "crofton", "--epsilon", "0.05",
+                     "--g", malformed, "--samples", "200"])
+    assert code == 1
+    assert "bad monomial" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Exact hull / double description engine against independent oracles."""
+"""Exact hull / double description kernel against independent oracles."""
 import itertools
 import math
 from fractions import Fraction
@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull as QHull
 
+from mahlerlab import exactgeom
 from mahlerlab.exactgeom import (
     DegenerateHullError,
     ExactHull,
     bareiss_det,
     dd_vertices,
-    facet_normal,
     int_rank,
 )
 
@@ -35,19 +35,6 @@ def test_int_rank():
         m, n = rng.integers(1, 6, size=2)
         M = rng.integers(-5, 6, size=(m, n))
         assert int_rank(M.tolist()) == np.linalg.matrix_rank(M.astype(float))
-
-
-def test_facet_normal_orthogonality():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        d = int(rng.integers(2, 6))
-        pts = rng.integers(-5, 6, size=(d, d))
-        n = facet_normal(pts.tolist())
-        if all(x == 0 for x in n):
-            continue
-        base = pts[0]
-        for p in pts[1:]:
-            assert sum(int(a) * int(b) for a, b in zip(n, p - base)) == 0
 
 
 def test_cube_and_cross_hulls():
@@ -182,3 +169,97 @@ def test_hull_2d_volume_matches_qhull(pts):
         return
     qh = QHull(arr)
     assert math.isclose(float(eh.volume()), qh.volume, abs_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's two inputs: points alone, or points with an H-representation
+
+
+def _cube_rows(n):
+    return [(tuple(s if j == i else 0 for j in range(n)), Fraction(1))
+            for i in range(n) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_certificate_rejects_tightened_facet(n):
+    pts = list(itertools.product([-1, 1], repeat=n))
+    rows = _cube_rows(n)
+    assert ExactHull(pts, rows, extreme=True).volume() == 2**n
+    for k in (0, len(rows) - 1):
+        tightened = list(rows)
+        tightened[k] = (rows[k][0], Fraction(1, 2))
+        with pytest.raises(AssertionError, match="certificate"):
+            ExactHull(pts, tightened, extreme=True)
+        with pytest.raises(AssertionError, match="certificate"):
+            ExactHull(pts, tightened)
+
+
+def test_cube6_from_points_alone():
+    pts = list(itertools.product([-1, 1], repeat=6))
+    hull = ExactHull(pts)
+    assert hull.volume() == 64
+    assert hull.facets() == sorted(
+        (tuple(Fraction(x) for x in a), Fraction(1)) for a, _ in _cube_rows(6))
+    assert hull.vertex_points() == sorted(tuple(Fraction(x) for x in p) for p in pts)
+    # pulling triangulation of one 5-cube of each +- pair: 5! simplices each
+    assert len(hull.facet_simplices) == 6 * 120
+
+
+def test_known_halfspaces_skip_double_description(monkeypatch):
+    def no_dd(*args, **kwargs):
+        raise AssertionError("double description called")
+
+    monkeypatch.setattr(exactgeom, "dd_vertices", no_dd)
+    pts = list(itertools.product([-1, 1], repeat=4))
+    hull = ExactHull(pts, _cube_rows(4), extreme=True)
+    assert hull.volume() == 16
+    assert len(hull.facets()) == 8
+
+
+def test_halfspaces_and_points_alone_agree(rng):
+    """Redundant rows (loosened copies, supporting hyperplanes through a
+    vertex only) are dropped, non-vertex points are dropped, and the result
+    matches the double-description path bit for bit."""
+    for _ in range(12):
+        d = int(rng.integers(2, 5))
+        P = rng.integers(-4, 5, size=(d + 3, d))
+        P = np.vstack([P, -P, np.zeros((1, d), dtype=int)])
+        pts = [tuple(Fraction(int(x)) for x in row) for row in P]
+        try:
+            ref = ExactHull(pts)
+        except DegenerateHullError:
+            continue
+        rows = list(ref.facets())
+        rows += [(a, 2 * c) for a, c in rows]
+        # the sum of the facets through a vertex touches the polytope there only
+        v = ref.vertex_points()[0]
+        through = [(a, c) for a, c in ref.facets() if sum(x * y for x, y in zip(a, v)) == c]
+        rows.append((tuple(sum(col) for col in zip(*(a for a, _ in through))),
+                     sum(c for _, c in through)))
+        hull = ExactHull(pts, rows)
+        assert hull.facets() == ref.facets()
+        assert hull.vertex_points() == ref.vertex_points()
+        assert hull.volume() == ref.volume()
+        qh = QHull(P.astype(float))
+        assert abs(float(hull.volume()) - qh.volume) < 1e-9
+        assert len(hull.vertex_points()) == len(qh.vertices)
+
+
+def test_hull_off_centre_and_asymmetric():
+    """Points whose centroid is not the origin, symmetric about it or not."""
+    shift = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
+    cube = [tuple(x + s for x, s in zip(p, shift))
+            for p in itertools.product([-1, 1], repeat=3)]
+    hull = ExactHull(cube)
+    assert hull.volume() == 8
+    assert len(hull.facets()) == 6
+    assert ExactHull(cube, [((1, 0, 0), Fraction(4, 3)), ((-1, 0, 0), Fraction(2, 3)),
+                            ((0, 1, 0), Fraction(-1)), ((0, -1, 0), Fraction(3)),
+                            ((0, 0, 1), Fraction(12, 7)), ((0, 0, -1), Fraction(2, 7))],
+                     extreme=True).volume() == 8
+    for d in range(1, 6):
+        simplex = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(0,) * d]
+        hull = ExactHull(simplex + [tuple(Fraction(1, d + 1) for _ in range(d))])
+        assert hull.volume() == Fraction(1, math.factorial(d))
+        assert len(hull.vertex_points()) == d + 1
+        assert len(hull.facets()) == d + 1

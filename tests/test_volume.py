@@ -9,7 +9,7 @@ from mahlerlab import bodies as B
 from mahlerlab import volume as V
 from mahlerlab.verify import random_hanner_expr, random_rational_normal
 
-from conftest import random_symmetric_vpolytope
+from conftest import hanner_volume, random_symmetric_vpolytope
 
 
 def test_exact_volume_cube_and_cross():
@@ -136,6 +136,49 @@ def test_hanner_trees_ratio_one(rng):
         expr = random_hanner_expr(leaves, rng)
         rep = V.mahler_product(B.hanner_body(expr))
         assert rep.exact_ratio == 1, expr
+
+
+def _dual(tree):
+    return tree if tree == "S" else ({"X": "L", "L": "X"}[tree[0]], [_dual(c) for c in tree[1]])
+
+
+def test_hanner_volumes_match_closed_form_oracle():
+    rng = np.random.default_rng(47)
+    for leaves in range(1, 7):
+        for _ in range(5):
+            expr = random_hanner_expr(leaves, rng)
+            tree = B.parse_hanner(expr)
+            vol, n = hanner_volume(tree)
+            vol_polar, _ = hanner_volume(_dual(tree))
+            body = B.hanner_body(expr)
+            assert body.volume_exact() == vol, expr
+            assert body.polar().volume_exact() == vol_polar, expr
+            assert vol * vol_polar == V.mahler_bound(n), expr
+
+
+@pytest.mark.parametrize("make", [
+    lambda: B.hyperplane_section(B.hanner_body("X(S, L(S, S), S)"), (1, 2, -1, 3)),
+    lambda: B.PolytopeBody(3, vertices=[(1, 2, 0), (3, -1, 1), (0, 1, 4),
+                                        (-1, -2, 0), (-3, 1, -1), (0, -1, -4)]),
+], ids=["section", "vertices"])
+def test_product_runs_one_double_description(monkeypatch, make):
+    """The polar reads its facets from the vertices double description
+    found for a section, and its vertices from the facets it found for a
+    V-polytope."""
+    from mahlerlab import exactgeom
+
+    calls = []
+    real = exactgeom.dd_vertices
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactgeom, "dd_vertices", counting)
+    monkeypatch.setattr(B, "dd_vertices", counting)
+    rep = V.mahler_product(make())
+    assert len(calls) == 1
+    assert rep.exact_product >= V.mahler_bound(3)
 
 
 def test_reduction_bound_cube_axis_equality():
