@@ -51,7 +51,10 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as e:
+            raise BodyError(f"cannot parse rational from {x!r}") from e
     if isinstance(x, float):
         if not x.is_integer():
             raise BodyError(f"non-integer float {x!r} is not an exact rational")
@@ -1047,6 +1050,38 @@ _BODY_FIELDS = {
 }
 
 
+def _vector_field(t: str, name: str, value, length: int | None = None) -> list:
+    """A non-empty list of numbers or rational strings (of a given length)."""
+    if not isinstance(value, list) or not value:
+        raise BodyError(f"{t!r} field {name!r} must be a non-empty list of numbers")
+    for x in value:
+        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+            raise BodyError(f"{t!r} field {name!r} has a non-numeric entry {x!r}")
+    if length is not None and len(value) != length:
+        raise BodyError(f"{t!r} field {name!r} has {len(value)} entries, expected {length}")
+    return value
+
+
+def _matrix_field(t: str, name: str, value) -> list:
+    """A non-empty rectangular list of rows of numbers."""
+    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
+        raise BodyError(f"{t!r} field {name!r} must be a non-empty list of rows")
+    width = len(value[0])
+    for row in value:
+        if len(row) != width:
+            raise BodyError(f"{t!r} field {name!r} is not rectangular: "
+                            f"rows of {width} and {len(row)} entries")
+        _vector_field(t, name, row)
+    return value
+
+
+def _dim_field(t: str, value) -> int:
+    dim = parse_rational(_vector_field(t, "dim", [value])[0])
+    if dim.denominator != 1 or dim < 1:
+        raise BodyError(f"{t!r} field 'dim' must be a positive integer")
+    return int(dim)
+
+
 def parse_body(description) -> ConvexBody:
     """Build a body from a JSON description (dict or JSON text)."""
     if isinstance(description, str):
@@ -1061,14 +1096,14 @@ def parse_body(description) -> ConvexBody:
     if missing:
         raise BodyError(f"{t!r} body description lacks field(s) {', '.join(missing)}")
     if t == "cube":
-        return PolytopeBody.cube(int(description["dim"]))
+        return PolytopeBody.cube(_dim_field(t, description["dim"]))
     if t == "cross":
-        return PolytopeBody.cross(int(description["dim"]))
+        return PolytopeBody.cross(_dim_field(t, description["dim"]))
     if t == "lp_ball":
-        p = description["p"]
+        p = _vector_field(t, "p", [description["p"]])[0]
         if isinstance(p, str) and p not in ("inf", "Infinity"):
-            p = float(Fraction(p))
-        dim = int(description["dim"])
+            p = float(parse_rational(p))
+        dim = _dim_field(t, description["dim"])
         if p in ("inf", "Infinity") or (isinstance(p, float) and math.isinf(p)):
             return PolytopeBody.cube(dim)
         p = float(p)
@@ -1078,28 +1113,25 @@ def parse_body(description) -> ConvexBody:
             return PolytopeBody.cross(dim)
         return LpBallBody(p, dim)
     if t == "hpoly":
-        A = description["A"]
-        b = description["b"]
-        if not A:
-            raise BodyError("'hpoly' body needs at least one row")
+        A = _matrix_field(t, "A", description["A"])
+        b = _vector_field(t, "b", description["b"], len(A))
         return PolytopeBody(len(A[0]), halfspaces=list(zip(A, b)))
     if t == "vpoly":
-        verts = description["vertices"]
-        if not verts:
-            raise BodyError("'vpoly' body needs at least one vertex")
+        verts = _matrix_field(t, "vertices", description["vertices"])
         return PolytopeBody(len(verts[0]), vertices=verts)
     if t == "hanner":
+        if not isinstance(description["expr"], str):
+            raise BodyError("'hanner' field 'expr' must be a string")
         return hanner_body(description["expr"])
     if t == "polar":
         return parse_body(description["body"]).polar()
-    if t == "section":
-        return hyperplane_section(parse_body(description["body"]),
-                                  _parse_normal(description["normal"]))
-    if t == "projection":
-        return hyperplane_projection(parse_body(description["body"]),
-                                     _parse_normal(description["normal"]))
+    if t in ("section", "projection"):
+        cut = hyperplane_section if t == "section" else hyperplane_projection
+        return cut(parse_body(description["body"]),
+                   _parse_normal(_vector_field(t, "normal", description["normal"])))
     if t == "linimg":
-        return linear_image(parse_body(description["body"]), description["matrix"])
+        return linear_image(parse_body(description["body"]),
+                            _matrix_field(t, "matrix", description["matrix"]))
     if t == "product":
         base = parse_body(description["body"])
         if "dual" in description:
@@ -1109,7 +1141,8 @@ def parse_body(description) -> ConvexBody:
         core = parse_body(description["core"])
         if not isinstance(core, PolytopeBody):
             raise BodyError("'scaled' core must be an exact polytope")
-        return DiagonalImageBody(core, [parse_rational(s) for s in description["scales2"]])
+        scales2 = _vector_field(t, "scales2", description["scales2"])
+        return DiagonalImageBody(core, [parse_rational(s) for s in scales2])
     raise BodyError(f"unknown body type {t!r}")
 
 

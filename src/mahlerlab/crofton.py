@@ -24,8 +24,18 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincinv
 
 C2 = math.pi  # fixed by the exact linear case at R = 1
+CIRCLE_BLOCK = 4096
+
+# Root counting along a circle; "mass" is sum_k |c_k| over the Fourier
+# coefficients of h, a bound on max |h|.
+ZERO_TOL = 1e-12      # h == 0 when its mass is below this
+TOP_TOL = 1e-14       # c_d lost to rounding: the root polynomial drops degree
+UNIT_TOL = 1e-6       # |log |w|| of a root taken to lie on the unit circle
+GAP_TOL = 1e-6        # angle below which two roots count as one double root
+TANGENCY_TOL = 1e-9   # |h'| / mass at a root below which the root is tangent
 
 
 class CroftonError(ValueError):
@@ -50,15 +60,29 @@ class OddPolynomial:
             if sum(exps) % 2 == 0:
                 raise CroftonError("every monomial must have odd total degree")
 
+    @staticmethod
+    def _monomial(coef: float, exps: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+        t = np.full(x.shape[:-1], coef)
+        for i, e in enumerate(exps):
+            if e:
+                t = t * x[..., i] ** e
+        return t
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1])
         for coef, exps in self.terms:
-            t = np.full(x.shape[:-1], coef)
-            for i, e in enumerate(exps):
-                if e:
-                    t = t * x[..., i] ** e
-            out += t
+            out += self._monomial(coef, exps, x)
+        return out
+
+    def graded(self, x: np.ndarray) -> np.ndarray:
+        """Homogeneous parts: row k of the result is the degree-k part of
+        the polynomial at x, so g(rho x) = sum_k row_k rho^k."""
+        x = np.asarray(x, dtype=float)
+        top = max((sum(exps) for _, exps in self.terms), default=0)
+        out = np.zeros((top + 1,) + x.shape[:-1])
+        for coef, exps in self.terms:
+            out[sum(exps)] += self._monomial(coef, exps, x)
         return out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -127,6 +151,12 @@ class SignedSlice:
             if exps[0] != 0:
                 raise CroftonError("g must not involve p_1 (keeps dH/dp_1 = 1 >= 1/2)")
 
+    @property
+    def degree(self) -> int:
+        """Total degree of H = p_1 + eps * g."""
+        return max([1] + [sum(exps) for coef, exps in self.g.terms
+                          if coef * self.epsilon != 0])
+
     def H(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z[..., 0] + self.epsilon * self.g(z)
@@ -165,11 +195,15 @@ def perturbed_slice(N: int, epsilon: float, g_text: str) -> SignedSlice:
 
 def sample_hopf_circles(N: int, R: float, count: int, seed: int) -> np.ndarray:
     """Base points uniform on S^{2N-1}(R); the induced circle measure is
-    unitary invariant."""
+    unitary invariant.  Block b of CIRCLE_BLOCK points is drawn from
+    Philox(key=(seed, b)), so no two seeds share a stream."""
     if count <= 0:
         raise CroftonError("need a positive sample count")
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(count, 2 * N))
+    z = np.concatenate([
+        np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), b])).normal(
+            size=(min(CIRCLE_BLOCK, count - start), 2 * N))
+        for b, start in enumerate(range(0, count, CIRCLE_BLOCK))
+    ])
     z *= R / np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
@@ -191,46 +225,51 @@ class IntersectionCount:
     degenerate: bool = False
 
 
-def signed_intersections(circle: np.ndarray, slc: SignedSlice,
-                         scan_points: int = 512, tol: float = 1e-12,
-                         tangency_tol: float = 1e-9) -> IntersectionCount:
-    """Zeros of H along one circle, located by sign scan plus bisection."""
-    pos, neg, degenerate = _signed_counts(np.asarray(circle, float)[None, :], slc,
-                                          scan_points, tol, tangency_tol)
+def signed_intersections(circle: np.ndarray, slc: SignedSlice) -> IntersectionCount:
+    """Zeros of H along one circle, with the sign of dH/dtheta at each."""
+    pos, neg, degenerate = _signed_counts(np.asarray(circle, float)[None, :], slc)
     return IntersectionCount(int(pos[0]), int(neg[0]), bool(degenerate[0]))
 
 
-def _signed_counts(z0: np.ndarray, slc: SignedSlice, scan_points: int = 512,
-                   tol: float = 1e-12, tangency_tol: float = 1e-9):
-    """Vectorized signed zero counts for a block of circles (b, 2N)."""
+def _signed_counts(z0: np.ndarray, slc: SignedSlice):
+    """Signed zero counts of h(theta) = H(e^{i theta} z) for a block of
+    circles (b, 2N).
+
+    h is a trigonometric polynomial of degree d = deg H, so one FFT of 2d + 1
+    samples gives its coefficients c_{-d..d}, and its zeros are the
+    unit-circle roots w = e^{i theta} of the degree-2d polynomial
+    e^{i d theta} h(theta) = sum_k c_k w^{k+d}, found as companion-matrix
+    eigenvalues.  The sign of each zero is that of h'(theta) =
+    sum_k i k c_k e^{i k theta}.  A circle is degenerate when h == 0, when
+    c_d vanishes, or when a root on the circle is tangent or nearly double.
+    """
     b = z0.shape[0]
-    theta = 2.0 * np.pi * np.arange(scan_points) / scan_points
-    h = slc.H(rotate(z0[:, None, :], theta[None, :]))
-    scale = np.max(np.abs(h), axis=1)
-    degenerate = scale < tol
-    h_next = np.roll(h, -1, axis=1)
-    crossing = (h * h_next < 0) | ((h == 0) & (h_next != 0))
-    ci, cj = np.nonzero(crossing)
-    tlo = theta[cj]
-    thi = tlo + 2.0 * np.pi / scan_points
-    base = z0[ci]
-    flo = h[ci, cj]
-    for _ in range(46):
-        tm = 0.5 * (tlo + thi)
-        fm = slc.H(rotate(base, tm))
-        left = flo * fm <= 0
-        thi = np.where(left, tm, thi)
-        tlo = np.where(left, tlo, tm)
-        flo = np.where(left, flo, fm)
-    troot = 0.5 * (tlo + thi)
-    deriv = slc.sign_field(rotate(base, troot))
-    tangent = np.abs(deriv) < tangency_tol * np.maximum(scale[ci], 1.0)
-    if np.any(tangent):
-        degenerate[ci[tangent]] = True
+    d = slc.degree
+    M = 2 * d + 1
+    h = slc.H(rotate(z0[:, None, :], 2.0 * np.pi * np.arange(M) / M))
+    k = np.arange(-d, d + 1)
+    c = np.fft.fft(h, axis=1)[:, k % M] / M
+    mass = np.sum(np.abs(c), axis=1)
+    degenerate = (mass < ZERO_TOL) | (np.abs(c[:, -1]) <= TOP_TOL * mass)
+    live = np.nonzero(~degenerate)[0]
+    c = c[live]
+    companion = np.zeros((len(live), 2 * d, 2 * d), dtype=complex)
+    companion[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+    companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+    w = np.linalg.eigvals(companion)
+    on = np.abs(np.log(np.abs(w))) < UNIT_TOL
+    u = w / np.abs(w)
+    slope = np.real(np.sum(1j * k * c[:, None, :] * u[..., None] ** k, axis=-1))
+    tangent = on & (np.abs(slope) < TANGENCY_TOL * mass[live, None])
+    # w and 1/conj(w) share an angle, so an off-circle pair inside UNIT_TOL
+    # shows up here as a double root
+    apart = np.abs(np.angle(u[:, :, None] * np.conj(u[:, None, :])))
+    double = on[:, :, None] & on[:, None, :] & ~np.eye(2 * d, dtype=bool) & (apart < GAP_TOL)
+    degenerate[live] = np.any(tangent, axis=1) | np.any(double, axis=(1, 2))
     pos = np.zeros(b, dtype=int)
     neg = np.zeros(b, dtype=int)
-    np.add.at(pos, ci[deriv > 0], 1)
-    np.add.at(neg, ci[deriv < 0], 1)
+    pos[live] = np.count_nonzero(on & (slope > 0), axis=1)
+    neg[live] = np.count_nonzero(on & (slope < 0), axis=1)
     return pos, neg, degenerate
 
 
@@ -238,32 +277,53 @@ def _signed_counts(z0: np.ndarray, slc: SignedSlice, scan_points: int = 512,
 # surface integration at N = 2
 
 
-def _lift(slc: SignedSlice, x: np.ndarray) -> np.ndarray:
-    """x = (q1, p2, q2) -> z = (p1, p2, q1, q2) on {H = 0}."""
+def _embed(x: np.ndarray) -> np.ndarray:
+    """x = (q1, p2, q2) -> (0, p2, q1, q2)."""
     z = np.zeros(x.shape[:-1] + (4,))
     z[..., 2] = x[..., 0]
     z[..., 1] = x[..., 1]
     z[..., 3] = x[..., 2]
-    z[..., 0] = -slc.epsilon * slc.g(z)  # g does not involve p_1
     return z
 
 
-def _radius_on_slice(slc: SignedSlice, xi: np.ndarray, R: float,
-                     iters: int = 60) -> np.ndarray:
-    """Solve rho^2 + p_1(rho xi)^2 = R^2 along directions xi (..., 3)."""
+def _radius_on_slice(slc: SignedSlice, xi: np.ndarray, R: float):
+    """Solve rho^2 + p_1(rho xi)^2 = R^2 along directions xi (..., 3).
+
+    On the ray, g does not see p_1, so g(lift(rho xi)) = G(rho) =
+    sum_k a_k(xi) rho^k with a_k the degree-k part of g at xi, and
+    F(rho) = rho^2 + eps^2 G(rho)^2 - R^2 is solved by Newton from rho = R.
+    Each step keeps a bracket lo < root <= hi (F(0) = -R^2 < 0 <= F(R)) and
+    bisects it when the Newton step would leave it.  Returns rho and
+    G(rho), so the lifted point has p_1 = -eps G(rho).
+    """
+    a = slc.g.graded(_embed(xi))
+    eps2 = slc.epsilon ** 2
     lo = np.zeros(xi.shape[:-1])
-    hi = np.full(xi.shape[:-1], R)
+    hi = np.full(xi.shape[:-1], float(R))
+    rho = hi.copy()
+    for _ in range(100):  # Newton takes a handful; bisection at most ~60
+        G, dG = _horner(a, rho)
+        F = rho**2 + eps2 * G**2 - R**2
+        below = F < 0
+        lo = np.where(below, rho, lo)
+        hi = np.where(below, hi, rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = rho - F / (2.0 * rho + 2.0 * eps2 * G * dG)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - rho) <= 4.0 * np.finfo(float).eps * R)
+        rho = step
+        if done:
+            break
+    return rho, _horner(a, rho)[0]
 
-    def f(rho):
-        z = _lift(slc, rho[..., None] * xi)
-        return rho**2 + z[..., 0] ** 2 - R**2
 
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        hi = np.where(fm >= 0, mid, hi)
-        lo = np.where(fm >= 0, lo, mid)
-    return 0.5 * (lo + hi)
+def _horner(a: np.ndarray, rho: np.ndarray):
+    """sum_k a_k rho^k and its rho-derivative."""
+    G, dG = a[-1], np.zeros_like(rho)
+    for ak in a[-2::-1]:
+        dG = dG * rho + G
+        G = G * rho + ak
+    return G, dG
 
 
 def _direction(t, psi):
@@ -273,9 +333,12 @@ def _direction(t, psi):
 
 
 def _surface_point(slc: SignedSlice, t, psi, R: float) -> np.ndarray:
+    """The point of Sigma over the direction (t, psi), as (p1, p2, q1, q2)."""
     xi = _direction(np.asarray(t, float), np.asarray(psi, float))
-    rho = _radius_on_slice(slc, xi, R)
-    return _lift(slc, rho[..., None] * xi)
+    rho, G = _radius_on_slice(slc, xi, R)
+    z = _embed(rho[..., None] * xi)
+    z[..., 0] = -slc.epsilon * G
+    return z
 
 
 def _edge_colatitude(slc: SignedSlice, psi: np.ndarray, R: float,
@@ -362,34 +425,33 @@ def sigma_plus_area_stokes(slc: SignedSlice, R: float = 1.0,
 
 
 def crofton_check(slc: SignedSlice, R: float = 1.0, samples: int = 10**5,
-                  seed: int = 0, block: int = 4096, scan_points: int = 512) -> dict:
+                  seed: int = 0) -> dict:
     """lhs = integral of omega over Sigma^+; rhs = c_2 R^2 times the mean
     signed count of circle crossings of Sigma^+ (all crossings of Sigma^+
     are positive, so the count is the number of roots with dH/dtheta > 0).
-    c_2 = pi is pinned by the linear equality case."""
+    c_2 = pi is pinned by the linear equality case.
+
+    The count's 95% half-width is the larger of the normal one and the
+    exact Poisson (Garwood) upper distance for the crossings beyond the one
+    that every circle has (H is odd, so h changes sign): when those extras
+    are rare, a sample may hold none and its variance is then 0.
+    """
     lhs = sigma_plus_area(slc, R)
-    total = 0
-    total_sq = 0
-    n_used = 0
-    n_degenerate = 0
-    done = 0
-    bi = 0
-    while done < samples:
-        m = min(block, samples - done)
-        z0 = sample_hopf_circles(slc.N, R, m, seed=seed + 7919 * bi)
-        pos, neg, degen = _signed_counts(z0, slc, scan_points=scan_points)
-        ok = ~degen
-        total += int(pos[ok].sum())
-        total_sq += int((pos[ok] ** 2).sum())
-        n_used += int(ok.sum())
-        n_degenerate += int(degen.sum())
-        done += m
-        bi += 1
+    z = sample_hopf_circles(slc.N, R, samples, seed)
+    pos, degen = [], []
+    for start in range(0, samples, CIRCLE_BLOCK):
+        p, _, d = _signed_counts(z[start:start + CIRCLE_BLOCK], slc)
+        pos.append(p)
+        degen.append(d)
+    degen = np.concatenate(degen)
+    pos = np.concatenate(pos)[~degen]
+    n_used = len(pos)
     if n_used == 0:
         raise CroftonError("all sampled circles were degenerate")
-    mean = total / n_used
-    var = max(total_sq / n_used - mean**2, 0.0)
-    ci = 1.959963984540054 * math.sqrt(var / n_used)
+    mean = float(pos.mean())
+    extra = int(pos.sum()) - n_used
+    ci = max(1.959963984540054 * float(pos.std()) / math.sqrt(n_used),
+             (float(gammaincinv(extra + 1, 0.975)) - extra) / n_used)
     rhs = C2 * R**2 * mean
     return {
         "lhs": lhs,
@@ -399,7 +461,7 @@ def crofton_check(slc: SignedSlice, R: float = 1.0, samples: int = 10**5,
         "count_ci": ci,
         "rhs_ci": C2 * R**2 * ci,
         "samples": n_used,
-        "degenerate": n_degenerate,
+        "degenerate": int(degen.sum()),
         "seed": seed,
         "R": R,
     }

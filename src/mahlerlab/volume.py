@@ -22,9 +22,14 @@ from .bodies import (
     LagrangianProductBody,
     LpBallBody,
     PolytopeBody,
+    hyperplane_projection,
 )
 
 MC_BLOCK = 1 << 16
+# rows per membership test: keeps the test's temporaries (a few arrays of
+# rows x facets or rows x fiber steps) small enough to be reused from the
+# heap instead of being mapped and unmapped for every call
+MC_ROWS = 1 << 13
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -178,7 +183,8 @@ def mc_volume(body: ConvexBody, samples: int, seed: int, tol: float = 1e-12) -> 
         m = min(MC_BLOCK, samples - done)
         rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block_idx]))
         pts = rng.uniform(-1.0, 1.0, size=(m, body.dim)) * half
-        hits += int(np.count_nonzero(body.contains_batch(pts, tol)))
+        for lo in range(0, m, MC_ROWS):
+            hits += int(np.count_nonzero(body.contains_batch(pts[lo:lo + MC_ROWS], tol)))
         done += m
         block_idx += 1
     phat = hits / samples
@@ -285,20 +291,19 @@ def reduction_volume_bound(body: PolytopeBody, u, action_bound=Fraction(4)) -> R
 
     S' = (K/L) x (K° ∩ L^perp) with L = span(u).  Both sides are exact
     rationals: per-axis frame scales cancel between the projected and the
-    sectioned factor.
+    sectioned factor.  K° ∩ L^perp is the polar of K/L in the shared frame
+    of u^perp, so the sectioned core is built from the projected core's
+    facets and one double description serves both factors.
     """
-    from .symplectic import reduce_product  # local import to avoid a cycle
-    from .bodies import lagrangian_product
-
     if not isinstance(body, PolytopeBody):
         raise BodyError("reduction volume bound needs an exact polytope")
     n = body.dim
     if n < 2:
         raise BodyError("need dimension >= 2 to reduce")
     A = Fraction(action_bound)
-    S = lagrangian_product(body)
-    reduced = reduce_product(S, u)
-    lhs = reduced.base.core.volume_exact() * reduced.dual.core.volume_exact()
+    base = hyperplane_projection(body, u).core
+    vol_base = base.volume_exact()  # first: the polar reads this hull's facets
+    lhs = vol_base * base.polar().volume_exact()
     vol_s = body.volume_exact() * body.polar().volume_exact()
     rhs = Fraction(n, 1) / A * vol_s
     return ReductionVolumeReport(

@@ -64,6 +64,15 @@ def test_crofton_command(capsys):
     assert out["agrees"]
 
 
+def test_crofton_without_extra_crossings_agrees(capsys):
+    # no circle of this draw crosses more than twice; the interval must
+    # still cover the area's 1.9e-3 excess over pi
+    code, out = run_cli(capsys, "--no-log", "crofton", "--epsilon", "0.05",
+                        "--g", "q2^3", "--samples", "2048", "--seed", "5")
+    assert code == 0
+    assert out["agrees"] and out["rhs_ci"] > 0
+
+
 def test_verify_command(capsys):
     code, out = run_cli(capsys, "--no-log", "verify", "--suite",
                         "reduction-bound", "--trials", "2", "--n", "3",
@@ -138,6 +147,26 @@ def test_missing_body_field_exit_one(capsys):
     assert "lacks field(s) dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    ('{"type":"hpoly","A":5,"b":[1]}', "'A' must be a non-empty list of rows"),
+    ('{"type":"hpoly","A":[[1,0],[0]],"b":[1,1]}', "'A' is not rectangular"),
+    ('{"type":"hpoly","A":[[1,0],[0,null]],"b":[1,1]}', "non-numeric entry None"),
+    ('{"type":"hpoly","A":[[1,0],[-1,0]],"b":[1]}', "'b' has 1 entries, expected 2"),
+    ('{"type":"vpoly","vertices":[[1,"x"],[-1,0]]}', "cannot parse rational from 'x'"),
+    ('{"type":"cube","dim":[3]}', "non-numeric entry [3]"),
+    ('{"type":"cross","dim":0}', "'dim' must be a positive integer"),
+    ('{"type":"lp_ball","p":{},"dim":3}', "non-numeric entry {}"),
+    ('{"type":"hanner","expr":5}', "'expr' must be a string"),
+    ('{"type":"section","body":{"type":"cube","dim":3},"normal":5}', "'normal' must be"),
+    ('{"type":"linimg","body":{"type":"cube","dim":2},"matrix":5}', "'matrix' must be"),
+    ('{"type":"scaled","core":{"type":"cube","dim":2},"scales2":5}', "'scales2' must be"),
+])
+def test_wrong_typed_body_field_exit_one(capsys, body, message):
+    code = cli.main(["--no-log", "volume", "--body", body])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("expr, message", [
     ("X(" * 1200 + "S, S" + ")" * 1200, "at least two operands"),
     ("X(S, " * 1200 + "S" + ")" * 1200, "1201 leaves"),
@@ -159,7 +188,7 @@ def test_crofton_accepts_float_literals(capsys, g, coef, exps, malformed):
     assert CR.parse_odd_polynomial(g, 2).terms == ((coef, exps),)
     code, out = run_cli(capsys, "--no-log", "crofton", "--epsilon", "0.05",
                         "--g", g, "--samples", "200", "--seed", "3")
-    assert code in (0, 2)  # 2 is the identity's own verdict, not a parse error
+    assert code == 0
     assert out["samples"] == 200
     code = cli.main(["--no-log", "crofton", "--epsilon", "0.05",
                      "--g", malformed, "--samples", "200"])

@@ -192,11 +192,35 @@ def test_reduction_bound_cube_diagonal():
 
 
 def test_reduction_bound_random_tree(rng):
-    body = B.hanner_body("X(S, L(S, S))")
-    for _ in range(20):
-        u = random_rational_normal(rng, 3)
-        rep = V.reduction_volume_bound(body, u)
-        assert rep.holds
+    from mahlerlab.symplectic import reduce_product
+
+    for expr in ("X(S, L(S, S))", "L(S, X(S, S), S)"):
+        body = B.hanner_body(expr)
+        for _ in range(10):
+            u = random_rational_normal(rng, body.dim)
+            rep = V.reduction_volume_bound(body, u)
+            assert rep.holds
+            # the polar of the projected core is the sectioned dual core
+            reduced = reduce_product(B.lagrangian_product(B.hanner_body(expr)), u)
+            assert rep.lhs_exact == (reduced.base.core.volume_exact()
+                                     * reduced.dual.core.volume_exact())
+
+
+def test_reduction_bound_runs_one_double_description(monkeypatch):
+    from mahlerlab import exactgeom
+
+    calls = []
+    real = exactgeom.dd_vertices
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactgeom, "dd_vertices", counting)
+    monkeypatch.setattr(B, "dd_vertices", counting)
+    rep = V.reduction_volume_bound(B.hanner_body("X(S, L(S, S), S)"), (1, 2, -1, 3))
+    assert len(calls) == 1
+    assert rep.holds
 
 
 def test_volume_result_validation():
