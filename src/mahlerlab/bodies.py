@@ -71,15 +71,12 @@ def rational_vector(seq) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in seq)
 
 
-def orthogonal_complement_basis(
-    u: Sequence[Fraction], reverse: bool = False
-) -> list[tuple[Fraction, ...]]:
+def orthogonal_complement_basis(u: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
     """Rational orthogonal (not normalized) basis of u-perp.
 
     Gram-Schmidt over Q, seeded with coordinate vectors in a fixed pivot
     order: the coordinate of largest |u_i| (first such index) is dropped,
-    the rest are taken in increasing index order.  ``reverse`` flips both
-    choices, giving a second deterministic basis for independence checks.
+    the rest are taken in increasing index order.
     """
     u = rational_vector(u)
     n = len(u)
@@ -87,11 +84,8 @@ def orthogonal_complement_basis(
         raise BodyError("zero normal vector")
     mags = [abs(x) for x in u]
     m = max(mags)
-    pivots = [i for i, v in enumerate(mags) if v == m]
-    pivot = pivots[-1] if reverse else pivots[0]
+    pivot = mags.index(m)
     order = [j for j in range(n) if j != pivot]
-    if reverse:
-        order = order[::-1]
     basis: list[tuple[Fraction, ...]] = []
     uu = sum(x * x for x in u)
     for j in order:
@@ -841,13 +835,6 @@ def dual_tree(expr: str) -> str:
     return hanner_tree_str(rec(parse_hanner(expr)))
 
 
-def hanner_leaf_count(tree) -> int:
-    if tree == "S":
-        return 1
-    _, children = tree
-    return sum(hanner_leaf_count(c) for c in children)
-
-
 def hanner_counts(tree) -> tuple[int, int]:
     """(vertex count, facet count): vertices multiply under X and add under L,
     facets do the opposite."""
@@ -921,10 +908,6 @@ def hanner_body(expr_or_tree) -> PolytopeBody:
 # operations
 
 
-def polar(body: ConvexBody) -> ConvexBody:
-    return body.polar()
-
-
 def gauge(body: ConvexBody, x) -> float:
     return float(body.gauge(np.asarray(x, dtype=float)))
 
@@ -968,8 +951,8 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
     gauge to the subspace.
     """
     uf = np.asarray(u, dtype=float)
-    if uf.shape != (body.dim,) or not np.any(uf):
-        raise BodyError("normal must be a nonzero vector of matching dimension")
+    if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
+        raise BodyError("normal must be a nonzero finite vector of matching dimension")
     if isinstance(body, LpBallBody):
         axis = _coordinate_axis(uf)
         if axis is not None or body.p == 2.0:
@@ -989,15 +972,15 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
         core = PolytopeBody(body.dim - 1, halfspaces=A, check_symmetry=False)
         scales2 = [sum(x * x for x in bv) for bv in basis]
         return DiagonalImageBody(core, scales2)
-    basis = _orthonormal_basis_float(uf)
+    basis = orthonormal_frame(uf)
     return SliceBody(body, basis)
 
 
 def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
     """body / span(u), i.e. the shadow on u^perp, same frame as the section."""
     uf = np.asarray(u, dtype=float)
-    if uf.shape != (body.dim,) or not np.any(uf):
-        raise BodyError("normal must be a nonzero vector of matching dimension")
+    if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
+        raise BodyError("normal must be a nonzero finite vector of matching dimension")
     if isinstance(body, LpBallBody):
         axis = _coordinate_axis(uf)
         if axis is not None or body.p == 2.0:
@@ -1011,15 +994,25 @@ def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
         core = PolytopeBody(body.dim - 1, vertices=verts, check_symmetry=False)
         scales2 = [1 / sum(x * x for x in bv) for bv in basis]
         return DiagonalImageBody(core, scales2)
-    basis = _orthonormal_basis_float(uf)
+    basis = orthonormal_frame(uf)
     return ImageBody(body, basis.T)
 
 
-def _orthonormal_basis_float(u: np.ndarray) -> np.ndarray:
+def orthonormal_frame(u: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of u^perp as the columns of an (n, n-1) array.
+
+    Gram-Schmidt in floating point on u/|u| and the coordinate vectors, the
+    coordinate of largest |u_i| (first such index) left out; ``u`` need not
+    be normalized.  A normal with a non-finite entry, or whose norm
+    overflows or underflows, raises BodyError.
+    """
+    norm = np.linalg.norm(u)
+    if not 0 < norm < np.inf:
+        raise BodyError("normal must be finite, nonzero, and of finite norm")
     n = len(u)
+    un = u / norm
     pivot = int(np.argmax(np.abs(u)))
     cols = []
-    un = u / np.linalg.norm(u)
     for j in range(n):
         if j == pivot:
             continue

@@ -32,12 +32,7 @@ from .bodies import (
     LagrangianProductBody,
     PolytopeBody,
 )
-from .symplectic import reduce_product
-
-
-def _jrot(v: np.ndarray) -> np.ndarray:
-    n = v.shape[-1] // 2
-    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
+from .symplectic import j_rotate, polygon_action, reduce_product
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ def body_norm(S: ConvexBody, v) -> float | np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != S.dim:
         raise BodyError("dimension mismatch")
-    out = S.support(_jrot(v))
+    out = S.support(j_rotate(v))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -113,21 +108,6 @@ def loop_length(S: ConvexBody, loop) -> float:
     verts = np.asarray(getattr(loop, "vertices", loop), dtype=float)
     edges = np.roll(verts, -1, axis=0) - verts
     return float(np.sum(body_norm(S, edges)))
-
-
-def loop_action(loop) -> float:
-    verts = np.asarray(getattr(loop, "vertices", loop), dtype=float)
-    nxt = np.roll(verts, -1, axis=0)
-    n = verts.shape[-1] // 2
-    om = np.sum(verts[:, :n] * nxt[:, n:] - nxt[:, :n] * verts[:, n:], axis=-1)
-    return float(0.5 * np.sum(om))
-
-
-def quotient_value(S: ConvexBody, loop) -> float:
-    a = loop_action(loop)
-    if a <= 0:
-        raise BodyError("loop has non-positive action")
-    return loop_length(S, loop) ** 2 / (4.0 * a)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +118,7 @@ def _ellipse_starts(dim: int, m: int, count: int, rng: np.random.Generator) -> n
     """Random ellipses in random symplectic 2-planes span(a, Ja)."""
     a = rng.normal(size=(count, dim))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b = _jrot(a)
+    b = j_rotate(a)
     theta = 2.0 * np.pi * np.arange(m) / m
     return (
         np.cos(theta)[None, :, None] * a[:, None, :]
@@ -149,22 +129,19 @@ def _ellipse_starts(dim: int, m: int, count: int, rng: np.random.Generator) -> n
 def _evaluate(S: ConvexBody, z: np.ndarray):
     """Q, length, action, edge witnesses for a batch of loops (B, m, d)."""
     e = np.roll(z, -1, axis=1) - z
-    je = _jrot(e)
+    je = j_rotate(e)
     w = S.support_witness(je)
     norms = np.sum(je * w, axis=-1)  # h_S(Je) at the witness
     length = np.sum(norms, axis=-1)
-    nxt = np.roll(z, -1, axis=1)
-    n = z.shape[-1] // 2
-    om = np.sum(z[..., :n] * nxt[..., n:] - nxt[..., :n] * z[..., n:], axis=-1)
-    action = 0.5 * np.sum(om, axis=-1)
+    action = polygon_action(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(action > 0, length**2 / (4.0 * action), np.inf)
     return q, length, action, w
 
 
 def _gradient(z, length, action, w):
-    dl = _jrot(w - np.roll(w, 1, axis=1))
-    da = 0.5 * _jrot(np.roll(z, 1, axis=1) - np.roll(z, -1, axis=1))
+    dl = j_rotate(w - np.roll(w, 1, axis=1))
+    da = 0.5 * j_rotate(np.roll(z, 1, axis=1) - np.roll(z, -1, axis=1))
     l_ = length[:, None, None]
     a_ = action[:, None, None]
     return (l_ / (2.0 * a_)) * dl - (l_**2 / (4.0 * a_**2)) * da
@@ -306,11 +283,13 @@ def _product_preconditioner(S: ConvexBody):
     return S_opt, unmap
 
 
-def _estimate(S, m, starts, seed, symmetric, max_iters, refine_rounds=0):
+def _estimate(S, m, starts, seed, symmetric, max_iters):
     if S.dim % 2 != 0:
         raise BodyError("capacity needs an even-dimensional body")
     if m < 4 or m % 2 != 0:
         raise BodyError("m must be even and >= 4")
+    if starts < 1:
+        raise BodyError("starts must be >= 1")
     pre = _product_preconditioner(S)
     unmap = None
     if pre is not None:
@@ -331,20 +310,6 @@ def _estimate(S, m, starts, seed, symmetric, max_iters, refine_rounds=0):
     # when it opened at the minimizer (circles in a ball), so movement is
     # reported separately.
     converged = bool(stalled[k])
-    total_iters = iters
-    for _ in range(refine_rounds):
-        doubled_full = _subdivide(loop_v)
-        z_init = doubled_full[: doubled_full.shape[0] // 2] if symmetric else doubled_full
-        q2, loops2, it2, r2, stalled2, _ = _minimize_quotient(
-            S, z_init[None, :, :], symmetric, rng, max_iters=max_iters
-        )
-        total_iters += it2
-        restarts += r2
-        if float(q2[0]) < value:
-            value = float(q2[0])
-            loop_v = loops2[0]
-        else:
-            loop_v = doubled_full
     if unmap is not None:
         loop_v = unmap(loop_v)
     loop = PolygonalLoop(loop_v, symmetric=symmetric)
@@ -355,7 +320,7 @@ def _estimate(S, m, starts, seed, symmetric, max_iters, refine_rounds=0):
         starts=starts,
         seed=seed,
         converged=converged,
-        iterations=total_iters,
+        iterations=iters,
         restarts=restarts,
     )
 
@@ -370,19 +335,16 @@ def _subdivide(z: np.ndarray) -> np.ndarray:
 
 
 def capacity_estimate(S: ConvexBody, m: int = 64, starts: int = 16, seed: int = 0,
-                      max_iters: int = 50_000, refine_rounds: int = 0) -> CapacityEstimate:
+                      max_iters: int = 50_000) -> CapacityEstimate:
     """Upper-bound estimate of the capacity of S by polygonal loops."""
-    return _estimate(S, m, starts, seed, symmetric=False, max_iters=max_iters,
-                     refine_rounds=refine_rounds)
+    return _estimate(S, m, starts, seed, symmetric=False, max_iters=max_iters)
 
 
 def symmetric_capacity_estimate(S: ConvexBody, m: int = 64, starts: int = 16,
-                                seed: int = 0, max_iters: int = 50_000,
-                                refine_rounds: int = 0) -> CapacityEstimate:
+                                seed: int = 0, max_iters: int = 50_000) -> CapacityEstimate:
     """Same functional restricted to centrally symmetric loops (half the
     variables); for symmetric bodies one of the minimizers is symmetric."""
-    return _estimate(S, m, starts, seed, symmetric=True, max_iters=max_iters,
-                     refine_rounds=refine_rounds)
+    return _estimate(S, m, starts, seed, symmetric=True, max_iters=max_iters)
 
 
 def refine_estimate(S: ConvexBody, est: CapacityEstimate, rounds: int = 1,

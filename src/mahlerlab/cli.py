@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -52,11 +51,7 @@ def _parse_normal_arg(text: str):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if any("." in p or "e" in p.lower() for p in parts):
         return np.array([float(p) for p in parts])
-    return tuple(Fraction(p) for p in parts)
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("MAHLER_LAB_SEED", "0"))
+    return B.rational_vector(parts)
 
 
 def _log_path(args) -> Path:
@@ -103,43 +98,32 @@ def _json_default(x):
 
 def cmd_volume(args) -> int:
     body = _load_body_arg(args.body)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.method == "exact":
         res = V.exact_polytope_volume(body)
     elif args.method == "mc":
-        res = V.mc_volume(body, args.samples, seed)
+        res = V.mc_volume(body, args.samples, args.seed)
     else:
-        res = V.volume_of(body, samples=args.samples, seed=seed)
-    return _emit(args, "volume", res.as_dict(), seed, body,
+        res = V.volume_of(body, samples=args.samples, seed=args.seed)
+    return _emit(args, "volume", res.as_dict(), args.seed, body,
                  {"samples": args.samples, "method": args.method})
 
 
 def cmd_mahler(args) -> int:
     body = _load_body_arg(args.body)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rep = V.mahler_product(body, samples=args.samples, seed=seed)
-    return _emit(args, "mahler", rep.as_dict(), seed, body,
+    rep = V.mahler_product(body, samples=args.samples, seed=args.seed)
+    return _emit(args, "mahler", rep.as_dict(), args.seed, body,
                  {"samples": args.samples})
 
 
-def cmd_section(args) -> int:
+def cmd_cut(args) -> int:
+    """`section` (body ∩ u^perp) or `project` (body / span(u))."""
     body = _load_body_arg(args.body)
-    u = _parse_normal_arg(args.normal)
-    sec = B.hyperplane_section(body, u)
-    result = {"body": sec.describe()}
-    if isinstance(sec, (B.PolytopeBody, B.DiagonalImageBody)):
-        result["volume"] = V.exact_polytope_volume(sec).as_dict()
-    return _emit(args, "section", result, None, body, {"normal": args.normal})
-
-
-def cmd_project(args) -> int:
-    body = _load_body_arg(args.body)
-    u = _parse_normal_arg(args.normal)
-    proj = B.hyperplane_projection(body, u)
-    result = {"body": proj.describe()}
-    if isinstance(proj, (B.PolytopeBody, B.DiagonalImageBody)):
-        result["volume"] = V.exact_polytope_volume(proj).as_dict()
-    return _emit(args, "project", result, None, body, {"normal": args.normal})
+    cut = B.hyperplane_section if args.command == "section" else B.hyperplane_projection
+    res = cut(body, _parse_normal_arg(args.normal))
+    result = {"body": res.describe()}
+    if isinstance(res, (B.PolytopeBody, B.DiagonalImageBody)):
+        result["volume"] = V.exact_polytope_volume(res).as_dict()
+    return _emit(args, args.command, result, None, body, {"normal": args.normal})
 
 
 def cmd_reduce(args) -> int:
@@ -159,49 +143,45 @@ def cmd_reduce(args) -> int:
 
 def cmd_capacity(args) -> int:
     body = _load_body_arg(args.body)
-    seed = args.seed if args.seed is not None else _default_seed()
     fn = C.symmetric_capacity_estimate if args.symmetric else C.capacity_estimate
-    est = fn(body, m=args.points, starts=args.starts, seed=seed,
+    est = fn(body, m=args.points, starts=args.starts, seed=args.seed,
              max_iters=args.max_iters)
     return _emit(args, "capacity", est.as_dict(include_loop=not args.no_loop),
-                 seed, body,
+                 args.seed, body,
                  {"points": args.points, "starts": args.starts,
                   "symmetric": args.symmetric})
 
 
 def cmd_crofton(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.epsilon == 0.0:
         slc = CR.linear_slice(2)
     else:
         slc = CR.perturbed_slice(2, args.epsilon, args.g)
-    rep = CR.crofton_check(slc, R=args.radius, samples=args.samples, seed=seed)
+    rep = CR.crofton_check(slc, R=args.radius, samples=args.samples, seed=args.seed)
     tol = 1e-6 + rep["rhs_ci"] if args.epsilon == 0.0 else 3.0 * rep["rhs_ci"] + 1e-9
     rep["agrees"] = abs(rep["lhs"] - rep["rhs"]) <= tol
     code = EXIT_OK if rep["agrees"] else EXIT_ASSERTION
-    return _emit(args, "crofton", rep, seed, None,
+    return _emit(args, "crofton", rep, args.seed, None,
                  {"epsilon": args.epsilon, "g": args.g,
                   "samples": args.samples, "radius": args.radius}, code)
 
 
 def cmd_embed(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     profile = E.load_or_build_profile(args.alpha, args.nexp,
                                       cache_dir=args.cache)
     rep = E.product_embedding_check(
-        args.alpha, args.copies, args.nexp, samples=args.samples, seed=seed,
+        args.alpha, args.copies, args.nexp, samples=args.samples, seed=args.seed,
         profile=profile, r_factor=args.radius_factor)
     ok = rep["contained_fraction"] == 1.0 or args.radius_factor > 1.0
     code = EXIT_OK if ok else EXIT_ASSERTION
-    return _emit(args, "embed", rep, seed, None,
+    return _emit(args, "embed", rep, args.seed, None,
                  {"alpha": args.alpha, "nexp": args.nexp,
                   "copies": args.copies, "samples": args.samples,
                   "radius_factor": args.radius_factor}, code)
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    params: dict = {"seed": seed}
+    params: dict = {"seed": args.seed}
     if args.trials is not None:
         params["trials"] = args.trials
     if args.samples is not None:
@@ -213,7 +193,7 @@ def cmd_verify(args) -> int:
             params["n"] = args.n
     rep = run_suite(args.suite, **params)
     code = EXIT_OK if rep["passed"] else EXIT_ASSERTION
-    return _emit(args, "verify", rep, seed, None,
+    return _emit(args, "verify", rep, args.seed, None,
                  {"suite": args.suite, **params}, code)
 
 
@@ -247,15 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_mahler)
 
-    p = sub.add_parser("section", help="central hyperplane section")
-    add_body(p)
-    p.add_argument("--normal", required=True, help="comma-separated rationals")
-    p.set_defaults(func=cmd_section)
-
-    p = sub.add_parser("project", help="projection to a hyperplane")
-    add_body(p)
-    p.add_argument("--normal", required=True)
-    p.set_defaults(func=cmd_project)
+    for name, text in (("section", "central hyperplane section"),
+                       ("project", "projection to a hyperplane")):
+        p = sub.add_parser(name, help=text)
+        add_body(p)
+        p.add_argument("--normal", required=True, help="comma-separated rationals")
+        p.set_defaults(func=cmd_cut)
 
     p = sub.add_parser("reduce", help="linear symplectic reduction of K x K°")
     add_body(p)
@@ -313,6 +290,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        if getattr(args, "seed", 0) is None:  # --seed not given: the environment
+            args.seed = int(os.environ.get("MAHLER_LAB_SEED", "0"))
         return args.func(args)
     except (B.BodyError, CR.CroftonError, E.EmbeddingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -145,6 +145,8 @@ class SignedSlice:
     g: OddPolynomial
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon * self.epsilon):
+            raise CroftonError("epsilon and its square must be finite")
         if self.g.nvars != 2 * self.N:
             raise CroftonError("polynomial arity must be 2N")
         for _, exps in self.g.terms:
@@ -436,6 +438,8 @@ def crofton_check(slc: SignedSlice, R: float = 1.0, samples: int = 10**5,
     that every circle has (H is odd, so h changes sign): when those extras
     are rare, a sample may hold none and its variance is then 0.
     """
+    if not (R > 0 and math.isfinite(R * R)):
+        raise CroftonError("radius must be positive and its square finite")
     lhs = sigma_plus_area(slc, R)
     z = sample_hopf_circles(slc.N, R, samples, seed)
     pos, degen = [], []

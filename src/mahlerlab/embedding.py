@@ -312,6 +312,8 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
     grid; at r_factor <= 1 the containment fraction must be 1.0.
     """
     N = int(copies)
+    if N < 1 or samples < 1:
+        raise EmbeddingError("copies and samples must be >= 1")
     if profile is None:
         profile = build_profile(alpha, n_exp)
     beta = profile.beta

@@ -1,9 +1,11 @@
 """Standard symplectic structure, actions, and linear reduction.
 
-Coordinates are ordered (p_1..p_N, q_1..q_N).  The pairing is
-omega(x, y) = sum_i x_p[i] y_q[i] - y_p[i] x_q[i], with primitive
-lambda = 1/2 sum_i (p_i dq_i - q_i dp_i), so the action of a closed polygon
-is 1/2 sum_i omega(z_i, z_{i+1}).
+This module is the home of the convention: `j_rotate` and the batched
+`polygon_action` are the one J and the one polygon action, and the capacity
+estimator imports them.  Coordinates are ordered (p_1..p_N, q_1..q_N).
+The pairing is omega(x, y) = sum_i x_p[i] y_q[i] - y_p[i] x_q[i], with
+primitive lambda = 1/2 sum_i (p_i dq_i - q_i dp_i), so the action of a
+closed polygon is 1/2 sum_i omega(z_i, z_{i+1}).
 
 Reductions are along an isotropic line L inside the q-subspace (the only
 case the Lagrangian-product construction needs); higher codimension is
@@ -24,56 +26,23 @@ from .bodies import (
     fiber_min_gauge,
     hyperplane_projection,
     hyperplane_section,
+    orthonormal_frame,
 )
 
 
-class SymplecticSpace:
-    """R^{2N} with the standard pairing."""
-
-    def __init__(self, half_dim: int):
-        if half_dim < 1:
-            raise ValueError("half dimension must be positive")
-        self.N = int(half_dim)
-        self.dim = 2 * self.N
-
-    def split(self, z):
-        z = np.asarray(z, dtype=float)
-        return z[..., : self.N], z[..., self.N :]
-
-    def omega(self, x, y) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
-            raise ValueError("dimension mismatch")
-        xp, xq = self.split(x)
-        yp, yq = self.split(y)
-        out = np.sum(xp * yq - yp * xq, axis=-1)
-        return float(out) if out.ndim == 0 else out
-
-    def j_rotate(self, v):
-        """J with <Jv, z> = omega(v, z): (p, q) -> (-q, p)."""
-        v = np.asarray(v, dtype=float)
-        vp, vq = self.split(v)
-        return np.concatenate([-vq, vp], axis=-1)
-
-    def polygon_action(self, loop) -> float:
-        """1/2 sum_i omega(z_i, z_{i+1}); equals the lambda integral exactly
-        for polygons."""
-        verts = np.asarray(getattr(loop, "vertices", loop), dtype=float)
-        if verts.ndim != 2 or verts.shape[0] < 3:
-            raise ValueError("need a closed polygon with at least 3 vertices")
-        if verts.shape[1] != self.dim:
-            raise ValueError("dimension mismatch")
-        nxt = np.roll(verts, -1, axis=0)
-        return float(0.5 * np.sum(self.omega(verts, nxt)))
+def j_rotate(v: np.ndarray) -> np.ndarray:
+    """J on the last axis, with <Jv, z> = omega(v, z): (p, q) -> (-q, p)."""
+    n = v.shape[-1] // 2
+    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
 
 
-def omega(space: SymplecticSpace, x, y):
-    return space.omega(x, y)
-
-
-def polygon_action(space: SymplecticSpace, loop):
-    return space.polygon_action(loop)
+def polygon_action(z: np.ndarray) -> np.ndarray:
+    """1/2 sum_i omega(z_i, z_{i+1}) for polygons closed along axis -2 (the
+    lambda integral, exact for polygons); one value per polygon."""
+    nxt = np.roll(z, -1, axis=-2)
+    n = z.shape[-1] // 2
+    om = np.sum(z[..., :n] * nxt[..., n:] - nxt[..., :n] * z[..., n:], axis=-1)
+    return 0.5 * np.sum(om, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +64,7 @@ class ReductionSpec:
         return 2 * self.N - 1
 
 
-def coisotropic_complement(ell, N: int | None = None, reverse: bool = False) -> ReductionSpec:
+def coisotropic_complement(ell, N: int | None = None) -> ReductionSpec:
     """Reduction data for a line spanned by ``ell`` inside the q-subspace.
 
     ``ell`` is either an N-vector of q-coordinates or a 2N-vector whose
@@ -118,8 +87,7 @@ def coisotropic_complement(ell, N: int | None = None, reverse: bool = False) -> 
     line = np.concatenate([np.zeros(n), ellq])
     # omega((0, ell), x) = -<ell, x_p>: the complement is {x : <ell, x_p> = 0}
     normal = np.concatenate([ellq, np.zeros(n)])
-    # orthonormal basis of ell^perp inside R^N, deterministic pivot order
-    f = _orthonormal_complement_float(ellq, reverse=reverse)
+    f = orthonormal_frame(ell)
     cols = []
     for i in range(f.shape[1]):
         cols.append(np.concatenate([f[:, i], np.zeros(n)]))  # p-type vector
@@ -128,28 +96,6 @@ def coisotropic_complement(ell, N: int | None = None, reverse: bool = False) -> 
     basis = np.stack(cols, axis=1)
     return ReductionSpec(N=n, line_q=ellq, line=line,
                          complement_normal=normal, quotient_basis=basis)
-
-
-def _orthonormal_complement_float(u: np.ndarray, reverse: bool = False) -> np.ndarray:
-    n = len(u)
-    mags = np.abs(u)
-    pivots = np.nonzero(mags == mags.max())[0]
-    pivot = int(pivots[-1] if reverse else pivots[0])
-    order = [j for j in range(n) if j != pivot]
-    if reverse:
-        order = order[::-1]
-    cols = []
-    for j in order:
-        v = np.zeros(n)
-        v[j] = 1.0
-        v = v - (v @ u) * u
-        for c in cols:
-            v = v - (v @ c) * c
-        nv = np.linalg.norm(v)
-        if nv < 1e-13:
-            raise BodyError("degenerate complement basis")
-        cols.append(v / nv)
-    return np.stack(cols, axis=1) if cols else np.zeros((n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +146,15 @@ def reduce_ball(N: int, spec_or_line, radius: float = 1.0,
     """
     from .volume import VolumeResult
 
+    n = N - 1
+    if n < 1:
+        raise BodyError("need N >= 2")
     if isinstance(spec_or_line, ReductionSpec):
         spec = spec_or_line
     else:
         spec = coisotropic_complement(spec_or_line, N=N)
     if spec.N != N:
         raise BodyError("spec dimension mismatch")
-    n = N - 1
-    if n < 1:
-        raise BodyError("need N >= 2")
     ball = LpBallBody(2.0, 2 * N)
     rng = np.random.default_rng(seed)
     xi = rng.normal(size=(directions, 2 * n))

@@ -289,6 +289,20 @@ def test_section_zero_normal_rejected():
         B.hyperplane_section(B.PolytopeBody.cube(3), [0, 0, 0])
 
 
+def test_orthonormal_frame(rng):
+    for n in (2, 3, 5):
+        u = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6)
+        F = B.orthonormal_frame(u)
+        assert F.shape == (n, n - 1)
+        assert np.allclose(F.T @ F, np.eye(n - 1), atol=1e-12)
+        assert np.allclose(u @ F / np.linalg.norm(u), 0.0, atol=1e-12)
+    # a non-finite entry, an overflowing |u| and an underflowing |u|^2
+    for bad in ([1.0, np.inf, 1.0], [np.nan, 1.0, 0.0], [1.0, 1e308, 1e308],
+                [1e-200, 1e-200, 0.0]):
+        with pytest.raises(B.BodyError):
+            B.orthonormal_frame(np.array(bad))
+
+
 def test_slicing_duality_polytopes():
     # support functions of (K ∩ u^perp)° and of proj_{u^perp}(K°) agree
     rng = np.random.default_rng(17)

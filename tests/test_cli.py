@@ -1,8 +1,12 @@
 """CLI behavior: output, exit codes, logging, replay."""
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahlerlab import cli
 from mahlerlab import embedding as E
@@ -194,3 +198,107 @@ def test_crofton_accepts_float_literals(capsys, g, coef, exps, malformed):
                      "--g", malformed, "--samples", "200"])
     assert code == 1
     assert "bad monomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, normal", [
+    ('{"type":"cube","dim":3}', "1,1e400,1"),
+    ('{"type":"lp_ball","p":2,"dim":3}', "1,1e400,1"),
+    # |u| overflows to inf, so u/|u| would be 0 and the frame span(e_1, e_3)
+    ('{"type":"lp_ball","p":3,"dim":3}', "1,1e308,1e308"),
+    # |u|^2 underflows to 0
+    ('{"type":"cube","dim":3}', "1e-200,1e-200,0.0"),
+])
+@pytest.mark.parametrize("command", ["section", "project"])
+def test_non_finite_normal_exit_one(capsys, command, body, normal):
+    code = cli.main(["--no-log", command, "--body", body, "--normal", normal])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["capacity", "--body", '{"type":"product","body":{"type":"cube","dim":2}}',
+      "--points", "8", "--starts", "0"], "starts must be >= 1"),
+    (["embed", "--copies", "0", "--samples", "10"], "copies and samples must be >= 1"),
+    (["verify", "--suite", "embedding", "--samples", "0"],
+     "copies and samples must be >= 1"),
+])
+def test_bad_size_exit_one(capsys, argv, message):
+    code = cli.main(["--no-log"] + argv)
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: no argv ends in a traceback
+
+NUMBERS = ["0", "1", "-1", "2", "3", "2/3", "0.5", "-0.05", "1e-320", "1e308",
+           "1e400", "-1e400", "nan", "inf", "1/0", "x", ""]
+EVEN_BODIES = [
+    '{"type":"product","body":{"type":"cube","dim":2}}',
+    '{"type":"product","body":{"type":"cross","dim":2}}',
+    '{"type":"product","body":{"type":"lp_ball","p":3,"dim":2}}',
+    '{"type":"lp_ball","p":2,"dim":4}',
+]
+BODIES = EVEN_BODIES + [
+    '{"type":"cube","dim":3}', '{"type":"cross","dim":3}', '{"type":"cube","dim":2}',
+    '{"type":"lp_ball","p":3,"dim":3}', '{"type":"lp_ball","p":1.5,"dim":2}',
+    '{"type":"hanner","expr":"X(S, L(S, S))"}',
+    '{"type":"vpoly","vertices":[[1,0],[-1,0],[0,1],[0,-1]]}',
+    '{"type":"hpoly","A":[[1,0],[-1,0]],"b":[1,1]}',
+    '{"type":"vpoly","vertices":[[1,0],[-1,0]]}',
+    '{"type":"cube"}', '{"type":"cube","dim":0}', '{"type":"nope"}', "{", "[1]",
+    '{"type":"lp_ball","p":0.5,"dim":3}', '{"type":"hpoly","A":5,"b":[1]}',
+]
+LP_BODY = st.builds(
+    lambda p, dim, product: json.dumps(
+        {"type": "product", "body": {"type": "lp_ball", "p": p, "dim": dim}}
+        if product else {"type": "lp_ball", "p": p, "dim": dim}),
+    st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1.0, 1.5, 3.0]),
+    st.integers(-1, 3), st.booleans())
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+NUMBER = st.sampled_from(NUMBERS)
+BODY = st.sampled_from(BODIES) | LP_BODY
+NORMAL = st.lists(NUMBER, max_size=4).map(",".join)
+SMALL = ["0", "1", "2", "-1", "x"]
+CUT = st.tuples(st.sampled_from(["section", "project"]), BODY, NORMAL).map(
+    lambda t: [t[0], "--body", t[1], "--normal", t[2]])
+VOLUME = BODY.map(lambda b: ["volume", "--method", "exact", "--body", b])
+CAPACITY = st.tuples(
+    st.sampled_from(EVEN_BODIES) | BODY, st.sampled_from(["4", "6", "8", "3", "0", "-2", "x"]),
+    st.sampled_from(SMALL), st.sampled_from(["0", "5", "20", "-1"]),
+    st.lists(st.sampled_from(["--symmetric", "--no-loop"]), unique=True),
+    _opt("--seed", ["0", "3", "x"]),
+).map(lambda t: ["capacity", "--body", t[0], "--points", t[1], "--starts", t[2],
+                 "--max-iters", t[3]] + t[4] + t[5])
+CROFTON = st.tuples(
+    st.sampled_from(["1", "3", "8", "0", "-1"]), _opt("--epsilon", NUMBERS),
+    _opt("--g", ["q2^3", "q1^3", "q1*p2*q2", "q2^2", "p1^3", "1e-1*q2^3", "", "q2^",
+                 "q9^3", "1e400*q2^3"]),
+    _opt("--radius", NUMBERS), _opt("--seed", ["0", "5"]),
+).map(lambda t: ["crofton", "--samples", t[0]] + t[1] + t[2] + t[3] + t[4])
+EMBED = st.tuples(
+    st.sampled_from(["1", "3", "0", "-2"]), st.sampled_from(SMALL),
+    _opt("--alpha", ["2", "1.5", "1", "0.5", "nan", "inf"]),
+    _opt("--nexp", ["1", "2", "0", "-1"]),
+    _opt("--radius-factor", ["0.5", "1", "2", "nan", "-1"]),
+).map(lambda t: ["embed", "--samples", t[0], "--copies", t[1]] + t[2] + t[3] + t[4])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(CUT, VOLUME, CAPACITY, CROFTON, EMBED))
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["--no-log"] + argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.getvalue().strip(), argv

@@ -1,10 +1,11 @@
 """Symplectic pairing, actions, coisotropic complements, reductions."""
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from mahlerlab import bodies as B
 from mahlerlab import symplectic as SY
@@ -38,46 +39,51 @@ def random_symplectic_matrix(rng, half_dim):
     return M
 
 
+def omega_oracle(x, y, half_dim):
+    """sum_i x_p[i] y_q[i] - y_p[i] x_q[i], written out coordinate by coordinate."""
+    return sum(x[i] * y[half_dim + i] - y[i] * x[half_dim + i] for i in range(half_dim))
+
+
 def test_omega_basis_pairs():
-    sp = SY.SymplecticSpace(2)
+    # <J x, y> = omega(x, y) on every pair of basis vectors
     e = np.eye(4)
-    assert sp.omega(e[0], e[2]) == 1.0  # omega(e_p1, e_q1)
-    assert sp.omega(e[2], e[0]) == -1.0
-    assert sp.omega(e[0], e[0]) == 0.0
-    assert sp.omega(e[2], e[3]) == 0.0  # q-subspace isotropic
-    assert sp.omega(e[0], e[1]) == 0.0  # p-subspace isotropic
-    with pytest.raises(ValueError):
-        sp.omega(np.ones(3), np.ones(4))
+    for i in range(4):
+        for j in range(4):
+            assert SY.j_rotate(e[i]) @ e[j] == omega_oracle(e[i], e[j], 2)
+    assert SY.j_rotate(e[0]) @ e[2] == 1.0  # omega(e_p1, e_q1)
+    assert SY.j_rotate(e[2]) @ e[0] == -1.0
+    assert SY.j_rotate(e[2]) @ e[3] == 0.0  # q-subspace isotropic
+    assert SY.j_rotate(e[0]) @ e[1] == 0.0  # p-subspace isotropic
 
 
 def test_polygon_action_circle():
-    sp = SY.SymplecticSpace(2)
     loop = positively_oriented_circle(256)
-    a = sp.polygon_action(loop)
+    a = SY.polygon_action(loop)
     assert abs(a - math.pi) < 1e-3
-    assert math.isclose(sp.polygon_action(loop[::-1]), -a, rel_tol=1e-12)
+    assert math.isclose(SY.polygon_action(loop[::-1]), -a, rel_tol=1e-12)
 
 
 def test_polygon_action_diamond_shoelace():
-    sp = SY.SymplecticSpace(1)
     diamond = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     oracle = float(shoelace_area(diamond))
-    assert sp.polygon_action(np.array(diamond, float)) == oracle == 2.0
+    assert SY.polygon_action(np.array(diamond, float)) == oracle == 2.0
 
 
 def test_polygon_action_symplectic_invariance(rng):
-    sp = SY.SymplecticSpace(3)
     loop = rng.normal(size=(24, 6))
-    a = sp.polygon_action(loop)
+    a = SY.polygon_action(loop)
     for _ in range(5):
         M = random_symplectic_matrix(rng, 3)
-        assert math.isclose(sp.polygon_action(loop @ M.T), a, rel_tol=1e-9)
+        assert math.isclose(SY.polygon_action(loop @ M.T), a, rel_tol=1e-9)
 
 
-def test_polygon_action_validation():
-    sp = SY.SymplecticSpace(1)
-    with pytest.raises(ValueError):
-        sp.polygon_action(np.zeros((2, 2)))
+def test_polygon_action_batch_equals_per_loop(rng):
+    loops = rng.normal(size=(5, 12, 4))
+    loops[0] = positively_oriented_circle(12)
+    batch = SY.polygon_action(loops)
+    assert batch.shape == (5,)
+    assert np.array_equal(batch, [SY.polygon_action(z) for z in loops])
+    assert np.array_equal(SY.polygon_action(loops.reshape(5, 1, 12, 4))[:, 0], batch)
 
 
 def test_coisotropic_complement_axis():
@@ -90,12 +96,11 @@ def test_coisotropic_complement_diagonal():
     ell = np.array([1.0, 1.0]) / math.sqrt(2)
     spec = SY.coisotropic_complement(ell, N=2)
     # omega(l, x) = 0 iff <l, x_p> = 0
-    sp = SY.SymplecticSpace(2)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=4)
         x_proj = x - (x @ spec.complement_normal) * spec.complement_normal
-        assert abs(sp.omega(spec.line, x_proj)) < 1e-12
+        assert abs(SY.j_rotate(spec.line) @ x_proj) < 1e-12
 
 
 def test_coisotropic_rejects_mixed_line():
@@ -108,10 +113,9 @@ def test_quotient_basis_standard_form():
         rng = np.random.default_rng(N)
         ell = rng.normal(size=N)
         spec = SY.coisotropic_complement(ell, N=N)
-        sp = SY.SymplecticSpace(N)
         k = 2 * (N - 1)
         Qb = spec.quotient_basis
-        M = np.array([[sp.omega(Qb[:, i], Qb[:, j]) for j in range(k)] for i in range(k)])
+        M = SY.j_rotate(Qb.T) @ Qb  # M[i, j] = omega(Qb[:, i], Qb[:, j])
         expect = np.zeros((k, k))
         expect[: k // 2, k // 2 :] = np.eye(k // 2)
         expect[k // 2 :, : k // 2] = -np.eye(k // 2)
@@ -182,12 +186,20 @@ def test_reduce_product_mahler_ratio_at_least_one(rng):
 
 
 def test_reduction_volume_basis_independence():
-    # the exact reduced volume product is identical for both deterministic
-    # frame choices
+    # the exact reduced volume product is identical in a second frame: the
+    # basis for a permuted normal, with its coordinates permuted back
     K = B.PolytopeBody.cross(3)
     u = (Fraction(2), Fraction(-1), Fraction(3))
+    perm = (2, 1, 0)
     basis_a = B.orthogonal_complement_basis(u)
-    basis_b = B.orthogonal_complement_basis(u, reverse=True)
+    basis_b = []
+    for bv in B.orthogonal_complement_basis(tuple(u[i] for i in perm)):
+        back = [Fraction(0)] * 3
+        for k, i in enumerate(perm):
+            back[i] = bv[k]
+        basis_b.append(tuple(back))
+    assert all(sum(x * y for x, y in zip(bv, u)) == 0 for bv in basis_b)
+    assert basis_a != basis_b
     prods = []
     for basis in (basis_a, basis_b):
         verts = [tuple(sum(bv[k] * v[k] for k in range(3)) for bv in basis)
@@ -227,8 +239,14 @@ def test_reduce_ball_radius_scaling():
 
 
 def test_reduce_ball_quotient_basis_independence():
+    # a second symplectic frame of L^omega / L: the same rotation Q of the
+    # p-type and of the q-type columns
     ell = np.array([1.0, 2.0, -1.0])
-    a = SY.reduce_ball(3, SY.coisotropic_complement(ell, N=3), directions=256, seed=3)
-    b = SY.reduce_ball(3, SY.coisotropic_complement(ell, N=3, reverse=True),
-                       directions=256, seed=3)
+    spec = SY.coisotropic_complement(ell, N=3)
+    c, s = math.cos(0.7), math.sin(0.7)
+    Q = np.array([[c, -s], [s, c]])
+    other = dataclasses.replace(spec, quotient_basis=spec.quotient_basis @ block_diag(Q, Q))
+    assert not np.allclose(other.quotient_basis, spec.quotient_basis)
+    a = SY.reduce_ball(3, spec, directions=256, seed=3)
+    b = SY.reduce_ball(3, other, directions=256, seed=3)
     assert abs(a.value - b.value) < 1e-12
