@@ -950,6 +950,8 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
     normalized rational Gram-Schmidt basis); functional bodies restrict their
     gauge to the subspace.
     """
+    if body.dim < 2:
+        raise BodyError("hyperplane_section needs dim >= 2")
     uf = np.asarray(u, dtype=float)
     if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
         raise BodyError("normal must be a nonzero finite vector of matching dimension")
@@ -978,6 +980,8 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
 
 def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
     """body / span(u), i.e. the shadow on u^perp, same frame as the section."""
+    if body.dim < 2:
+        raise BodyError("hyperplane_projection needs dim >= 2")
     uf = np.asarray(u, dtype=float)
     if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
         raise BodyError("normal must be a nonzero finite vector of matching dimension")
@@ -1006,7 +1010,8 @@ def orthonormal_frame(u: np.ndarray) -> np.ndarray:
     be normalized.  A normal with a non-finite entry, or whose norm
     overflows or underflows, raises BodyError.
     """
-    norm = np.linalg.norm(u)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(u)
     if not 0 < norm < np.inf:
         raise BodyError("normal must be finite, nonzero, and of finite norm")
     n = len(u)

@@ -126,22 +126,23 @@ def _ellipse_starts(dim: int, m: int, count: int, rng: np.random.Generator) -> n
     )
 
 
-def _evaluate(S: ConvexBody, z: np.ndarray):
-    """Q, length, action, edge witnesses for a batch of loops (B, m, d)."""
-    e = np.roll(z, -1, axis=1) - z
-    je = j_rotate(e)
+def _evaluate(S: ConvexBody, z: np.ndarray, nxt: np.ndarray):
+    """Q, length, action, edge witnesses and next vertices z[:, nxt] for a
+    batch of loops (B, m, d)."""
+    zn = z.take(nxt, axis=1)
+    je = j_rotate(zn - z)
     w = S.support_witness(je)
-    norms = np.sum(je * w, axis=-1)  # h_S(Je) at the witness
-    length = np.sum(norms, axis=-1)
-    action = polygon_action(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(action > 0, length**2 / (4.0 * action), np.inf)
-    return q, length, action, w
+    # h_S(Je) at the witness, summed over the edges
+    length = np.add.reduce(np.add.reduce(je * w, axis=-1), axis=-1)
+    action = polygon_action(z, zn)
+    q = np.full(len(action), np.inf)
+    np.divide(length**2, 4.0 * action, out=q, where=action > 0)
+    return q, length, action, w, zn
 
 
-def _gradient(z, length, action, w):
-    dl = j_rotate(w - np.roll(w, 1, axis=1))
-    da = 0.5 * j_rotate(np.roll(z, 1, axis=1) - np.roll(z, -1, axis=1))
+def _gradient(z, zn, prv, length, action, w):
+    dl = j_rotate(w - w.take(prv, axis=1))
+    da = 0.5 * j_rotate(z.take(prv, axis=1) - zn)
     l_ = length[:, None, None]
     a_ = action[:, None, None]
     return (l_ / (2.0 * a_)) * dl - (l_**2 / (4.0 * a_**2)) * da
@@ -160,83 +161,102 @@ def _minimize_quotient(
     alpha_floor: float = 1e-9,
 ):
     """Subgradient descent on Q over a batch of starts.  Returns
-    (best values, best loops, iterations used, restart count, stalled mask)."""
+    (best values, best loops, iterations used, restart count, stalled mask).
+
+    Only the starts still descending are stepped and evaluated: the working
+    arrays hold their rows, ``idx`` names them, and a start's best value
+    and loop go back to ``best_q``/``best_z`` when it finishes.
+    """
     z = z0.copy()
     B, m_repr, d = z.shape
     full_m = 2 * m_repr if symmetric else m_repr
+    nxt = np.r_[1:full_m, 0]
+    prv = np.r_[full_m - 1, 0:full_m - 1]
 
     def materialize(x):
         if symmetric:
             return np.concatenate([x, -x], axis=1)
         return x
 
-    def reduce_grad(g):
-        if symmetric:
-            return g[:, :m_repr] - g[:, m_repr:]
-        return g
-
     def fresh_starts(count):
         fresh = _ellipse_starts(d, full_m, count, rng)
         return fresh[:, :m_repr] if symmetric else fresh
 
-    alpha = np.full(B, alpha0)
-    active = np.ones(B, dtype=bool)
-    no_improve = np.zeros(B, dtype=int)
     restarts = 0
 
     def evaluate_with_restarts(z):
+        """_evaluate on the full loops, restarting bad rows of z in place;
+        the full loops come back last."""
         nonlocal restarts
-        q, length, action, w = _evaluate(S, materialize(z))
-        bad = ~np.isfinite(q) | (action <= 1e-12)
+        zf = materialize(z)
+        ev = _evaluate(S, zf, nxt)
         tries = 0
-        while np.any(bad) and tries < 50:
+        while tries < 50:
+            q, action = ev[0], ev[2]
+            bad = ~np.isfinite(q) | (action <= 1e-12)
+            if not bad.any():
+                break
             restarts += int(bad.sum())
             z[bad] = fresh_starts(int(bad.sum()))
-            q, length, action, w = _evaluate(S, materialize(z))
-            bad = ~np.isfinite(q) | (action <= 1e-12)
+            zf = materialize(z)
+            ev = _evaluate(S, zf, nxt)
             tries += 1
-        return q, length, action, w
+        return (*ev, zf)
 
-    q, length, action, w = evaluate_with_restarts(z)
-    best_q = q.copy()
-    best_z = z.copy()
-    window_q = best_q.copy()
-    initial_q = q.copy()
+    q, length, action, w, zn, zf = evaluate_with_restarts(z)
+    best_q = np.empty(B)
+    best_z = np.empty_like(z)
+    stalled = np.zeros(B, dtype=bool)
+    # one row per active start: its index, best value and loop, step size
+    # and counters
+    idx = np.arange(B)
+    bq, bz, window_q = q.copy(), z.copy(), q.copy()
+    alpha = np.full(B, alpha0)
+    no_improve = np.zeros(B, dtype=int)
     it = 0
     for it in range(1, max_iters + 1):
-        if not np.any(active):
+        if not len(idx):
             break
-        g = reduce_grad(_gradient(materialize(z), length, action, w))
-        gnorm = np.sqrt(np.sum(g**2, axis=(1, 2)))
+        g = _gradient(zf, zn, prv, length, action, w)
+        if symmetric:
+            g = g[:, :m_repr] - g[:, m_repr:]
+        gnorm = np.sqrt(np.add.reduce(g**2, axis=(1, 2)))
         gnorm = np.where(gnorm > 0, gnorm, 1.0)
-        scale = np.sqrt(np.mean(np.sum(z**2, axis=-1), axis=-1))
-        step = (alpha * scale / gnorm)[:, None, None] * g
-        z = np.where(active[:, None, None], z - step, z)
+        scale = np.sqrt(np.add.reduce(np.add.reduce(z**2, axis=-1), axis=-1) / m_repr)
+        g *= (alpha * scale / gnorm)[:, None, None]
+        z -= g
         # renormalize: Q is invariant under translation and scaling
         if not symmetric:
-            z = z - np.mean(z, axis=1, keepdims=True)
-        rms = np.sqrt(np.mean(np.sum(z**2, axis=-1), axis=-1))
+            z -= np.add.reduce(z, axis=1, keepdims=True) / m_repr
+        rms = np.sqrt(np.add.reduce(np.add.reduce(z**2, axis=-1), axis=-1) / m_repr)
         rms = np.where(rms > 0, rms, 1.0)
-        z = z / rms[:, None, None]
+        z /= rms[:, None, None]
 
-        q, length, action, w = evaluate_with_restarts(z)
-        improved = active & (q < best_q * (1.0 - 1e-14))
-        best_z = np.where(improved[:, None, None], z, best_z)
-        best_q = np.where(improved, q, best_q)
-        no_improve = np.where(improved, 0, no_improve + 1)
-        cool = active & (no_improve >= patience)
-        alpha = np.where(cool, alpha * 0.5, alpha)
-        no_improve = np.where(cool, 0, no_improve)
-        active &= alpha >= alpha_floor
+        q, length, action, w, zn, zf = evaluate_with_restarts(z)
+        improved = q < bq * (1.0 - 1e-14)
+        bq[improved] = q[improved]
+        bz[improved] = z[improved]
+        no_improve += 1
+        no_improve[improved] = 0
+        cool = no_improve >= patience
+        alpha[cool] *= 0.5
+        no_improve[cool] = 0
+        keep = alpha >= alpha_floor
         if it % stall_window == 0:
-            rel = (window_q - best_q) / np.maximum(best_q, 1e-300)
-            active &= rel >= stall_tol
-            window_q = best_q.copy()
-
-    stalled = ~active
-    loops = materialize(best_z)
-    moved = best_q < initial_q * (1.0 - 1e-9)
-    return best_q, loops, it, restarts, stalled, moved
+            rel = (window_q - bq) / np.maximum(bq, 1e-300)
+            keep &= rel >= stall_tol
+            window_q = bq.copy()
+        if not keep.all():
+            done = ~keep
+            best_q[idx[done]] = bq[done]
+            best_z[idx[done]] = bz[done]
+            stalled[idx[done]] = True
+            idx, z, bq, bz, window_q, alpha, no_improve = (
+                x[keep] for x in (idx, z, bq, bz, window_q, alpha, no_improve))
+            length, action, w, zn, zf = (x[keep] for x in (length, action, w, zn, zf))
+    best_q[idx] = bq
+    best_z[idx] = bz
+    return best_q, materialize(best_z), it, restarts, stalled
 
 
 def _factor_vertices_float(body: ConvexBody):
@@ -272,13 +292,13 @@ def _product_preconditioner(S: ConvexBody):
     if w.max() <= 4.0 * w.min():
         return None  # already near-isotropic; skip the wrapper
     T = U @ np.diag(w**-0.5) @ U.T
-    S_opt = LagrangianProductBody(ImageBody(S.base, T),
-                                  ImageBody(S.dual, np.linalg.inv(T).T))
+    T_inv_t = np.linalg.inv(T).T
+    S_opt = LagrangianProductBody(ImageBody(S.base, T), ImageBody(S.dual, T_inv_t))
     n = S.base.dim
 
     def unmap(loop):
         p, q = loop[..., :n], loop[..., n:]
-        return np.concatenate([p @ T, q @ np.linalg.inv(T).T], axis=-1)
+        return np.concatenate([p @ T, q @ T_inv_t], axis=-1)
 
     return S_opt, unmap
 
@@ -298,7 +318,7 @@ def _estimate(S, m, starts, seed, symmetric, max_iters):
     z0 = _ellipse_starts(S.dim, m, starts, rng)
     if symmetric:
         z0 = z0[:, : m // 2]
-    best_q, loops, iters, restarts, stalled, moved = _minimize_quotient(
+    best_q, loops, iters, restarts, stalled = _minimize_quotient(
         S, z0, symmetric, rng, max_iters=max_iters
     )
     order = np.lexsort((np.arange(len(best_q)), best_q))
@@ -359,7 +379,7 @@ def refine_estimate(S: ConvexBody, est: CapacityEstimate, rounds: int = 1,
     for _ in range(rounds):
         doubled_full = _subdivide(loop_v)
         z_init = doubled_full[: doubled_full.shape[0] // 2] if symmetric else doubled_full
-        q2, loops2, it2, r2, stalled2, _ = _minimize_quotient(
+        q2, loops2, it2, r2, _ = _minimize_quotient(
             S, z_init[None, :, :], symmetric, rng, max_iters=max_iters
         )
         iters += it2

@@ -323,6 +323,8 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
         if inner <= 0:
             raise EmbeddingError("eps too large: no certified radius")
         radius = r_factor * math.sqrt(inner)
+    if not 0 < radius < math.inf:
+        raise EmbeddingError(f"radius must be finite and positive, got {radius}")
     rng = np.random.default_rng(seed)
     contained = 0
     worst = {"excess": -math.inf, "point": None}

@@ -33,16 +33,22 @@ from .bodies import (
 def j_rotate(v: np.ndarray) -> np.ndarray:
     """J on the last axis, with <Jv, z> = omega(v, z): (p, q) -> (-q, p)."""
     n = v.shape[-1] // 2
-    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
+    # a C-contiguous copy, so sums over its rows keep their memory order
+    out = v.take(np.arange(-n, n), axis=-1)  # (q, p)
+    np.negative(out[..., :n], out=out[..., :n])
+    return out
 
 
-def polygon_action(z: np.ndarray) -> np.ndarray:
+def polygon_action(z: np.ndarray, zn: np.ndarray | None = None) -> np.ndarray:
     """1/2 sum_i omega(z_i, z_{i+1}) for polygons closed along axis -2 (the
-    lambda integral, exact for polygons); one value per polygon."""
-    nxt = np.roll(z, -1, axis=-2)
+    lambda integral, exact for polygons); one value per polygon.  ``zn``
+    holds the next vertices z_{i+1} when the caller has them already."""
+    if zn is None:
+        m = z.shape[-2]
+        zn = z.take(np.r_[1:m, 0], axis=-2)
     n = z.shape[-1] // 2
-    om = np.sum(z[..., :n] * nxt[..., n:] - nxt[..., :n] * z[..., n:], axis=-1)
-    return 0.5 * np.sum(om, axis=-1)
+    om = np.add.reduce(z[..., :n] * zn[..., n:] - zn[..., :n] * z[..., n:], axis=-1)
+    return 0.5 * np.add.reduce(om, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Capacity estimator: norms, lengths, calibration, and invariances."""
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mahlerlab import bodies as B
 from mahlerlab import capacity as C
@@ -192,3 +193,226 @@ def test_monotonicity_experiment_cross3_axis():
 def test_capacity_rejects_odd_dimension():
     with pytest.raises(B.BodyError):
         C.capacity_estimate(B.PolytopeBody.cross(3), m=16, starts=2, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# reference descent: the batched loop that steps and evaluates every start
+# until the last one finishes, with its own J and action.  The lean loop in
+# capacity.py must reproduce its estimates bit for bit.
+
+
+def _ref_j_rotate(v):
+    n = v.shape[-1] // 2
+    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
+
+
+def _ref_polygon_action(z):
+    nxt = np.roll(z, -1, axis=-2)
+    n = z.shape[-1] // 2
+    om = np.sum(z[..., :n] * nxt[..., n:] - nxt[..., :n] * z[..., n:], axis=-1)
+    return 0.5 * np.sum(om, axis=-1)
+
+
+def _ref_evaluate(S, z):
+    e = np.roll(z, -1, axis=1) - z
+    je = _ref_j_rotate(e)
+    w = S.support_witness(je)
+    norms = np.sum(je * w, axis=-1)
+    length = np.sum(norms, axis=-1)
+    action = _ref_polygon_action(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(action > 0, length**2 / (4.0 * action), np.inf)
+    return q, length, action, w
+
+
+def _ref_gradient(z, length, action, w):
+    dl = _ref_j_rotate(w - np.roll(w, 1, axis=1))
+    da = 0.5 * _ref_j_rotate(np.roll(z, 1, axis=1) - np.roll(z, -1, axis=1))
+    l_ = length[:, None, None]
+    a_ = action[:, None, None]
+    return (l_ / (2.0 * a_)) * dl - (l_**2 / (4.0 * a_**2)) * da
+
+
+def _ref_minimize_quotient(S, z0, symmetric, rng, max_iters=50_000, alpha0=0.2,
+                           stall_window=100, stall_tol=1e-10, patience=60,
+                           alpha_floor=1e-9):
+    z = z0.copy()
+    B, m_repr, d = z.shape
+    full_m = 2 * m_repr if symmetric else m_repr
+
+    def materialize(x):
+        if symmetric:
+            return np.concatenate([x, -x], axis=1)
+        return x
+
+    def reduce_grad(g):
+        if symmetric:
+            return g[:, :m_repr] - g[:, m_repr:]
+        return g
+
+    def fresh_starts(count):
+        fresh = C._ellipse_starts(d, full_m, count, rng)
+        return fresh[:, :m_repr] if symmetric else fresh
+
+    alpha = np.full(B, alpha0)
+    active = np.ones(B, dtype=bool)
+    no_improve = np.zeros(B, dtype=int)
+    restarts = 0
+
+    def evaluate_with_restarts(z):
+        nonlocal restarts
+        q, length, action, w = _ref_evaluate(S, materialize(z))
+        bad = ~np.isfinite(q) | (action <= 1e-12)
+        tries = 0
+        while np.any(bad) and tries < 50:
+            restarts += int(bad.sum())
+            z[bad] = fresh_starts(int(bad.sum()))
+            q, length, action, w = _ref_evaluate(S, materialize(z))
+            bad = ~np.isfinite(q) | (action <= 1e-12)
+            tries += 1
+        return q, length, action, w
+
+    q, length, action, w = evaluate_with_restarts(z)
+    best_q = q.copy()
+    best_z = z.copy()
+    window_q = best_q.copy()
+    it = 0
+    for it in range(1, max_iters + 1):
+        if not np.any(active):
+            break
+        g = reduce_grad(_ref_gradient(materialize(z), length, action, w))
+        gnorm = np.sqrt(np.sum(g**2, axis=(1, 2)))
+        gnorm = np.where(gnorm > 0, gnorm, 1.0)
+        scale = np.sqrt(np.mean(np.sum(z**2, axis=-1), axis=-1))
+        step = (alpha * scale / gnorm)[:, None, None] * g
+        z = np.where(active[:, None, None], z - step, z)
+        if not symmetric:
+            z = z - np.mean(z, axis=1, keepdims=True)
+        rms = np.sqrt(np.mean(np.sum(z**2, axis=-1), axis=-1))
+        rms = np.where(rms > 0, rms, 1.0)
+        z = z / rms[:, None, None]
+
+        q, length, action, w = evaluate_with_restarts(z)
+        improved = active & (q < best_q * (1.0 - 1e-14))
+        best_z = np.where(improved[:, None, None], z, best_z)
+        best_q = np.where(improved, q, best_q)
+        no_improve = np.where(improved, 0, no_improve + 1)
+        cool = active & (no_improve >= patience)
+        alpha = np.where(cool, alpha * 0.5, alpha)
+        no_improve = np.where(cool, 0, no_improve)
+        active &= alpha >= alpha_floor
+        if it % stall_window == 0:
+            rel = (window_q - best_q) / np.maximum(best_q, 1e-300)
+            active &= rel >= stall_tol
+            window_q = best_q.copy()
+
+    return best_q, materialize(best_z), it, restarts, ~active
+
+
+def _same_estimate(a, b):
+    assert a.value.hex() == b.value.hex()
+    assert a.loop.vertices.tobytes() == b.loop.vertices.tobytes()
+    assert a.loop.vertices.shape == b.loop.vertices.shape
+    assert (a.iterations, a.restarts, a.converged) == (b.iterations, b.restarts, b.converged)
+
+
+@pytest.mark.parametrize("case", ["ball4", "cross2", "cross2-symmetric",
+                                  "skewed-cross3", "lp1.5", "refine"])
+def test_descent_matches_reference_bit_for_bit(case, monkeypatch):
+    cross2 = B.lagrangian_product(B.PolytopeBody.cross(2))
+    if case == "ball4":
+        run = lambda: C.capacity_estimate(B.LpBallBody(2.0, 4), m=16, starts=4, seed=9)
+    elif case == "cross2":
+        run = lambda: C.capacity_estimate(cross2, m=16, starts=6, seed=1)
+    elif case == "cross2-symmetric":
+        run = lambda: C.symmetric_capacity_estimate(cross2, m=16, starts=6, seed=1)
+    elif case == "skewed-cross3":
+        M = [[Fraction(x) for x in row] for row in ((0, 0, 2), (3, -3, -2), (2, 3, -2))]
+        S = B.lagrangian_product(B.PolytopeBody.cross(3).linear_image(M))
+        assert C._product_preconditioner(S) is not None  # the ImageBody path
+        run = lambda: C.capacity_estimate(S, m=12, starts=4, seed=2)
+    elif case == "lp1.5":
+        S = B.lagrangian_product(B.LpBallBody(1.5, 2))
+        run = lambda: C.capacity_estimate(S, m=16, starts=4, seed=1)
+    else:
+        e0 = C.capacity_estimate(cross2, m=8, starts=4, seed=4)
+        run = lambda: C.refine_estimate(cross2, e0, rounds=1)
+    lean = run()
+    monkeypatch.setattr(C, "_minimize_quotient", _ref_minimize_quotient)
+    _same_estimate(lean, run())
+    assert lean.iterations > 0
+
+
+def test_j_rotate_and_action_match_reference(rng):
+    for shape in ((4,), (7, 4), (3, 10, 6), (2, 5, 9, 4)):
+        v = rng.normal(size=shape)
+        assert SY.j_rotate(v).tobytes() == _ref_j_rotate(v).tobytes()
+        if len(shape) >= 2:
+            assert SY.polygon_action(v).tobytes() == _ref_polygon_action(v).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lower side: c(K x K°) = 4 for symmetric K, so no closed polygon of positive
+# action has Q below 4
+
+
+@functools.lru_cache(maxsize=64)
+def _product_of(kind, arg):
+    if kind == "image":
+        K = B.PolytopeBody.cross(3).linear_image([[Fraction(x) for x in row] for row in arg])
+    elif kind == "hanner":
+        K = B.hanner_body(arg)
+    else:
+        K = B.LpBallBody(arg[0], arg[1])
+    return B.lagrangian_product(K)
+
+
+_INVERTIBLE = st.lists(st.integers(-3, 3), min_size=9, max_size=9).map(
+    lambda xs: (tuple(xs[0:3]), tuple(xs[3:6]), tuple(xs[6:9]))).filter(
+    lambda M: round(np.linalg.det(np.array(M, float))) != 0)
+_K_TIMES_POLAR = st.one_of(
+    st.tuples(st.just("image"), _INVERTIBLE),
+    st.tuples(st.just("hanner"), st.sampled_from(
+        ["X(S, L(S, S))", "X(L(S, S), S)", "L(S, X(S, S))", "L(X(S, S), S)"])),
+    st.tuples(st.just("lp"), st.tuples(st.sampled_from([1.2, 1.5, 2.0, 3.0, 6.0]),
+                                       st.integers(2, 3))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_K_TIMES_POLAR, st.integers(0, 2**32 - 1), st.integers(4, 12),
+       st.sampled_from([0.0, 1e-6, 1e-3, 1e-1, 1.0, 1e3]))
+def test_quotient_never_below_four_on_k_times_polar(body, seed, m, noise):
+    """Random polygons, and two-bounce loops (y,x) -> (y,-x) -> (-y,-x) ->
+    (-y,x), x on the boundary of K and y its support witness in K°, which
+    attain Q = 4, each perturbed by ``noise`` (noise 1e3 is a random loop)."""
+    S = _product_of(*body)
+    n = S.n
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x /= float(S.base.gauge(x))
+    y = S.dual.support_witness(x)
+    corners = [(y, x), (y, -x), (-y, -x), (-y, x)]
+    loop = np.repeat([np.concatenate(c) for c in corners], -(-m // 4), axis=0)
+    loop = loop + noise * rng.normal(size=loop.shape)
+    z = loop[None]
+    nxt = np.r_[1:z.shape[1], 0]
+    q, length, action, w, zn = C._evaluate(S, z, nxt)
+    if action[0] < 0:  # reversed orientation
+        z = z[:, ::-1].copy()
+        q, length, action, w, zn = C._evaluate(S, z, nxt)
+    assume(action[0] > 1e-9 * float(np.sum(z**2)))
+    assert q[0] >= 4.0 - 1e-9
+    assert zn.tobytes() == np.roll(z, -1, axis=1).tobytes()
+    if noise == 0.0:
+        assert abs(q[0] - 4.0) <= 1e-9
+
+
+def test_capacity_monotone_reports_error_vs_four():
+    from mahlerlab.verify import suite_capacity_monotone
+
+    rep = suite_capacity_monotone(trials=2, seed=0, m=16, starts=4, image_trials=1)
+    assert len(rep["cases"]) == 2
+    for case in rep["cases"]:
+        assert case["c_reduced_rel_err_vs_4"] == abs(case["c_reduced"] - 4.0) / 4.0
+        assert case["passed"] == (case["c_reduced"] >= case["c_original"] * (1 - 0.02))

@@ -223,11 +223,46 @@ def test_non_finite_normal_exit_one(capsys, command, body, normal):
     (["embed", "--copies", "0", "--samples", "10"], "copies and samples must be >= 1"),
     (["verify", "--suite", "embedding", "--samples", "0"],
      "copies and samples must be >= 1"),
+    # the n = 1 case would cut a 1-dimensional body
+    (["verify", "--suite", "sections-hanner", "--n", "1", "--trials", "1"],
+     "hyperplane_section needs dim >= 2"),
 ])
 def test_bad_size_exit_one(capsys, argv, message):
     code = cli.main(["--no-log"] + argv)
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["nan", "-1", "0", "inf"])
+def test_embed_bad_radius_exit_one(capsys, factor):
+    code = cli.main(["--no-log", "embed", "--copies", "1", "--samples", "3",
+                     "--radius-factor", factor])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "radius must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("normal", ["1.5", "1"])
+@pytest.mark.parametrize("command", ["section", "project"])
+def test_one_dimensional_cut_exit_one(capsys, command, normal):
+    code = cli.main(["--no-log", command, "--body", '{"type":"cube","dim":1}',
+                     "--normal", normal])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"hyperplane_{command}" in captured.err and "needs dim >= 2" in captured.err
+
+
+@pytest.mark.parametrize("command", ["section", "project"])
+def test_overflowing_normal_warns_nothing(capsys, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["--no-log", command, "--body", '{"type":"lp_ball","p":3,"dim":3}',
+                         "--normal", "1,1e308,1e308"])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
