@@ -105,13 +105,29 @@ def orthogonal_complement_basis(u: Sequence[Fraction]) -> list[tuple[Fraction, .
 # one-dimensional fiber minimization (vectorized golden section)
 
 
+# golden steps between two settling passes of a fiber search with a level
+SETTLE_EVERY = 2
+# relative margin by which a miss's convexity bound must clear the level: far
+# beyond the rounding of the few gauge values the bound extrapolates
+MISS_MARGIN = 1e-9
+
+
 def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
-                    iters: int = 48) -> np.ndarray:
+                    iters: int = 48, level: float | None = None) -> np.ndarray:
     """min_t child.gauge(x0 + t * direction) for a batch of base points.
 
     ``x0`` has shape (..., dim).  The function of t is convex, so golden
     section on a bracket derived from homogeneity is reliable: for a
     symmetric body |t*| <= 2 gauge(x0) / gauge(direction).
+
+    With ``level`` set only the side of ``level`` is wanted, and a row stops
+    as soon as it is settled, returning a value on the same side of
+    ``level`` as the full search's.  Every ``SETTLE_EVERY`` steps a row is
+    a hit once min(f1, f2, gauge(x0)) <= level, exactly, since golden
+    section never raises min(f1, f2); it is a miss once the convexity bound
+    of f over the bracket (``_convex_floor``) clears level * (1 +
+    MISS_MARGIN), since every later probe lies inside the bracket.  The
+    trajectory of an unsettled row does not change.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -129,8 +145,29 @@ def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
     m1 = hi - GOLDEN * (hi - lo)
     m2 = lo + GOLDEN * (hi - lo)
     f1, f2 = f(m1), f(m2)
-    for _ in range(iters):
+    if level is not None:
+        shape = g0.shape
+        pts = pts.reshape(-1, pts.shape[-1])
+        g0, lo, hi, m1, m2, f1, f2 = (a.reshape(-1) for a in (g0, lo, hi, m1, m2, f1, f2))
+        flo, fhi = f(lo), f(hi)
+        out = np.empty_like(g0)
+        rows = np.arange(len(g0))
+    for step in range(iters):
+        if level is not None and step % SETTLE_EVERY == 0:
+            best = np.minimum(np.minimum(f1, f2), g0)
+            floor = _convex_floor(lo, m1, m2, hi, flo, f1, f2, fhi)
+            done = (best <= level) | ((floor > level * (1.0 + MISS_MARGIN)) & (floor < np.inf))
+            if done.any():
+                out[rows[done]] = best[done]
+                keep = np.flatnonzero(~done)
+                rows, pts, g0, lo, hi, m1, m2, f1, f2, flo, fhi = (
+                    a[keep] for a in (rows, pts, g0, lo, hi, m1, m2, f1, f2, flo, fhi))
+                if not keep.size:
+                    break
         take1 = f1 <= f2
+        if level is not None:
+            fhi = np.where(take1, f2, fhi)
+            flo = np.where(take1, flo, f1)
         hi = np.where(take1, m2, hi)
         lo = np.where(take1, lo, m1)
         cand1 = hi - GOLDEN * (hi - lo)
@@ -143,7 +180,32 @@ def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
         m2 = np.where(take1, old_m1, cand2)
         f2 = np.where(take1, old_f1, fe)
     vals = np.minimum(np.minimum(f1, f2), g0)
+    if level is not None:
+        out[rows] = vals
+        vals = out.reshape(shape)
     return float(vals[0]) if single else vals
+
+
+def _convex_floor(lo, m1, m2, hi, flo, f1, f2, fhi):
+    """Lower bound of a convex f over [lo, hi] from its values at
+    lo < m1 < m2 < hi.  On [lo, m1] and [m2, hi] the chord through m1 and m2
+    extended outward bounds f; on [m1, m2] the larger of the outer chords,
+    through (lo, m1) and through (m2, hi), extended inward does, and the
+    minimum of that maximum lies at an end or where the two cross.  Ties of
+    the four points give NaN or an infinite bound, and the caller settles
+    neither."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = m2 - m1
+        s = (f2 - f1) / w
+        outer = np.minimum(np.minimum(f1, f1 + s * (lo - m1)),
+                           np.minimum(f2, f2 + s * (hi - m2)))
+        a2 = f1 + (f1 - flo) / (m1 - lo) * w   # chord (lo, m1) at m2
+        b1 = f2 - (fhi - f2) / (hi - m2) * w   # chord (m2, hi) at m1
+        d1, d2 = f1 - b1, a2 - f2
+        inner = np.minimum(np.maximum(f1, b1), np.maximum(a2, f2))
+        cross = f1 + d1 / (d1 - d2) * (a2 - f1)
+        inner = np.where((d1 < 0) != (d2 < 0), np.minimum(inner, cross), inner)
+    return np.minimum(outer, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +596,26 @@ class ImageBody(ConvexBody):
         return fiber_min_gauge(self.child, x0, self._kernel)
 
     def contains_batch(self, x, tol: float = 1e-12) -> np.ndarray:
-        """Membership with an l_2 sandwich prefilter for l_p children.
+        """Membership, min_t child.gauge(x0 + t u) <= 1 + tol on the fiber
+        x0 + R u over each point.
 
-        min_t ||x0 + t u||_p is bracketed between c * d and the value at the
-        Euclidean minimizer, where d is the distance from x0 to the fiber
-        line and c = n^(1/p - 1/2) for p < 2 (c = n^(1/p - 1/2) < 1 swaps
-        roles for p > 2); only points the sandwich cannot decide run the
-        golden-section minimization.
+        For an l_p child, an l_2 sandwich decides most points first.  With
+        d the distance from x0 to the fiber line, the gauge at the
+        Euclidean minimizer is an upper bound, and c * d a lower bound,
+        where ||y||_p >= c ||y||_2 with c = 1 for p <= 2 and
+        c = n^(1/p - 1/2) for p > 2.  Only points the sandwich cannot decide
+        run the golden-section minimization (28 steps; 48 for other
+        children).  That search stops each point as soon as its side of
+        1 + tol is settled (``fiber_min_gauge`` with ``level``), so the hits
+        are those of the full search.
         """
         x = np.asarray(x, dtype=float)
-        if self._kernel is None or not isinstance(self.child, LpBallBody):
-            return np.asarray(self.gauge(x)) <= 1.0 + tol
+        level = 1.0 + tol
+        if self._kernel is None:
+            return np.asarray(self.gauge(x)) <= level
+        if not isinstance(self.child, LpBallBody):
+            vals = fiber_min_gauge(self.child, x @ self._pinv.T, self._kernel, level=level)
+            return np.asarray(vals) <= level
         single = x.ndim == 1
         pts = np.atleast_2d(x)
         p = self.child.p
@@ -556,11 +627,11 @@ class ImageBody(ConvexBody):
         upper = np.asarray(self.child.gauge(x2), dtype=float)
         d2 = np.linalg.norm(x2, axis=-1)
         lower = d2 * (n ** (1.0 / p - 0.5)) if p > 2.0 else d2
-        out = upper <= 1.0 + tol
-        ambiguous = (~out) & (lower <= 1.0 + tol)
+        out = upper <= level
+        ambiguous = (~out) & (lower <= level)
         if np.any(ambiguous):
-            vals = fiber_min_gauge(self.child, x0[ambiguous], u, iters=28)
-            out[ambiguous] = vals <= 1.0 + tol
+            vals = fiber_min_gauge(self.child, x0[ambiguous], u, iters=28, level=level)
+            out[ambiguous] = vals <= level
         return out[0:1].reshape(()) if single else out
 
     def support(self, u):

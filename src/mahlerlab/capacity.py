@@ -58,11 +58,6 @@ class PolygonalLoop:
     def m(self) -> int:
         return self.vertices.shape[0]
 
-    @staticmethod
-    def from_half(half: np.ndarray) -> "PolygonalLoop":
-        half = np.asarray(half, dtype=float)
-        return PolygonalLoop(np.concatenate([half, -half], axis=0), symmetric=True)
-
 
 @dataclass(frozen=True)
 class CapacityEstimate:
@@ -92,7 +87,7 @@ class CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# norm and length
+# the body norm
 
 
 def body_norm(S: ConvexBody, v) -> float | np.ndarray:
@@ -102,12 +97,6 @@ def body_norm(S: ConvexBody, v) -> float | np.ndarray:
         raise BodyError("dimension mismatch")
     out = S.support(j_rotate(v))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def loop_length(S: ConvexBody, loop) -> float:
-    verts = np.asarray(getattr(loop, "vertices", loop), dtype=float)
-    edges = np.roll(verts, -1, axis=0) - verts
-    return float(np.sum(body_norm(S, edges)))
 
 
 # ---------------------------------------------------------------------------

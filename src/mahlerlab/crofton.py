@@ -220,19 +220,6 @@ def rotate(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.concatenate([q * s + p * c, q * c - p * s], axis=-1)
 
 
-@dataclass(frozen=True)
-class IntersectionCount:
-    positive: int
-    negative: int
-    degenerate: bool = False
-
-
-def signed_intersections(circle: np.ndarray, slc: SignedSlice) -> IntersectionCount:
-    """Zeros of H along one circle, with the sign of dH/dtheta at each."""
-    pos, neg, degenerate = _signed_counts(np.asarray(circle, float)[None, :], slc)
-    return IntersectionCount(int(pos[0]), int(neg[0]), bool(degenerate[0]))
-
-
 def _signed_counts(z0: np.ndarray, slc: SignedSlice):
     """Signed zero counts of h(theta) = H(e^{i theta} z) for a block of
     circles (b, 2N).
@@ -344,33 +331,62 @@ def _surface_point(slc: SignedSlice, t, psi, R: float) -> np.ndarray:
 
 
 def _edge_colatitude(slc: SignedSlice, psi: np.ndarray, R: float,
-                     iters: int = 60, scan: int = 64) -> np.ndarray:
-    """Colatitude where the sign field changes on Sigma, per azimuth.
+                     scan: int = 64) -> np.ndarray:
+    """Colatitude where the sign field changes on Sigma, per azimuth (psi 1-d).
 
     The construction needs exactly one sign change along every meridian; a
-    coarse scan guards against perturbations large enough to fold Sigma^+.
+    coarse scan, one (scan x azimuth) batch, guards against perturbations
+    large enough to fold Sigma^+ and brackets the change.  Regula falsi with
+    the Illinois halving on the smooth sign field then closes the bracket
+    to two adjacent floats, taking a bisection step whenever the secant
+    point falls outside it or two steps failed to halve it; the result is
+    their midpoint, as a bisection to float resolution would give.
     """
     eps = 1e-9
     ts = np.linspace(eps, np.pi - eps, scan)
-    vals = np.stack(
-        [slc.sign_field(_surface_point(slc, np.full(psi.shape, t), psi, R))
-         for t in ts]
-    )
+    T, P = np.broadcast_arrays(ts[:, None], psi[None, :])
+    vals = slc.sign_field(_surface_point(slc, T, P, R))
     crossings = np.count_nonzero(np.diff(np.sign(vals), axis=0) != 0, axis=0)
     if np.any(vals[0] <= 0) or np.any(vals[-1] >= 0) or np.any(crossings != 1):
         raise CroftonError(
             "sign field does not split the slice into two graphs; "
             "perturbation too large"
         )
-    lo = np.full(psi.shape, eps)
-    hi = np.full(psi.shape, np.pi - eps)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sm = slc.sign_field(_surface_point(slc, mid, psi, R))
-        take = sm > 0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
+    live = np.arange(psi.size)
+    k = np.count_nonzero(vals > 0, axis=0)  # the change lies in [ts[k-1], ts[k]]
+    lo, hi = ts[k - 1], ts[k]
+    s_lo, s_hi = vals[k - 1, live], vals[k, live]
+    last = np.zeros(psi.size, dtype=int)  # end replaced last: -1 lo, +1 hi
+    prev1 = prev2 = np.full(psi.size, np.inf)  # bracket widths one and two steps back
+    out = np.empty(psi.size)
+    for _ in range(200):  # a handful of secant steps; the safeguard needs < 150
+        width = hi - lo
+        done = np.nextafter(lo, hi) >= hi
+        if done.any():
+            out[live[done]] = 0.5 * (lo + hi)[done]
+            keep = ~done
+            live, lo, hi, s_lo, s_hi, last, width, prev1, prev2 = (
+                a[keep] for a in (live, lo, hi, s_lo, s_hi, last, width, prev1, prev2))
+            if not live.size:
+                break
+        # the secant point, kept a few ulps inside the bracket so that a root
+        # found at one end still closes the bracket from the other side
+        ulps = 4.0 * np.spacing(hi)
+        t = np.clip(lo + width * s_lo / (s_lo - s_hi), lo + ulps, hi - ulps)
+        secant = (t > lo) & (t < hi) & (width <= 0.5 * prev2)
+        t = np.where(secant, t, 0.5 * (lo + hi))
+        s = slc.sign_field(_surface_point(slc, t, psi[live], R))
+        up = s > 0
+        # Illinois: an end kept twice in a row has its value halved
+        s_hi = np.where(up & (last == -1), 0.5 * s_hi, np.where(up, s_hi, s))
+        s_lo = np.where(~up & (last == 1), 0.5 * s_lo, np.where(up, s, s_lo))
+        lo = np.where(up, t, lo)
+        hi = np.where(up, hi, t)
+        last = np.where(up, -1, 1)
+        prev1, prev2 = width, prev1
+    else:
+        raise CroftonError("edge search did not converge")
+    return out
 
 
 def sigma_plus_area(slc: SignedSlice, R: float = 1.0, n_azimuth: int = 256,

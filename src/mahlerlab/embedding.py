@@ -155,18 +155,6 @@ def measured_sublevel_area(profile: EmbeddingProfile, A: float) -> float:
     return 4.0 * val
 
 
-def closed_form_unit_area(alpha: float, n_exp: int) -> float:
-    """Gamma-function area of {|x|^u + |y|^v <= 1}; test oracle for c_n."""
-    beta = alpha / (alpha - 1.0)
-    u = alpha * n_exp
-    v = beta * n_exp
-    return 4.0 * math.exp(
-        math.lgamma(1.0 + 1.0 / u)
-        + math.lgamma(1.0 + 1.0 / v)
-        - math.lgamma(1.0 + 1.0 / u + 1.0 / v)
-    )
-
-
 # ---------------------------------------------------------------------------
 # the planar map
 
@@ -198,40 +186,6 @@ def planar_map(profile: EmbeddingProfile, z) -> tuple[np.ndarray, np.ndarray]:
     q = sign_x * X * scale_q
     p = sign_y * Y * scale_p
     return q, p
-
-
-def planar_map_inverse(profile: EmbeddingProfile, q, p,
-                       iters: int = 60) -> np.ndarray:
-    """Inverse of the planar map from the same tables (bisection on the
-    curve angle within the quadrant, which is monotone in the flux
-    parameter)."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    A = profile.level_value(q, p)
-    r = np.sqrt(A / math.pi)
-    sq = profile.sigma_quarter
-    ratio = A / profile.c_n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X = np.where(A > 0, np.abs(q) / ratio ** (1.0 / profile.alpha), 0.0)
-        Y = np.where(A > 0, np.abs(p) / ratio ** (1.0 / profile.beta), 0.0)
-    target = np.arctan2(Y, X)
-    lo = np.zeros_like(X)
-    hi = np.full_like(X, sq)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ang = np.arctan2(profile._y_of_sigma(mid), profile._x_of_sigma(mid))
-        take = ang < target  # angle increases along the quarter
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    sigma_loc = 0.5 * (lo + hi)
-    frac = sigma_loc / sq
-    qpos = q >= 0
-    ppos = p >= 0
-    quadrant = np.where(qpos & ppos, 0,
-                np.where(~qpos & ppos, 1, np.where(~qpos & ~ppos, 2, 3)))
-    frac = np.where((quadrant == 1) | (quadrant == 3), 1.0 - frac, frac)
-    theta = 2.0 * np.pi * (quadrant + frac) / 4.0
-    return r * np.exp(1j * theta)
 
 
 # ---------------------------------------------------------------------------

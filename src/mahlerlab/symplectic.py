@@ -65,10 +65,6 @@ class ReductionSpec:
     complement_normal: np.ndarray  # n with L^omega = {x : <n, x> = 0}
     quotient_basis: np.ndarray  # (2N, 2N-2), symplectic basis of L^omega / L
 
-    @property
-    def complement_dim(self) -> int:
-        return 2 * self.N - 1
-
 
 def coisotropic_complement(ell, N: int | None = None) -> ReductionSpec:
     """Reduction data for a line spanned by ``ell`` inside the q-subspace.

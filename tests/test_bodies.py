@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mahlerlab import bodies as B
 from mahlerlab.exactgeom import ExactHull
@@ -428,3 +428,26 @@ def test_fiber_min_gauge_matches_scalar_scan():
         brute = min(float(ball.gauge(x0[i] + t * direction)) for t in ts)
         assert vals[i] <= brute + 1e-9
         assert vals[i] >= brute - 1e-4
+
+
+FIBER_CHILDREN = [B.LpBallBody(p, 3) for p in (1.2, 1.5, 3.0, 6.0)] + [
+    B.hanner_body("X(S, L(S, S))")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(child=st.sampled_from(FIBER_CHILDREN), iters=st.sampled_from([28, 48]),
+       seed=st.integers(0, 2**32 - 1), level=st.floats(0.25, 4.0),
+       rel=st.sampled_from([1e-6, 1e-10]))
+def test_fiber_min_with_level_decides_like_the_full_search(child, iters, seed, level, rel):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    x0 = rng.normal(size=(300, 3))
+    # half the points as drawn, half scaled to within rel of the level on
+    # either side (the fiber minimum is 1-homogeneous in x0)
+    full = B.fiber_min_gauge(child, x0[150:], u, iters=iters)
+    x0[150:] *= (level / full * (1.0 + rel * rng.choice([-1.0, 1.0], size=150)))[:, None]
+    full = B.fiber_min_gauge(child, x0, u, iters=iters)
+    settled = B.fiber_min_gauge(child, x0, u, iters=iters, level=level)
+    assert np.array_equal(settled <= level, full <= level)
+    assert np.all(settled >= full)  # a settled row stops at an earlier best value

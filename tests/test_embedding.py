@@ -7,10 +7,54 @@ import pytest
 from mahlerlab import embedding as E
 
 
+def _closed_form_unit_area(alpha, n_exp):
+    """Gamma-function area of {|x|^u + |y|^v <= 1}, u = alpha n, v = beta n."""
+    beta = alpha / (alpha - 1.0)
+    u = alpha * n_exp
+    v = beta * n_exp
+    return 4.0 * math.exp(
+        math.lgamma(1.0 + 1.0 / u)
+        + math.lgamma(1.0 + 1.0 / v)
+        - math.lgamma(1.0 + 1.0 / u + 1.0 / v)
+    )
+
+
+def _planar_map_inverse(profile, q, p, iters=60):
+    """Inverse of the planar map from the profile's tables: bisection on the
+    curve angle within the quadrant, which is monotone in the flux
+    parameter."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    A = profile.level_value(q, p)
+    r = np.sqrt(A / math.pi)
+    sq = profile.sigma_quarter
+    ratio = A / profile.c_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = np.where(A > 0, np.abs(q) / ratio ** (1.0 / profile.alpha), 0.0)
+        Y = np.where(A > 0, np.abs(p) / ratio ** (1.0 / profile.beta), 0.0)
+    target = np.arctan2(Y, X)
+    lo = np.zeros_like(X)
+    hi = np.full_like(X, sq)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        ang = np.arctan2(profile._y_of_sigma(mid), profile._x_of_sigma(mid))
+        take = ang < target  # angle increases along the quarter
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    frac = 0.5 * (lo + hi) / sq
+    qpos = q >= 0
+    ppos = p >= 0
+    quadrant = np.where(qpos & ppos, 0,
+                        np.where(~qpos & ppos, 1, np.where(~qpos & ~ppos, 2, 3)))
+    frac = np.where((quadrant == 1) | (quadrant == 3), 1.0 - frac, frac)
+    theta = 2.0 * np.pi * (quadrant + frac) / 4.0
+    return r * np.exp(1j * theta)
+
+
 def test_normalization_constant_matches_gamma_oracle():
     for alpha, n in [(2.0, 1), (2.0, 8), (1.5, 8), (3.0, 4)]:
         prof = E.build_profile(alpha, n)
-        assert math.isclose(prof.c_n, E.closed_form_unit_area(alpha, n),
+        assert math.isclose(prof.c_n, _closed_form_unit_area(alpha, n),
                             rel_tol=1e-8), (alpha, n)
 
 
@@ -137,7 +181,7 @@ def test_inverse_map_roundtrip():
     rng = np.random.default_rng(3)
     z = rng.normal(size=200) * 0.5 + 1j * rng.normal(size=200) * 0.5
     q, p = E.planar_map(prof, z)
-    z2 = E.planar_map_inverse(prof, q, p)
+    z2 = _planar_map_inverse(prof, q, p)
     assert np.max(np.abs(z2 - z)) < 1e-6
 
 

@@ -89,7 +89,8 @@ def test_polygon_action_batch_equals_per_loop(rng):
 def test_coisotropic_complement_axis():
     spec = SY.coisotropic_complement(np.array([1.0, 0.0]), N=2)
     assert np.allclose(spec.complement_normal, [1, 0, 0, 0])  # {p_1 = 0}
-    assert spec.complement_dim == 3
+    # L^omega is the hyperplane {<n, x> = 0} of R^4, so L^omega / L has dim 2
+    assert spec.complement_normal.shape == (4,) and spec.quotient_basis.shape == (4, 2)
 
 
 def test_coisotropic_complement_diagonal():

@@ -228,3 +228,26 @@ def test_volume_result_validation():
         V.VolumeResult(1.0, "exact", ci_halfwidth=0.1)
     with pytest.raises(ValueError):
         V.VolumeResult(1.0, "monte-carlo", samples=0)
+
+
+_FULL_FIBER_MIN = B.fiber_min_gauge
+
+
+def _level_free_fiber_min(child, x0, direction, iters=48, level=None):
+    """The fiber search without early settling: every row runs all steps."""
+    return _FULL_FIBER_MIN(child, x0, direction, iters)
+
+
+@pytest.mark.parametrize("case", ["lp1.5", "lp3", "lp6-n4", "polytope"])
+def test_projection_hits_match_the_full_fiber_search(case, monkeypatch):
+    if case == "polytope":
+        u = np.array([0.3, -1.1, 0.7])
+        body = B.ImageBody(B.hanner_body("X(S, L(S, S))"), B.orthonormal_frame(u).T)
+    else:
+        p, n = {"lp1.5": (1.5, 3), "lp3": (3.0, 3), "lp6-n4": (6.0, 4)}[case]
+        u = np.random.default_rng(n).normal(size=n)
+        body = B.hyperplane_projection(B.LpBallBody(p, n), u)
+    assert isinstance(body, B.ImageBody)
+    settled = V.mc_volume(body, samples=150_000, seed=11)
+    monkeypatch.setattr(B, "fiber_min_gauge", _level_free_fiber_min)
+    assert V.mc_volume(body, samples=150_000, seed=11) == settled
