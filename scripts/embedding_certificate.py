@@ -22,9 +22,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    limit = math.sqrt(4 / math.pi)
     print(f"alpha={args.alpha}, copies={args.copies}, "
-          f"radius limit sqrt(4/pi)={limit:.6f}")
+          f"radius limit sqrt(4/pi)={E.R_MAX:.6f}")
     print(f"{'n_exp':>6} {'eps':>10} {'radius':>10} {'fraction':>9} {'|detJ-1|':>10}")
     prev_eps = math.inf
     ok = True
@@ -33,7 +32,7 @@ def main():
         rep = E.product_embedding_check(args.alpha, args.copies, n,
                                         samples=args.samples, seed=args.seed,
                                         profile=prof)
-        jac = E.jacobian_grid_check(prof, r_max=limit)
+        jac = E.jacobian_grid_check(prof)
         print(f"{n:>6} {rep['eps']:>10.6f} {rep['radius']:>10.6f} "
               f"{rep['contained_fraction']:>9.6f} "
               f"{jac['max_abs_det_minus_1']:>10.2e}")

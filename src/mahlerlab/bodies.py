@@ -35,6 +35,8 @@ import numpy as np
 from .exactgeom import ExactHull, dd_vertices, int_rank, scale_to_int
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# membership: a point lies in a body when its gauge is at most 1 + MEMBERSHIP_TOL
+MEMBERSHIP_TOL = 1e-12
 
 
 class BodyError(ValueError):
@@ -240,10 +242,10 @@ def pnorm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
 class ConvexBody:
     dim: int
 
-    def contains_batch(self, x, tol: float = 1e-12) -> np.ndarray:
+    def contains_batch(self, x) -> np.ndarray:
         """Vectorized membership; bodies may override with a cheaper test
         than a full gauge evaluation."""
-        return np.asarray(self.gauge(x)) <= 1.0 + tol
+        return np.asarray(self.gauge(x)) <= 1.0 + MEMBERSHIP_TOL
 
     def gauge(self, x):
         raise NotImplementedError
@@ -260,9 +262,6 @@ class ConvexBody:
 
     def describe(self) -> dict:
         raise NotImplementedError
-
-    def contains(self, x, tol: float = 1e-12):
-        return self.gauge(x) <= 1.0 + tol
 
     def bounding_halfwidths(self) -> np.ndarray:
         h = np.empty(self.dim)
@@ -348,12 +347,9 @@ class PolytopeBody(ConvexBody):
 
     @staticmethod
     def cross(n: int) -> "PolytopeBody":
-        return PolytopeBody.cube(n).polar_with_tag({"type": "cross", "dim": n})
-
-    def polar_with_tag(self, tag) -> "PolytopeBody":
-        p = self.polar()
-        p.tag = tag
-        return p
+        body = PolytopeBody.cube(n).polar()
+        body.tag = {"type": "cross", "dim": n}
+        return body
 
     # -- exact representations
 
@@ -505,9 +501,6 @@ class PolytopeBody(ConvexBody):
             "b": [format_rational(b) for _, b in self._hrep],
         }
 
-    def counts(self) -> tuple[int, int]:
-        return len(self.extreme_vertices()), len(self.facet_halfspaces())
-
 
 class LpBallBody(ConvexBody):
     """Unit ball of the l_p norm, 1 < p < inf."""
@@ -595,9 +588,9 @@ class ImageBody(ConvexBody):
         x0 = x @ self._pinv.T
         return fiber_min_gauge(self.child, x0, self._kernel)
 
-    def contains_batch(self, x, tol: float = 1e-12) -> np.ndarray:
-        """Membership, min_t child.gauge(x0 + t u) <= 1 + tol on the fiber
-        x0 + R u over each point.
+    def contains_batch(self, x) -> np.ndarray:
+        """Membership, min_t child.gauge(x0 + t u) <= 1 + MEMBERSHIP_TOL on
+        the fiber x0 + R u over each point.
 
         For an l_p child, an l_2 sandwich decides most points first.  With
         d the distance from x0 to the fiber line, the gauge at the
@@ -606,11 +599,11 @@ class ImageBody(ConvexBody):
         c = n^(1/p - 1/2) for p > 2.  Only points the sandwich cannot decide
         run the golden-section minimization (28 steps; 48 for other
         children).  That search stops each point as soon as its side of
-        1 + tol is settled (``fiber_min_gauge`` with ``level``), so the hits
+        the level is settled (``fiber_min_gauge`` with ``level``), so the hits
         are those of the full search.
         """
         x = np.asarray(x, dtype=float)
-        level = 1.0 + tol
+        level = 1.0 + MEMBERSHIP_TOL
         if self._kernel is None:
             return np.asarray(self.gauge(x)) <= level
         if not isinstance(self.child, LpBallBody):
@@ -906,31 +899,6 @@ def dual_tree(expr: str) -> str:
     return hanner_tree_str(rec(parse_hanner(expr)))
 
 
-def hanner_counts(tree) -> tuple[int, int]:
-    """(vertex count, facet count): vertices multiply under X and add under L,
-    facets do the opposite."""
-    if isinstance(tree, PolytopeBody):
-        if tree.tree is None:
-            raise BodyError("body carries no Hanner tree")
-        tree = tree.tree
-    if isinstance(tree, str):
-        tree = parse_hanner(tree)
-    if tree == "S":
-        return (2, 2)
-    op, children = tree
-    counts = [hanner_counts(c) for c in children]
-    v = 1 if op == "X" else 0
-    f = 0 if op == "X" else 1
-    for cv, cf in counts:
-        if op == "X":
-            v *= cv
-            f += cf
-        else:
-            v += cv
-            f *= cf
-    return (v, f)
-
-
 def hanner_body(expr_or_tree) -> PolytopeBody:
     tree = parse_hanner(expr_or_tree) if isinstance(expr_or_tree, str) else expr_or_tree
 
@@ -979,14 +947,6 @@ def hanner_body(expr_or_tree) -> PolytopeBody:
 # operations
 
 
-def gauge(body: ConvexBody, x) -> float:
-    return float(body.gauge(np.asarray(x, dtype=float)))
-
-
-def support(body: ConvexBody, u) -> float:
-    return float(body.support(np.asarray(u, dtype=float)))
-
-
 def linear_image(body: ConvexBody, M) -> ConvexBody:
     if isinstance(body, PolytopeBody):
         try:
@@ -1009,9 +969,19 @@ def _is_rational_vector(u) -> bool:
         return False
 
 
-def _coordinate_axis(u: np.ndarray) -> int | None:
-    nz = np.nonzero(np.abs(u) > 0)[0]
-    return int(nz[0]) if len(nz) == 1 else None
+def _open_cut(name: str, body: ConvexBody, u):
+    """The checks that open both cuts, and their l_p shortcut.  Returns the
+    normal as floats and, when the cut of an l_p ball is the l_p ball of one
+    dimension less (a coordinate normal, or p = 2), that ball; else None.
+    Errors name the cut ``name``."""
+    if body.dim < 2:
+        raise BodyError(f"{name} needs dim >= 2")
+    uf = np.asarray(u, dtype=float)
+    if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
+        raise BodyError("normal must be a nonzero finite vector of matching dimension")
+    if isinstance(body, LpBallBody) and (np.count_nonzero(uf) == 1 or body.p == 2.0):
+        return uf, LpBallBody(body.p, body.dim - 1)
+    return uf, None
 
 
 def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
@@ -1021,15 +991,9 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
     normalized rational Gram-Schmidt basis); functional bodies restrict their
     gauge to the subspace.
     """
-    if body.dim < 2:
-        raise BodyError("hyperplane_section needs dim >= 2")
-    uf = np.asarray(u, dtype=float)
-    if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
-        raise BodyError("normal must be a nonzero finite vector of matching dimension")
-    if isinstance(body, LpBallBody):
-        axis = _coordinate_axis(uf)
-        if axis is not None or body.p == 2.0:
-            return LpBallBody(body.p, body.dim - 1)
+    uf, ball = _open_cut("hyperplane_section", body, u)
+    if ball is not None:
+        return ball
     if isinstance(body, PolytopeBody) and _is_rational_vector(u):
         basis = orthogonal_complement_basis(rational_vector(u))
         A = []
@@ -1051,15 +1015,9 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
 
 def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
     """body / span(u), i.e. the shadow on u^perp, same frame as the section."""
-    if body.dim < 2:
-        raise BodyError("hyperplane_projection needs dim >= 2")
-    uf = np.asarray(u, dtype=float)
-    if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
-        raise BodyError("normal must be a nonzero finite vector of matching dimension")
-    if isinstance(body, LpBallBody):
-        axis = _coordinate_axis(uf)
-        if axis is not None or body.p == 2.0:
-            return LpBallBody(body.p, body.dim - 1)
+    uf, ball = _open_cut("hyperplane_projection", body, u)
+    if ball is not None:
+        return ball
     if isinstance(body, PolytopeBody) and _is_rational_vector(u):
         basis = orthogonal_complement_basis(rational_vector(u))
         verts = [

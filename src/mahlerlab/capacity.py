@@ -54,10 +54,6 @@ class PolygonalLoop:
             if not np.allclose(v[m // 2 :], -v[: m // 2], atol=1e-9 * max(1.0, np.abs(v).max())):
                 raise BodyError("symmetric loop must satisfy z_{i+m/2} = -z_i")
 
-    @property
-    def m(self) -> int:
-        return self.vertices.shape[0]
-
 
 @dataclass(frozen=True)
 class CapacityEstimate:
@@ -87,20 +83,18 @@ class CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# the body norm
-
-
-def body_norm(S: ConvexBody, v) -> float | np.ndarray:
-    """sup { omega(v, z) : z in S } = h_S(Jv)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != S.dim:
-        raise BodyError("dimension mismatch")
-    out = S.support(j_rotate(v))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # batched quotient minimization
+
+# Step-size schedule of the descent.  A start steps by ALPHA0 times its
+# loop's rms size, halves its step after PATIENCE iterations without
+# improvement, and finishes when the step falls below ALPHA_FLOOR or when its
+# best value improved by less than STALL_TOL (relative) over the last
+# STALL_WINDOW iterations.
+ALPHA0 = 0.2
+PATIENCE = 60
+ALPHA_FLOOR = 1e-9
+STALL_WINDOW = 100
+STALL_TOL = 1e-10
 
 
 def _ellipse_starts(dim: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,12 +136,7 @@ def _minimize_quotient(
     z0: np.ndarray,
     symmetric: bool,
     rng: np.random.Generator,
-    max_iters: int = 50_000,
-    alpha0: float = 0.2,
-    stall_window: int = 100,
-    stall_tol: float = 1e-10,
-    patience: int = 60,
-    alpha_floor: float = 1e-9,
+    max_iters: int,
 ):
     """Subgradient descent on Q over a batch of starts.  Returns
     (best values, best loops, iterations used, restart count, stalled mask).
@@ -200,7 +189,7 @@ def _minimize_quotient(
     # and counters
     idx = np.arange(B)
     bq, bz, window_q = q.copy(), z.copy(), q.copy()
-    alpha = np.full(B, alpha0)
+    alpha = np.full(B, ALPHA0)
     no_improve = np.zeros(B, dtype=int)
     it = 0
     for it in range(1, max_iters + 1):
@@ -227,13 +216,13 @@ def _minimize_quotient(
         bz[improved] = z[improved]
         no_improve += 1
         no_improve[improved] = 0
-        cool = no_improve >= patience
+        cool = no_improve >= PATIENCE
         alpha[cool] *= 0.5
         no_improve[cool] = 0
-        keep = alpha >= alpha_floor
-        if it % stall_window == 0:
+        keep = alpha >= ALPHA_FLOOR
+        if it % STALL_WINDOW == 0:
             rel = (window_q - bq) / np.maximum(bq, 1e-300)
-            keep &= rel >= stall_tol
+            keep &= rel >= STALL_TOL
             window_q = bq.copy()
         if not keep.all():
             done = ~keep

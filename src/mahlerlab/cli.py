@@ -167,11 +167,9 @@ def cmd_crofton(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    profile = E.load_or_build_profile(args.alpha, args.nexp,
-                                      cache_dir=args.cache)
     rep = E.product_embedding_check(
         args.alpha, args.copies, args.nexp, samples=args.samples, seed=args.seed,
-        profile=profile, r_factor=args.radius_factor)
+        r_factor=args.radius_factor)
     ok = rep["contained_fraction"] == 1.0 or args.radius_factor > 1.0
     code = EXIT_OK if ok else EXIT_ASSERTION
     return _emit(args, "embed", rep, args.seed, None,
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius-factor", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cache", default=None, help="profile cache directory")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -37,6 +37,14 @@ UNIT_TOL = 1e-6       # |log |w|| of a root taken to lie on the unit circle
 GAP_TOL = 1e-6        # angle below which two roots count as one double root
 TANGENCY_TOL = 1e-9   # |h'| / mass at a root below which the root is tangent
 
+# Surface quadrature of Sigma^+: colatitudes of the coarse scan for its edge,
+# azimuths (trapezoid), Gauss-Legendre colatitude nodes, and the central
+# difference step of the parametrization's derivatives
+EDGE_SCAN = 64
+N_AZIMUTH = 256
+N_COLAT = 64
+FD_STEP = 1e-5
+
 
 class CroftonError(ValueError):
     pass
@@ -330,8 +338,7 @@ def _surface_point(slc: SignedSlice, t, psi, R: float) -> np.ndarray:
     return z
 
 
-def _edge_colatitude(slc: SignedSlice, psi: np.ndarray, R: float,
-                     scan: int = 64) -> np.ndarray:
+def _edge_colatitude(slc: SignedSlice, psi: np.ndarray, R: float) -> np.ndarray:
     """Colatitude where the sign field changes on Sigma, per azimuth (psi 1-d).
 
     The construction needs exactly one sign change along every meridian; a
@@ -343,7 +350,7 @@ def _edge_colatitude(slc: SignedSlice, psi: np.ndarray, R: float,
     their midpoint, as a bisection to float resolution would give.
     """
     eps = 1e-9
-    ts = np.linspace(eps, np.pi - eps, scan)
+    ts = np.linspace(eps, np.pi - eps, EDGE_SCAN)
     T, P = np.broadcast_arrays(ts[:, None], psi[None, :])
     vals = slc.sign_field(_surface_point(slc, T, P, R))
     crossings = np.count_nonzero(np.diff(np.sign(vals), axis=0) != 0, axis=0)
@@ -389,8 +396,7 @@ def _edge_colatitude(slc: SignedSlice, psi: np.ndarray, R: float,
     return out
 
 
-def sigma_plus_area(slc: SignedSlice, R: float = 1.0, n_azimuth: int = 256,
-                    n_colat: int = 64, fd_step: float = 1e-5) -> float:
+def sigma_plus_area(slc: SignedSlice, R: float = 1.0) -> float:
     """Integral of omega over Sigma^+ (N = 2) by deterministic quadrature.
 
     Sigma^+ is swept by (t, psi) -> z(t, psi): direction angles in the
@@ -401,14 +407,14 @@ def sigma_plus_area(slc: SignedSlice, R: float = 1.0, n_azimuth: int = 256,
     """
     if slc.N != 2:
         raise CroftonError("surface integration is implemented for N = 2 only")
-    psi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    psi = 2.0 * np.pi * np.arange(N_AZIMUTH) / N_AZIMUTH
     t_edge = _edge_colatitude(slc, psi, R)
-    nodes, weights = np.polynomial.legendre.leggauss(n_colat)
+    nodes, weights = np.polynomial.legendre.leggauss(N_COLAT)
     # map [-1, 1] -> [0, t_edge(psi)]
     T = 0.5 * (nodes[None, :] + 1.0) * t_edge[:, None]
     W = 0.5 * t_edge[:, None] * weights[None, :]
     P = np.broadcast_to(psi[:, None], T.shape)
-    h = fd_step
+    h = FD_STEP
     zt = (_surface_point(slc, T + h, P, R) - _surface_point(slc, T - h, P, R)) / (2 * h)
     zp = (_surface_point(slc, T, P + h, R) - _surface_point(slc, T, P - h, R)) / (2 * h)
     omega_tp = (
@@ -417,7 +423,7 @@ def sigma_plus_area(slc: SignedSlice, R: float = 1.0, n_azimuth: int = 256,
         + zt[..., 1] * zp[..., 3]
         - zp[..., 1] * zt[..., 3]
     )
-    return float(np.sum(W * omega_tp) * (2.0 * np.pi / n_azimuth))
+    return float(np.sum(W * omega_tp) * (2.0 * np.pi / N_AZIMUTH))
 
 
 def sigma_plus_area_stokes(slc: SignedSlice, R: float = 1.0,

@@ -21,14 +21,35 @@ level curves.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import PchipInterpolator
+
+
+# Quadrature segments of the unit curve and sublevel areas A in [0.5, 4.5]
+# checked against an independent quadrature when a profile is built
+SEGMENTS = 4096
+AREA_LEVELS = 9
+# The certificates are measured on the disc |z| <= R_MAX, the largest radius
+# the embedding can certify: R^2 <= (4/pi)(1 - N eps)
+R_MAX = math.sqrt(4.0 / math.pi)
+# polar grid of the rectangle defect eps
+EPS_RADIAL = 64
+EPS_ANGULAR = 512
+# polar grid of the Jacobian certificate, which leaves out an AXIS_MARGIN
+# neighbourhood of the axes and differentiates with step JACOBIAN_STEP
+JACOBIAN_RADIAL = 24
+JACOBIAN_ANGULAR = 96
+AXIS_MARGIN = 1e-3
+JACOBIAN_STEP = 1e-4
+# points of the oddness certificate, drawn from default_rng(0)
+ODDNESS_POINTS = 4096
+# containment tolerance and points per block of the product check
+CONTAIN_TOL = 1e-9
+CHECK_BLOCK = 1 << 16
 
 
 class EmbeddingError(ValueError):
@@ -48,7 +69,6 @@ class EmbeddingProfile:
     x_knots: np.ndarray
     y_knots: np.ndarray
     area_table: np.ndarray         # rows (A, measured sublevel area)
-    segments: int
     _x_of_sigma: PchipInterpolator = field(init=False, repr=False)
     _y_of_sigma: PchipInterpolator = field(init=False, repr=False)
 
@@ -56,29 +76,12 @@ class EmbeddingProfile:
         self._x_of_sigma = PchipInterpolator(self.sigma_knots, self.x_knots)
         self._y_of_sigma = PchipInterpolator(self.sigma_knots, self.y_knots)
 
-    def level_value(self, q, p):
-        """G(q, p) = c_n (|q|^u + |p|^v)^(1/n_exp)."""
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return self.c_n * (np.abs(q) ** self.u + np.abs(p) ** self.v) ** (
-            1.0 / self.n_exp
-        )
-
-    def describe(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n_exp": self.n_exp,
-            "segments": self.segments,
-            "c_n": self.c_n,
-        }
-
 
 # ---------------------------------------------------------------------------
 # profile construction
 
 
-def build_profile(alpha: float, n_exp: int, segments: int = 4096,
-                  area_levels: int = 9) -> EmbeddingProfile:
+def build_profile(alpha: float, n_exp: int) -> EmbeddingProfile:
     """Tabulate the unit superellipse |x|^u + |y|^v = 1 (Simpson on two graph
     branches split where x^u = y^v = 1/2), accumulating the sector area for
     the normalization constant and the scaling-flow flux for the angle
@@ -92,7 +95,7 @@ def build_profile(alpha: float, n_exp: int, segments: int = 4096,
     beta = alpha / (alpha - 1.0)
     u = alpha * n_exp
     v = beta * n_exp
-    half = max(segments // 2, 64)
+    half = SEGMENTS // 2
 
     # branch A: from (1, 0) up to the split point, parametrized by y
     y_mid = 0.5 ** (1.0 / v)
@@ -133,9 +136,9 @@ def build_profile(alpha: float, n_exp: int, segments: int = 4096,
     profile = EmbeddingProfile(
         alpha=alpha, beta=beta, n_exp=n_exp, u=u, v=v, c_n=c_n,
         sigma_quarter=sigma_quarter, sigma_knots=sigma, x_knots=xs, y_knots=ys,
-        area_table=np.zeros((0, 2)), segments=segments,
+        area_table=np.zeros((0, 2)),
     )
-    levels = np.linspace(0.5, 4.5, area_levels)
+    levels = np.linspace(0.5, 4.5, AREA_LEVELS)
     table = np.array([[A, measured_sublevel_area(profile, A)] for A in levels])
     profile.area_table = table
     return profile
@@ -192,12 +195,11 @@ def planar_map(profile: EmbeddingProfile, z) -> tuple[np.ndarray, np.ndarray]:
 # certificates
 
 
-def eps_rect_check(profile: EmbeddingProfile, r_max: float,
-                   n_radial: int = 64, n_angular: int = 512) -> float:
+def eps_rect_check(profile: EmbeddingProfile) -> float:
     """Smallest eps with |q(z)|^alpha <= pi |z|^2 / 4 + eps and the same for
-    |p(z)|^beta, measured on a polar grid up to |z| = r_max."""
-    r = np.linspace(0.0, r_max, n_radial + 1)[1:]
-    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    |p(z)|^beta, measured on a polar grid up to |z| = R_MAX."""
+    r = np.linspace(0.0, R_MAX, EPS_RADIAL + 1)[1:]
+    th = 2.0 * np.pi * np.arange(EPS_ANGULAR) / EPS_ANGULAR
     Z = r[:, None] * np.exp(1j * th[None, :])
     q, p = planar_map(profile, Z)
     target = math.pi * np.abs(Z) ** 2 / 4.0
@@ -206,16 +208,15 @@ def eps_rect_check(profile: EmbeddingProfile, r_max: float,
     return float(max(excess_q.max(), excess_p.max(), 0.0))
 
 
-def jacobian_grid_check(profile: EmbeddingProfile, r_max: float = 1.0,
-                        n_radial: int = 24, n_angular: int = 96,
-                        axis_margin: float = 1e-3, h: float = 1e-4) -> dict:
-    """max |det Df - 1| on a polar grid, excluding an ``axis_margin``
-    neighborhood of the axes (finite-difference Jacobian)."""
-    r = np.linspace(0.15 * r_max, r_max, n_radial)
-    th = 2.0 * np.pi * np.arange(n_angular) / n_angular
+def jacobian_grid_check(profile: EmbeddingProfile) -> dict:
+    """max |det Df - 1| on a polar grid up to |z| = R_MAX, excluding an
+    ``AXIS_MARGIN`` neighborhood of the axes (finite-difference Jacobian)."""
+    h = JACOBIAN_STEP
+    r = np.linspace(0.15 * R_MAX, R_MAX, JACOBIAN_RADIAL)
+    th = 2.0 * np.pi * np.arange(JACOBIAN_ANGULAR) / JACOBIAN_ANGULAR
     Z = (r[:, None] * np.exp(1j * th[None, :])).ravel()
-    keep = (np.abs(np.real(Z)) > axis_margin + 2 * h) & (
-        np.abs(np.imag(Z)) > axis_margin + 2 * h
+    keep = (np.abs(np.real(Z)) > AXIS_MARGIN + 2 * h) & (
+        np.abs(np.imag(Z)) > AXIS_MARGIN + 2 * h
     )
     Z = Z[keep]
 
@@ -238,10 +239,9 @@ def jacobian_grid_check(profile: EmbeddingProfile, r_max: float = 1.0,
     }
 
 
-def oddness_check(profile: EmbeddingProfile, count: int = 4096,
-                  seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=count) + 1j * rng.normal(size=count)
+def oddness_check(profile: EmbeddingProfile) -> float:
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=ODDNESS_POINTS) + 1j * rng.normal(size=ODDNESS_POINTS)
     q1, p1 = planar_map(profile, z)
     q2, p2 = planar_map(profile, -z)
     return float(max(np.max(np.abs(q1 + q2)), np.max(np.abs(p1 + p2))))
@@ -255,15 +255,14 @@ def sample_ball(dim: int, radius: float, count: int, rng: np.random.Generator):
 
 
 def product_embedding_check(alpha: float, copies: int, n_exp: int,
-                            radius: float | None = None, samples: int = 10**6,
-                            seed: int = 0, profile: EmbeddingProfile | None = None,
-                            r_factor: float = 1.0, tol: float = 1e-9,
-                            block: int = 1 << 16) -> dict:
+                            samples: int = 10**6, seed: int = 0,
+                            profile: EmbeddingProfile | None = None,
+                            r_factor: float = 1.0) -> dict:
     """Map sampled points of B^{2N}(R) coordinate-pair-wise and test
     containment in the l_alpha x l_beta product.
 
-    Default R = r_factor * sqrt((4/pi)(1 - N eps)) with eps measured on the
-    grid; at r_factor <= 1 the containment fraction must be 1.0.
+    R = r_factor * sqrt((4/pi)(1 - N eps)) with eps measured on the grid;
+    at r_factor <= 1 the containment fraction must be 1.0.
     """
     N = int(copies)
     if N < 1 or samples < 1:
@@ -271,12 +270,11 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
     if profile is None:
         profile = build_profile(alpha, n_exp)
     beta = profile.beta
-    eps = eps_rect_check(profile, r_max=math.sqrt(4.0 / math.pi))
-    if radius is None:
-        inner = (4.0 / math.pi) * (1.0 - N * eps)
-        if inner <= 0:
-            raise EmbeddingError("eps too large: no certified radius")
-        radius = r_factor * math.sqrt(inner)
+    eps = eps_rect_check(profile)
+    inner = (4.0 / math.pi) * (1.0 - N * eps)
+    if inner <= 0:
+        raise EmbeddingError("eps too large: no certified radius")
+    radius = r_factor * math.sqrt(inner)
     if not 0 < radius < math.inf:
         raise EmbeddingError(f"radius must be finite and positive, got {radius}")
     rng = np.random.default_rng(seed)
@@ -284,7 +282,7 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
     worst = {"excess": -math.inf, "point": None}
     done = 0
     while done < samples:
-        m = min(block, samples - done)
+        m = min(CHECK_BLOCK, samples - done)
         x = sample_ball(2 * N, radius, m, rng)
         sum_q = np.zeros(m)
         sum_p = np.zeros(m)
@@ -293,7 +291,7 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
             qj, pj = planar_map(profile, zj)
             sum_q += np.abs(qj) ** profile.alpha
             sum_p += np.abs(pj) ** beta
-        ok = (sum_q <= 1.0 + tol) & (sum_p <= 1.0 + tol)
+        ok = (sum_q <= 1.0 + CONTAIN_TOL) & (sum_p <= 1.0 + CONTAIN_TOL)
         contained += int(np.count_nonzero(ok))
         excess = np.maximum(sum_q, sum_p) - 1.0
         k = int(np.argmax(excess))
@@ -313,52 +311,3 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
         "worst_point": worst["point"],
         "seed": seed,
     }
-
-
-# ---------------------------------------------------------------------------
-# caching
-
-
-def profile_cache_key(alpha: float, n_exp: int, segments: int) -> str:
-    raw = f"{float(alpha)!r}|{int(n_exp)}|{int(segments)}"
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-
-def save_profile(profile: EmbeddingProfile, directory) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    key = profile_cache_key(profile.alpha, profile.n_exp, profile.segments)
-    path = directory / f"profile_{key}.npz"
-    np.savez_compressed(
-        path,
-        alpha=profile.alpha, beta=profile.beta, n_exp=profile.n_exp,
-        u=profile.u, v=profile.v, c_n=profile.c_n,
-        sigma_quarter=profile.sigma_quarter, sigma_knots=profile.sigma_knots,
-        x_knots=profile.x_knots, y_knots=profile.y_knots,
-        area_table=profile.area_table, segments=profile.segments,
-    )
-    return path
-
-
-def load_profile(path) -> EmbeddingProfile:
-    d = np.load(path)
-    return EmbeddingProfile(
-        alpha=float(d["alpha"]), beta=float(d["beta"]), n_exp=int(d["n_exp"]),
-        u=float(d["u"]), v=float(d["v"]), c_n=float(d["c_n"]),
-        sigma_quarter=float(d["sigma_quarter"]), sigma_knots=d["sigma_knots"],
-        x_knots=d["x_knots"], y_knots=d["y_knots"], area_table=d["area_table"],
-        segments=int(d["segments"]),
-    )
-
-
-def load_or_build_profile(alpha: float, n_exp: int, segments: int = 4096,
-                          cache_dir=None) -> EmbeddingProfile:
-    if cache_dir is not None:
-        key = profile_cache_key(alpha, n_exp, segments)
-        path = Path(cache_dir) / f"profile_{key}.npz"
-        if path.exists():
-            return load_profile(path)
-        profile = build_profile(alpha, n_exp, segments)
-        save_profile(profile, cache_dir)
-        return profile
-    return build_profile(alpha, n_exp, segments)

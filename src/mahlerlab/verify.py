@@ -231,7 +231,7 @@ def suite_embedding(alphas=(2.0, 1.5), copies: int = 2, n_exp: int = 8,
         prof = E.build_profile(alpha, n_exp)
         area_err = max(abs(meas - A) / A for A, meas in prof.area_table)
         odd = E.oddness_check(prof)
-        jac = E.jacobian_grid_check(prof, r_max=math.sqrt(4.0 / math.pi))
+        jac = E.jacobian_grid_check(prof)
         rep = E.product_embedding_check(alpha, copies, n_exp, samples=samples,
                                         seed=seed, profile=prof)
         ok = (

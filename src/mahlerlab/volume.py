@@ -164,7 +164,7 @@ def lp_ball_volume(p: float, n: int) -> VolumeResult:
 # Monte Carlo
 
 
-def mc_volume(body: ConvexBody, samples: int, seed: int, tol: float = 1e-12) -> VolumeResult:
+def mc_volume(body: ConvexBody, samples: int, seed: int) -> VolumeResult:
     """Hit-or-miss estimate over the support bounding box, binomial CI.
 
     Deterministic in (seed, samples): block b of 2^16 points is drawn from
@@ -184,7 +184,7 @@ def mc_volume(body: ConvexBody, samples: int, seed: int, tol: float = 1e-12) -> 
         rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block_idx]))
         pts = rng.uniform(-1.0, 1.0, size=(m, body.dim)) * half
         for lo in range(0, m, MC_ROWS):
-            hits += int(np.count_nonzero(body.contains_batch(pts[lo:lo + MC_ROWS], tol)))
+            hits += int(np.count_nonzero(body.contains_batch(pts[lo:lo + MC_ROWS])))
         done += m
         block_idx += 1
     phat = hits / samples
@@ -195,6 +195,12 @@ def mc_volume(body: ConvexBody, samples: int, seed: int, tol: float = 1e-12) -> 
 
 # ---------------------------------------------------------------------------
 # volume dispatch and the Mahler product
+
+
+def _product_halfwidth(a: VolumeResult, b: VolumeResult) -> float:
+    """Half-width on a.value * b.value from the factors' half-widths."""
+    return abs(a.value) * b.ci_halfwidth + abs(b.value) * a.ci_halfwidth \
+        + a.ci_halfwidth * b.ci_halfwidth
 
 
 def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> VolumeResult:
@@ -208,8 +214,7 @@ def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> VolumeRe
         a = volume_of(body.base, samples, seed)
         b = volume_of(body.dual, samples, seed + 1)
         value = a.value * b.value
-        ci = abs(a.value) * b.ci_halfwidth + abs(b.value) * a.ci_halfwidth \
-            + a.ci_halfwidth * b.ci_halfwidth
+        ci = _product_halfwidth(a, b)
         method = "exact" if (a.method == b.method == "exact") else (
             "closed-form" if "monte-carlo" not in (a.method, b.method) else "monte-carlo"
         )
@@ -244,8 +249,7 @@ def mahler_product(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> Mah
         v1 = volume_of(body, samples, seed)
         v2 = volume_of(body.polar(), samples, seed + 10**6)
         product = v1.value * v2.value
-        ci = abs(v1.value) * v2.ci_halfwidth + abs(v2.value) * v1.ci_halfwidth \
-            + v1.ci_halfwidth * v2.ci_halfwidth
+        ci = _product_halfwidth(v1, v2)
         if v1.exact is not None and v2.exact is not None:
             exact_product = v1.exact * v2.exact
     bound = mahler_bound(body.dim)
@@ -276,14 +280,6 @@ class ReductionVolumeReport:
     lhs_exact: Fraction | None = None
     rhs_exact: Fraction | None = None
     equality: bool = False
-
-    def as_dict(self) -> dict:
-        d = {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-             "equality": self.equality}
-        if self.lhs_exact is not None:
-            d["lhs_exact"] = str(self.lhs_exact)
-            d["rhs_exact"] = str(self.rhs_exact)
-        return d
 
 
 def reduction_volume_bound(body: PolytopeBody, u, action_bound=Fraction(4)) -> ReductionVolumeReport:

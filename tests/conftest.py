@@ -73,6 +73,27 @@ def hanner_volume(tree) -> tuple[Fraction, int]:
     return vol, dim
 
 
+def hanner_counts(tree) -> tuple[int, int]:
+    """(vertex count, facet count) of a Hanner polytope from its expression
+    or tree alone: vertices multiply under X and add under L, facets do the
+    opposite."""
+    if isinstance(tree, str):
+        tree = B.parse_hanner(tree)
+    if tree == "S":
+        return (2, 2)
+    op, children = tree
+    v = 1 if op == "X" else 0
+    f = 0 if op == "X" else 1
+    for cv, cf in (hanner_counts(c) for c in children):
+        if op == "X":
+            v *= cv
+            f += cf
+        else:
+            v += cv
+            f *= cf
+    return (v, f)
+
+
 def random_symmetric_vpolytope(rng, dim, pairs, span=4) -> B.PolytopeBody:
     while True:
         pts = rng.integers(-span, span + 1, size=(pairs, dim))

@@ -174,7 +174,7 @@ def test_criterion_9_embedding():
         prof = E.build_profile(alpha, 8)
         rep = E.product_embedding_check(alpha, 2, 8, samples=10**6, seed=9,
                                         profile=prof)
-        jac = E.jacobian_grid_check(prof, r_max=math.sqrt(4 / math.pi))
+        jac = E.jacobian_grid_check(prof)
         odd = E.oddness_check(prof)
         area_err = max(abs(m - A) / A for A, m in prof.area_table)
         ok &= (rep["contained_fraction"] == 1.0

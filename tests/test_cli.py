@@ -88,6 +88,9 @@ def test_verify_command(capsys):
 def test_usage_error_exit_one(capsys):
     code = cli.main(["--no-log", "volume", "--body", '{"type":"nope"}'])
     assert code == 1
+    code = cli.main(["--no-log", "embed", "--cache", "profiles"])
+    assert code == 1
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
     code = cli.main(["--no-log", "section",
                      "--body", '{"type":"cube","dim":3}', "--normal", "0,0,0"])
     assert code == 1
