@@ -255,7 +255,7 @@ class ConvexBody:
 
     def support_witness(self, u):
         """Point(s) of the body attaining the support value in direction u."""
-        raise NotImplementedError(f"{type(self).__name__} has no support witness")
+        raise BodyError(f"{type(self).__name__} has no support witness")
 
     def polar(self) -> "ConvexBody":
         raise NotImplementedError
@@ -728,12 +728,8 @@ class LagrangianProductBody(ConvexBody):
             [self.dual.support_witness(up), self.base.support_witness(uq)], axis=-1
         )
 
-    def factors_polytopal(self) -> bool:
-        return isinstance(self.base, PolytopeBody) and isinstance(self.dual, PolytopeBody)
-
     def as_polytope(self) -> PolytopeBody:
-        if not self.factors_polytopal():
-            raise BodyError("factors are not exact polytopes")
+        """T x K as one 2n-dimensional polytope, for polytope factors."""
         n = self.n
         zeros = tuple(Fraction(0) for _ in range(n))
         rows = [(a + zeros, b) for a, b in self.dual.facet_halfspaces()]
@@ -745,9 +741,11 @@ class LagrangianProductBody(ConvexBody):
                             halfspaces_irredundant=True)
 
     def polar(self) -> ConvexBody:
-        if self.factors_polytopal():
+        """With T = dual in the p-block and K = base in the q-block, the polar
+        is conv(T° x 0, 0 x K°), of gauge g_T°(p) + g_K°(q)."""
+        if isinstance(self.base, PolytopeBody) and isinstance(self.dual, PolytopeBody):
             return self.as_polytope().polar()
-        return L1SumBody([self.base, self.dual])
+        return L1SumBody([self.dual.polar(), self.base.polar()])
 
     def describe(self) -> dict:
         return {
@@ -899,8 +897,8 @@ def dual_tree(expr: str) -> str:
     return hanner_tree_str(rec(parse_hanner(expr)))
 
 
-def hanner_body(expr_or_tree) -> PolytopeBody:
-    tree = parse_hanner(expr_or_tree) if isinstance(expr_or_tree, str) else expr_or_tree
+def hanner_body(expr: str) -> PolytopeBody:
+    tree = parse_hanner(expr)
 
     def build(t) -> tuple[list, list, int]:
         if t == "S":

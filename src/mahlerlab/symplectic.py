@@ -60,13 +60,12 @@ class ReductionSpec:
     """Isotropic line L in the q-subspace and its coisotropic complement."""
 
     N: int
-    line_q: np.ndarray          # unit vector in R^N spanning L inside q-space
-    line: np.ndarray            # the same vector embedded in R^{2N} (q-block)
+    line: np.ndarray            # unit vector spanning L, in R^{2N} (q-block)
     complement_normal: np.ndarray  # n with L^omega = {x : <n, x> = 0}
     quotient_basis: np.ndarray  # (2N, 2N-2), symplectic basis of L^omega / L
 
 
-def coisotropic_complement(ell, N: int | None = None) -> ReductionSpec:
+def coisotropic_complement(ell, N: int) -> ReductionSpec:
     """Reduction data for a line spanned by ``ell`` inside the q-subspace.
 
     ``ell`` is either an N-vector of q-coordinates or a 2N-vector whose
@@ -74,30 +73,29 @@ def coisotropic_complement(ell, N: int | None = None) -> ReductionSpec:
     isotropic line inside the Lagrangian q-subspace).
     """
     ell = np.asarray(ell, dtype=float)
-    if N is not None and ell.shape == (2 * N,):
+    if ell.shape == (2 * N,):
         p_part, q_part = ell[:N], ell[N:]
         if np.any(np.abs(p_part) > 1e-12 * max(1.0, np.abs(ell).max())):
             raise BodyError("line must lie in the q-subspace")
         ell = q_part
-    n = ell.shape[0] if N is None else N
-    if ell.shape != (n,):
+    if ell.shape != (N,):
         raise BodyError("bad line specification")
     norm = np.linalg.norm(ell)
     if norm == 0:
         raise BodyError("zero line")
     ellq = ell / norm
-    line = np.concatenate([np.zeros(n), ellq])
+    line = np.concatenate([np.zeros(N), ellq])
     # omega((0, ell), x) = -<ell, x_p>: the complement is {x : <ell, x_p> = 0}
-    normal = np.concatenate([ellq, np.zeros(n)])
+    normal = np.concatenate([ellq, np.zeros(N)])
     f = orthonormal_frame(ell)
     cols = []
     for i in range(f.shape[1]):
-        cols.append(np.concatenate([f[:, i], np.zeros(n)]))  # p-type vector
+        cols.append(np.concatenate([f[:, i], np.zeros(N)]))  # p-type vector
     for i in range(f.shape[1]):
-        cols.append(np.concatenate([np.zeros(n), f[:, i]]))  # q-type vector
+        cols.append(np.concatenate([np.zeros(N), f[:, i]]))  # q-type vector
     basis = np.stack(cols, axis=1)
-    return ReductionSpec(N=n, line_q=ellq, line=line,
-                         complement_normal=normal, quotient_basis=basis)
+    return ReductionSpec(N=N, line=line, complement_normal=normal,
+                         quotient_basis=basis)
 
 
 # ---------------------------------------------------------------------------

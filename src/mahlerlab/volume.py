@@ -101,61 +101,37 @@ def mahler_bound(n: int) -> Fraction:
 
 
 def exact_polytope_volume(body: ConvexBody) -> VolumeResult:
-    """Exact volume of a rational polytope (dim <= 8).
+    """Exact volume of a rational polytope (dim <= 8), of a per-axis scaled
+    one, or of a product of these (each factor of dim <= 8).
 
     ``DiagonalImageBody`` values (hyperplane sections/projections of rational
     polytopes) come out as r*sqrt(d) with rational r, d, reported numerically
     together with the exact pair.
     """
-    if isinstance(body, LagrangianProductBody) and body.factors_polytopal():
-        body = body.as_polytope()
-    if isinstance(body, DiagonalImageBody):
-        if body.dim > 8:
-            raise BodyError("exact volume limited to dimension <= 8")
-        if body.is_degenerate:
-            return VolumeResult(0.0, "exact", exact=Fraction(0))
-        core_vol = body.core.volume_exact()
-        s2 = body.volume_scale2()
-        value = float(core_vol) * math.sqrt(float(s2))
-        if _is_perfect_square(s2):
-            r = core_vol * _sqrt_fraction(s2)
-            return VolumeResult(float(r), "exact", exact=r)
-        return VolumeResult(value, "exact", exact_sqrt=(core_vol, s2))
-    if not isinstance(body, PolytopeBody):
+    if isinstance(body, LagrangianProductBody):
+        return volume_product(exact_polytope_volume(body.base),
+                              exact_polytope_volume(body.dual), None)
+    core, s2 = (body.core, body.volume_scale2()) if isinstance(body, DiagonalImageBody) \
+        else (body, Fraction(1))
+    if not isinstance(core, PolytopeBody):
         raise BodyError(f"{type(body).__name__} is not an exact polytope")
     if body.dim > 8:
         raise BodyError("exact volume limited to dimension <= 8")
-    if body.is_degenerate:
-        return VolumeResult(0.0, "exact", exact=Fraction(0))
-    v = body.volume_exact()
-    return VolumeResult(float(v), "exact", exact=v)
+    return _root_volume(core.volume_exact(), s2)
 
 
-def _is_perfect_square(f: Fraction) -> bool:
-    return (
-        math.isqrt(f.numerator) ** 2 == f.numerator
-        and math.isqrt(f.denominator) ** 2 == f.denominator
-    )
-
-
-def _sqrt_fraction(f: Fraction) -> Fraction:
-    return Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator))
+def _root_volume(r: Fraction, d: Fraction) -> VolumeResult:
+    """The exact volume r*sqrt(d); d folds into r when it is a perfect square
+    (or when r = 0)."""
+    root = Fraction(math.isqrt(d.numerator), math.isqrt(d.denominator))
+    if r == 0 or root * root == d:
+        r *= root
+        return VolumeResult(float(r), "exact", exact=r)
+    return VolumeResult(float(r) * math.sqrt(float(d)), "exact", exact_sqrt=(r, d))
 
 
 def lp_ball_volume(p: float, n: int) -> VolumeResult:
-    """vol of the unit l_p ball: 2^n Gamma(1+1/p)^n / Gamma(1+n/p)."""
-    if n < 1:
-        raise BodyError("dimension must be >= 1")
-    if isinstance(p, str):
-        p = math.inf if p == "inf" else float(Fraction(p))
-    p = float(p)
-    if p < 1:
-        raise BodyError("p must be >= 1")
-    if math.isinf(p):
-        return VolumeResult(float(2**n), "closed-form", exact=Fraction(2**n))
-    if p == 1.0:
-        ex = Fraction(2**n, math.factorial(n))
-        return VolumeResult(float(ex), "closed-form", exact=ex)
+    """vol of the unit l_p ball, 1 < p < inf: 2^n Gamma(1+1/p)^n / Gamma(1+n/p)."""
     logv = n * math.log(2.0) + n * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + n / p)
     return VolumeResult(math.exp(logv), "closed-form")
 
@@ -197,32 +173,33 @@ def mc_volume(body: ConvexBody, samples: int, seed: int) -> VolumeResult:
 # volume dispatch and the Mahler product
 
 
-def _product_halfwidth(a: VolumeResult, b: VolumeResult) -> float:
-    """Half-width on a.value * b.value from the factors' half-widths."""
-    return abs(a.value) * b.ci_halfwidth + abs(b.value) * a.ci_halfwidth \
+def volume_product(a: VolumeResult, b: VolumeResult, seed: int | None) -> VolumeResult:
+    """vol(A) * vol(B) from the two volumes.
+
+    Exact factors r1*sqrt(d1) and r2*sqrt(d2) multiply exactly, as
+    (r1*r2)*sqrt(d1*d2).  Otherwise the floats multiply and the half-widths
+    combine to first and second order; ``seed`` labels a Monte Carlo product.
+    """
+    ra = (a.exact, Fraction(1)) if a.exact is not None else a.exact_sqrt
+    rb = (b.exact, Fraction(1)) if b.exact is not None else b.exact_sqrt
+    if ra is not None and rb is not None:
+        return _root_volume(ra[0] * rb[0], ra[1] * rb[1])
+    ci = abs(a.value) * b.ci_halfwidth + abs(b.value) * a.ci_halfwidth \
         + a.ci_halfwidth * b.ci_halfwidth
+    if "monte-carlo" in (a.method, b.method):
+        return VolumeResult(a.value * b.value, "monte-carlo", ci_halfwidth=ci,
+                            samples=max(a.samples, b.samples), seed=seed)
+    return VolumeResult(a.value * b.value, "closed-form", ci_halfwidth=ci)
 
 
 def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> VolumeResult:
     """Best available volume: exact for polytopes, closed form for l_p balls,
-    Monte Carlo otherwise."""
+    the product of the factors' volumes for K x T, Monte Carlo otherwise."""
     if isinstance(body, (PolytopeBody, DiagonalImageBody)):
         return exact_polytope_volume(body)
     if isinstance(body, LagrangianProductBody):
-        if body.factors_polytopal():
-            return exact_polytope_volume(body.as_polytope())
-        a = volume_of(body.base, samples, seed)
-        b = volume_of(body.dual, samples, seed + 1)
-        value = a.value * b.value
-        ci = _product_halfwidth(a, b)
-        method = "exact" if (a.method == b.method == "exact") else (
-            "closed-form" if "monte-carlo" not in (a.method, b.method) else "monte-carlo"
-        )
-        n_samp = max(a.samples, b.samples)
-        exact = a.exact * b.exact if (a.exact is not None and b.exact is not None) else None
-        return VolumeResult(value, method, ci_halfwidth=ci,
-                            samples=n_samp if method == "monte-carlo" else 0,
-                            seed=seed if method == "monte-carlo" else None, exact=exact)
+        return volume_product(volume_of(body.base, samples, seed),
+                              volume_of(body.dual, samples, seed + 1), seed)
     if isinstance(body, LpBallBody):
         return lp_ball_volume(body.p, body.dim)
     return mc_volume(body, samples, seed)
@@ -233,38 +210,24 @@ def mahler_product(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> Mah
 
     The polar is taken after the body's volume, so an exact polar starts
     from both representations the body holds by then: the vertices double
-    description found for a section are the polar's facets.
+    description found for a section are the polar's facets.  Per-axis
+    scales cancel in the product: sqrt(s * 1/s) folds, so a section's
+    product is rational.
     """
-    exact_product = None
-    exact_ratio = None
-    if isinstance(body, DiagonalImageBody):
-        # per-axis scales cancel in the product; stay fully rational
-        v1 = exact_polytope_volume(body)
-        pol = body.polar()
-        v2 = exact_polytope_volume(pol)
-        exact_product = body.core.volume_exact() * pol.core.volume_exact()
-        product = float(exact_product)
-        ci = 0.0
-    else:
-        v1 = volume_of(body, samples, seed)
-        v2 = volume_of(body.polar(), samples, seed + 10**6)
-        product = v1.value * v2.value
-        ci = _product_halfwidth(v1, v2)
-        if v1.exact is not None and v2.exact is not None:
-            exact_product = v1.exact * v2.exact
+    v1 = volume_of(body, samples, seed)
+    v2 = volume_of(body.polar(), samples, seed + 10**6)
+    prod = volume_product(v1, v2, seed)
     bound = mahler_bound(body.dim)
-    if exact_product is not None:
-        exact_ratio = exact_product / bound
     return MahlerReport(
         vol_body=v1,
         vol_polar=v2,
-        product=product,
+        product=prod.value,
         bound=float(bound),
-        ratio=product / float(bound),
+        ratio=prod.value / float(bound),
         dim=body.dim,
-        exact_product=exact_product,
-        exact_ratio=exact_ratio,
-        ci_halfwidth=ci,
+        exact_product=prod.exact,
+        exact_ratio=None if prod.exact is None else prod.exact / bound,
+        ci_halfwidth=prod.ci_halfwidth,
     )
 
 
@@ -285,23 +248,21 @@ class ReductionVolumeReport:
 def reduction_volume_bound(body: PolytopeBody, u, action_bound=Fraction(4)) -> ReductionVolumeReport:
     """Check vol(S') >= (n / A) vol(S) for S = K x K° and one reduction step.
 
-    S' = (K/L) x (K° ∩ L^perp) with L = span(u).  Both sides are exact
-    rationals: per-axis frame scales cancel between the projected and the
-    sectioned factor.  K° ∩ L^perp is the polar of K/L in the shared frame
-    of u^perp, so the sectioned core is built from the projected core's
-    facets and one double description serves both factors.
+    S' = (K/L) x (K° ∩ L^perp) with L = span(u), and K° ∩ L^perp is the
+    polar of K/L in the shared frame of u^perp, so both sides are Mahler
+    products and exact rationals.  The polar of the projection is built from
+    its facets, so one double description serves both factors.
     """
     if not isinstance(body, PolytopeBody):
         raise BodyError("reduction volume bound needs an exact polytope")
     n = body.dim
     if n < 2:
         raise BodyError("need dimension >= 2 to reduce")
-    A = Fraction(action_bound)
-    base = hyperplane_projection(body, u).core
-    vol_base = base.volume_exact()  # first: the polar reads this hull's facets
-    lhs = vol_base * base.polar().volume_exact()
-    vol_s = body.volume_exact() * body.polar().volume_exact()
-    rhs = Fraction(n, 1) / A * vol_s
+    projection = hyperplane_projection(body, u)
+    if not isinstance(projection, DiagonalImageBody):
+        raise BodyError("reduction volume bound needs a rational normal")
+    lhs = mahler_product(projection).exact_product
+    rhs = Fraction(n, 1) / Fraction(action_bound) * mahler_product(body).exact_product
     return ReductionVolumeReport(
         lhs=float(lhs),
         rhs=float(rhs),

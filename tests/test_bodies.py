@@ -394,11 +394,16 @@ def test_lagrangian_product_of_segment_is_square():
 
 
 def test_product_polar_gauge_identity():
-    S = B.lagrangian_product(B.PolytopeBody.cross(2))
-    pol = S.polar()
+    """The polar's gauge is the product's support function, also for
+    explicit duals T != K°."""
+    l3, cube2 = B.LpBallBody(3.0, 2), B.PolytopeBody.cube(2)
     rng = np.random.default_rng(20)
-    X = rng.normal(size=(40, 4))
-    assert np.allclose(pol.gauge(X), S.support(X), rtol=1e-10, atol=1e-12)
+    for S in [B.lagrangian_product(B.PolytopeBody.cross(2)), B.lagrangian_product(l3),
+              B.LagrangianProductBody(l3, l3), B.LagrangianProductBody(cube2, l3),
+              B.LagrangianProductBody(l3, cube2)]:
+        pol = S.polar()
+        X = rng.normal(size=(40, 4))
+        assert np.allclose(pol.gauge(X), S.support(X), rtol=1e-10, atol=1e-12)
 
 
 def test_product_dual_is_polar_of_base_sampled():

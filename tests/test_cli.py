@@ -52,6 +52,22 @@ def test_reduce_command(capsys):
     assert math.isclose(out["volume_product"]["value"], 4.0, rel_tol=1e-12)
 
 
+def test_reduce_prints_exact_volume_product(capsys):
+    code, out = run_cli(capsys, "--no-log", "reduce",
+                        "--body", '{"type":"product","body":{"type":"cross","dim":3}}',
+                        "--normal", "1,2,3")
+    assert code == 0
+    assert out["volume_product"]["exact"] == "8"
+    assert out["volume_product"]["value"] == 8.0
+
+
+def test_volume_of_product_beyond_dimension_eight(capsys):
+    code, out = run_cli(capsys, "--no-log", "volume",
+                        "--body", '{"type":"product","body":{"type":"cube","dim":5}}')
+    assert code == 0
+    assert out["exact"] == "128/15" and out["method"] == "exact"
+
+
 def test_capacity_command(capsys):
     code, out = run_cli(capsys, "--no-log", "capacity",
                         "--body", '{"type":"lp_ball","p":2,"dim":4}',
@@ -236,6 +252,19 @@ def test_bad_size_exit_one(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    '{"type":"section","body":{"type":"lp_ball","p":3,"dim":3},"normal":[1,2,3]}',
+    '{"type":"polar","body":{"type":"product","body":{"type":"lp_ball","p":3,"dim":2}}}',
+])
+def test_capacity_without_support_witness_exit_one(capsys, body):
+    code = cli.main(["--no-log", "capacity", "--body", body, "--points", "8",
+                     "--starts", "2", "--max-iters", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has no support witness" in captured.err
+
+
 @pytest.mark.parametrize("factor", ["nan", "-1", "0", "inf"])
 def test_embed_bad_radius_exit_one(capsys, factor):
     code = cli.main(["--no-log", "embed", "--copies", "1", "--samples", "3",
@@ -288,6 +317,9 @@ BODIES = EVEN_BODIES + [
     '{"type":"vpoly","vertices":[[1,0],[-1,0]]}',
     '{"type":"cube"}', '{"type":"cube","dim":0}', '{"type":"nope"}', "{", "[1]",
     '{"type":"lp_ball","p":0.5,"dim":3}', '{"type":"hpoly","A":5,"b":[1]}',
+    '{"type":"product","body":{"type":"lp_ball","p":3,"dim":2},"dual":{"type":"cube","dim":2}}',
+    '{"type":"polar","body":{"type":"product","body":{"type":"lp_ball","p":3,"dim":2}}}',
+    '{"type":"section","body":{"type":"lp_ball","p":3,"dim":3},"normal":[1,2,3]}',
 ]
 LP_BODY = st.builds(
     lambda p, dim, product: json.dumps(
@@ -321,6 +353,12 @@ CROFTON = st.tuples(
                  "q9^3", "1e400*q2^3"]),
     _opt("--radius", NUMBERS), _opt("--seed", ["0", "5"]),
 ).map(lambda t: ["crofton", "--samples", t[0]] + t[1] + t[2] + t[3] + t[4])
+SAMPLES = ["200", "1", "0", "-3", "x"]
+MAHLER = st.tuples(BODY, st.sampled_from(SAMPLES), _opt("--seed", ["0", "4"])).map(
+    lambda t: ["mahler", "--body", t[0], "--samples", t[1]] + t[2])
+REDUCE = st.tuples(
+    st.sampled_from(EVEN_BODIES) | BODY, st.lists(NORMAL, min_size=1, max_size=2),
+).map(lambda t: ["reduce", "--body", t[0]] + [f"--normal={u}" for u in t[1]])
 EMBED = st.tuples(
     st.sampled_from(["1", "3", "0", "-2"]), st.sampled_from(SMALL),
     _opt("--alpha", ["2", "1.5", "1", "0.5", "nan", "inf"]),
@@ -330,7 +368,7 @@ EMBED = st.tuples(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(CUT, VOLUME, CAPACITY, CROFTON, EMBED))
+@given(st.one_of(CUT, VOLUME, CAPACITY, CROFTON, EMBED, MAHLER, REDUCE))
 def test_cli_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

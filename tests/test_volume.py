@@ -43,11 +43,11 @@ def test_exact_volume_unimodular_invariance(rng):
 
 
 def test_lp_ball_volume_closed_forms():
-    assert V.lp_ball_volume(1, 2).exact == 2
     assert math.isclose(V.lp_ball_volume(2, 3).value, 4 * math.pi / 3, rel_tol=1e-12)
-    assert V.lp_ball_volume("inf", 3).exact == 8
-    with pytest.raises(B.BodyError):
-        V.lp_ball_volume(0.5, 2)
+    # the l_1 and l_inf balls parse to exact cross and cube polytopes
+    cross = B.parse_body({"type": "lp_ball", "p": 1, "dim": 2})
+    cube = B.parse_body({"type": "lp_ball", "p": "inf", "dim": 3})
+    assert V.volume_of(cross).exact == 2 and V.volume_of(cube).exact == 8
 
 
 def test_lp_ball_volume_vs_mc():
@@ -191,6 +191,11 @@ def test_reduction_bound_cube_diagonal():
     assert rep.lhs_exact == 9 and rep.rhs_exact == 8 and rep.holds
 
 
+def test_reduction_bound_needs_rational_normal():
+    with pytest.raises(B.BodyError, match="rational normal"):
+        V.reduction_volume_bound(B.PolytopeBody.cube(3), (1.0, 0.5, 0.25))
+
+
 def test_reduction_bound_random_tree(rng):
     from mahlerlab.symplectic import reduce_product
 
@@ -221,6 +226,70 @@ def test_reduction_bound_runs_one_double_description(monkeypatch):
     rep = V.reduction_volume_bound(B.hanner_body("X(S, L(S, S), S)"), (1, 2, -1, 3))
     assert len(calls) == 1
     assert rep.holds
+
+
+def test_reduced_product_volume_is_exact():
+    """(cross3 / u) x (cube3 ∩ u^perp): the frame scales s and 1/s fold."""
+    from mahlerlab.symplectic import reduce_product
+
+    S = reduce_product(B.lagrangian_product(B.PolytopeBody.cross(3)), (1, 2, 3))
+    for res in (V.exact_polytope_volume(S), V.volume_of(S)):
+        assert res.exact == 8 and res.value == 8.0 and res.exact_sqrt is None
+
+
+def test_product_volume_multiplies_factor_volumes(monkeypatch):
+    """vol(K x K°) comes from the two n-dimensional hulls, not a 2n-dimensional one."""
+    from mahlerlab import exactgeom
+
+    dims = []
+    real = exactgeom.ExactHull.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        dims.append(self.dim)
+
+    monkeypatch.setattr(exactgeom.ExactHull, "__init__", recording)
+    res = V.volume_of(B.lagrangian_product(B.PolytopeBody.cross(4)))
+    assert res.exact == 16 * Fraction(2, 3) and res.method == "exact"
+    assert dims and max(dims) <= 4
+    # factors up to dimension 8 each, beyond the 2n-dimensional hull's reach
+    res = V.volume_of(B.lagrangian_product(B.PolytopeBody.cube(5)))
+    assert res.exact == Fraction(128, 15) and res.value == float(Fraction(128, 15))
+
+
+def test_volume_product_rule():
+    sq3 = V.VolumeResult(3 * math.sqrt(3), "exact", exact_sqrt=(Fraction(3), Fraction(3)))
+    third = V.VolumeResult(1 / math.sqrt(3), "exact", exact_sqrt=(Fraction(1), Fraction(1, 3)))
+    half = V.VolumeResult(0.5, "exact", exact=Fraction(1, 2))
+    assert V.volume_product(sq3, third, None).exact == 3
+    assert V.volume_product(sq3, half, None).exact_sqrt == (Fraction(3, 2), Fraction(3))
+    assert V.volume_product(sq3, sq3, None).exact == 27
+    zero = V.VolumeResult(0.0, "exact", exact=Fraction(0))
+    assert V.volume_product(zero, sq3, None).exact == 0
+    mc = V.VolumeResult(2.0, "monte-carlo", ci_halfwidth=0.1, samples=10, seed=4)
+    prod = V.volume_product(half, mc, 7)
+    assert prod.method == "monte-carlo" and prod.exact is None and prod.seed == 7
+    assert prod.value == 1.0 and prod.ci_halfwidth == 0.5 * 0.1
+    closed = V.lp_ball_volume(2.0, 2)
+    prod = V.volume_product(closed, half, 7)
+    assert prod.method == "closed-form" and prod.seed is None and prod.samples == 0
+
+
+def test_mahler_product_float_is_the_rounded_exact_product():
+    # float(vol K) * float(vol K°) is one ulp below 4^6/6! for this body
+    rep = V.mahler_product(B.hanner_body("X(L(S, L(S, L(S, S))), L(S, S))"))
+    assert rep.exact_ratio == 1
+    assert rep.product == float(V.mahler_bound(6)) and rep.ratio == 1.0
+
+
+def test_mahler_product_with_explicit_dual():
+    """The polar of K x T has gauge g_T°(p) + g_K°(q), also when T != K°."""
+    ball = B.LpBallBody(3.0, 2)
+    rep = V.mahler_product(B.LagrangianProductBody(ball, ball), samples=200_000, seed=1)
+    vol3 = V.lp_ball_volume(3.0, 2).value
+    vol15 = V.lp_ball_volume(1.5, 2).value
+    want = vol3**2 * vol15**2 * 2 * 2 / 24  # vol(T° ⊕ K°) = vol T° vol K° 2!2!/4!
+    assert abs(rep.product - want) <= 3 * rep.ci_halfwidth
 
 
 def test_volume_result_validation():
