@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Certified-radius trend for the planar embedding.
 
-For a sequence of smoothing exponents, prints the measured rectangle defect
-eps, the certified radius sqrt((4/pi)(1 - N eps)), and the containment
-fraction at that radius.  The radius should approach sqrt(4/pi) ~ 1.1284
-from below as the exponent grows.
+For a sequence of smoothing exponents, prints the rectangle defect
+eps = 4/c_n - 1 of the unit curve's Gamma-function area c_n, the certified
+radius sqrt((4/pi)(1 - N eps)), the containment fraction at that radius and
+the map's Jacobian defect.  The radius should approach sqrt(4/pi) ~ 1.1284
+from below as the exponent grows.  Exits 2 when a point falls outside, eps
+grows with the exponent, or the Jacobian defect exceeds E.JACOBIAN_TOL, as
+`mahlerlab embed` does.
 """
 import argparse
 import math
@@ -36,7 +39,8 @@ def main():
         print(f"{n:>6} {rep['eps']:>10.6f} {rep['radius']:>10.6f} "
               f"{rep['contained_fraction']:>9.6f} "
               f"{jac['max_abs_det_minus_1']:>10.2e}")
-        ok &= rep["contained_fraction"] == 1.0 and rep["eps"] <= prev_eps + 1e-12
+        ok &= (rep["contained_fraction"] == 1.0 and rep["eps"] <= prev_eps + 1e-12
+               and jac["max_abs_det_minus_1"] <= E.JACOBIAN_TOL)
         prev_eps = rep["eps"]
     return 0 if ok else 2
 

@@ -271,10 +271,6 @@ class ConvexBody:
             h[i] = float(self.support(e))
         return h
 
-    @property
-    def is_degenerate(self) -> bool:
-        return False
-
 
 class PolytopeBody(ConvexBody):
     """Centrally symmetric rational polytope with origin in the interior."""
@@ -678,10 +674,6 @@ class DiagonalImageBody(ConvexBody):
 
     def polar(self) -> "DiagonalImageBody":
         return DiagonalImageBody(self.core.polar(), tuple(1 / s for s in self.scales2))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.core.is_degenerate
 
     def volume_scale2(self) -> Fraction:
         out = Fraction(1)

@@ -167,10 +167,14 @@ def cmd_crofton(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    prof = E.build_profile(args.alpha, args.nexp)
     rep = E.product_embedding_check(
         args.alpha, args.copies, args.nexp, samples=args.samples, seed=args.seed,
-        r_factor=args.radius_factor)
-    ok = rep["contained_fraction"] == 1.0 or args.radius_factor > 1.0
+        profile=prof, r_factor=args.radius_factor)
+    rep["jacobian_dev"] = E.jacobian_grid_check(prof)["max_abs_det_minus_1"]
+    rep["oddness"] = E.oddness_check(prof)
+    ok = ((rep["contained_fraction"] == 1.0 or args.radius_factor > 1.0)
+          and rep["jacobian_dev"] <= E.JACOBIAN_TOL and rep["oddness"] <= E.ODDNESS_TOL)
     code = EXIT_OK if ok else EXIT_ASSERTION
     return _emit(args, "embed", rep, args.seed, None,
                  {"alpha": args.alpha, "nexp": args.nexp,

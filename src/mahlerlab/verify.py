@@ -237,8 +237,8 @@ def suite_embedding(alphas=(2.0, 1.5), copies: int = 2, n_exp: int = 8,
         ok = (
             rep["contained_fraction"] == 1.0
             and area_err <= 1e-6
-            and odd <= 1e-10
-            and jac["max_abs_det_minus_1"] <= 1e-3
+            and odd <= E.ODDNESS_TOL
+            and jac["max_abs_det_minus_1"] <= E.JACOBIAN_TOL
         )
         cases.append({
             "alpha": alpha, "n_exp": n_exp, "copies": copies,

@@ -125,6 +125,24 @@ def test_assertion_failure_exit_two(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("alpha, nexp, code", [
+    ("2", "8", 0),
+    # the knot table no longer resolves the corners of the level curves:
+    # every sampled point is contained, but the map is not area preserving
+    ("2", "1024", 2),
+    ("1.5", "256", 2),
+])
+def test_embed_runs_the_map_certificates(capsys, alpha, nexp, code):
+    got, out = run_cli(capsys, "--no-log", "embed", "--alpha", alpha, "--nexp", nexp,
+                       "--copies", "2", "--samples", "2000")
+    assert got == code
+    assert out["contained_fraction"] == 1.0
+    assert out["oddness"] <= E.ODDNESS_TOL
+    assert (out["jacobian_dev"] <= E.JACOBIAN_TOL) == (code == 0)
+    c_n = E.build_profile(float(alpha), int(nexp)).c_n
+    assert out["eps"] == 4.0 / c_n - 1.0
+
+
 def test_log_record_and_replay(tmp_path, capsys):
     log = tmp_path / "exp.jsonl"
     code, out1 = run_cli(capsys, "--log", str(log), "mahler",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mahlerlab import embedding as E
 
@@ -122,20 +123,74 @@ def test_jacobian_grid():
         assert rep["max_abs_det_minus_1"] <= 1e-3, (alpha, rep)
 
 
+def _grid_eps(profile, radial=64, angular=512):
+    """Measured rectangle defect: the largest excess of |q|^alpha and
+    |p|^beta over pi |z|^2 / 4 on a polar grid up to |z| = R_MAX."""
+    r = np.linspace(0.0, E.R_MAX, radial + 1)[1:]
+    th = 2.0 * np.pi * np.arange(angular) / angular
+    Z = r[:, None] * np.exp(1j * th[None, :])
+    q, p = E.planar_map(profile, Z)
+    target = math.pi * np.abs(Z) ** 2 / 4.0
+    excess_q = np.abs(q) ** profile.alpha - target
+    excess_p = np.abs(p) ** profile.beta - target
+    return float(max(excess_q.max(), excess_p.max(), 0.0))
+
+
 def test_eps_rect_values():
     prof8 = E.build_profile(2.0, 8)
     r_max = E.R_MAX
     assert r_max == math.sqrt(4 / math.pi)
-    eps8 = E.eps_rect_check(prof8)
+    eps8 = _grid_eps(prof8)
     assert eps8 <= 0.05
     # analytic value: the worst excess on a level curve of area a is
     # a (1/c - 1/4), maximized at a = pi r_max^2
     analytic = math.pi * r_max**2 * (1.0 / prof8.c_n - 0.25)
     assert math.isclose(eps8, analytic, rel_tol=1e-6)
-    eps16 = E.eps_rect_check(E.build_profile(2.0, 16))
+    eps16 = _grid_eps(E.build_profile(2.0, 16))
     assert eps16 <= eps8
     # in the max-profile limit c -> 4 the defect vanishes
     assert math.pi * r_max**2 * (1.0 / 4.0 - 0.25) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n_exp", [1, 2, 8, 16, 64])
+def test_closed_form_eps_matches_grid_scan(alpha, n_exp):
+    prof = E.build_profile(alpha, n_exp)
+    assert math.isclose(E.eps_rect_check(prof), _grid_eps(prof), rel_tol=1e-8)
+
+
+@pytest.mark.parametrize("alpha, n_exp", [(1.5, 8), (2.0, 64), (3.0, 1024)])
+def test_flux_knots_match_quadrature_of_the_flux_form(alpha, n_exp):
+    """The flux of (1/u) x dy - (1/v) y dx along the unit curve, by adaptive
+    quadrature on each graph branch, against the incomplete beta knots and
+    the Gamma-function quarter c_n / (4 n_exp)."""
+    prof = E.build_profile(alpha, n_exp)
+    u, v = prof.u, prof.v
+
+    def flux_from_x_axis(y):
+        return quad(lambda r: (1 - r**v) ** (1 / u - 1), 0, y, epsabs=0,
+                    epsrel=1e-13, limit=200)[0] / u
+
+    def flux_to_y_axis(x):
+        return quad(lambda r: (1 - r**u) ** (1 / v - 1), 0, x, epsabs=0,
+                    epsrel=1e-13, limit=200)[0] / v
+
+    quarter = flux_from_x_axis(0.5 ** (1 / v)) + flux_to_y_axis(0.5 ** (1 / u))
+    assert math.isclose(prof.sigma_quarter, quarter, rel_tol=1e-13)
+    for i in np.linspace(0, prof.sigma_knots.size - 1, 41).astype(int):
+        x, y = prof.x_knots[i], prof.y_knots[i]
+        want = flux_from_x_axis(y) if y**v <= 0.5 else quarter - flux_to_y_axis(x)
+        assert abs(prof.sigma_knots[i] - want) <= 1e-13 * quarter, (i, x, y)
+
+
+def test_large_smoothing_exponents():
+    # y^v underflows on most knots of branch A at these exponents
+    prof = E.build_profile(1.5, 256)
+    assert math.isclose(prof.c_n, _closed_form_unit_area(1.5, 256), rel_tol=1e-12)
+    prof = E.build_profile(2.0, 1024)
+    assert prof.c_n < 4.0
+    assert E.eps_rect_check(prof) == 4.0 / prof.c_n - 1.0
+    assert E.eps_rect_check(prof) == pytest.approx(3.919e-7, rel=1e-3)
 
 
 def test_profile_hessian_psd_away_from_axes():
