@@ -16,8 +16,10 @@ Representations:
   projections of rational polytopes land here: the core keeps the arithmetic
   exact while the presented coordinates form an orthonormal frame of the
   subspace.
-* ``LagrangianProductBody`` -- K x K° in R^{2n}, coordinates ordered
-  (p_1..p_n, q_1..q_n) with K occupying the q-block.
+* ``LagrangianProductBody`` -- K x T in R^{2n} (T = K° for K x K°),
+  coordinates ordered (p_1..p_n, q_1..q_n) with K occupying the q-block.
+* ``L1SumBody`` -- the free sum conv(T x 0, 0 x K) in the same blocks, the
+  polar of a product.
 
 All bodies are immutable after construction; every operation returns a fresh
 body, so values are safe to share across threads.
@@ -383,15 +385,6 @@ class PolytopeBody(ConvexBody):
             self._hrep_irredundant = True
         return self._hrep
 
-    def facet_halfspaces(self):
-        """Irredundant facet list (recomputed from the hull if the stored
-        halfspaces might contain redundant rows)."""
-        if not self._hrep_irredundant:
-            self.hull()  # filters the stored rows
-            self._hrep = None
-            self._float_cache.pop("A", None)
-        return self.halfspaces()
-
     @property
     def is_degenerate(self) -> bool:
         if self._vertices is None:
@@ -689,8 +682,12 @@ class DiagonalImageBody(ConvexBody):
         }
 
 
-class LagrangianProductBody(ConvexBody):
-    """S = K x K° in R^{2n}; p-block is the dual factor, q-block the base."""
+class TwoBlockBody(ConvexBody):
+    """A body in R^{2n} built from two bodies of R^n in complementary
+    coordinate blocks: ``dual`` in the p-block (p_1..p_n), ``base`` in the
+    q-block (q_1..q_n)."""
+
+    kind: str  # the body type of the JSON description
 
     def __init__(self, base: ConvexBody, dual: ConvexBody):
         if base.dim != dual.dim:
@@ -701,83 +698,65 @@ class LagrangianProductBody(ConvexBody):
         self.dim = 2 * base.dim
 
     def _split(self, x):
+        x = np.asarray(x, dtype=float)
         return x[..., : self.n], x[..., self.n :]
 
+    def describe(self) -> dict:
+        return {"type": self.kind, "body": self.base.describe(), "dual": self.dual.describe()}
+
+
+class LagrangianProductBody(TwoBlockBody):
+    """S = K x T in R^{2n}, K = base in the q-block and T = dual in the
+    p-block; the Lagrangian product K x K° has T = K°."""
+
+    kind = "product"
+
     def gauge(self, x):
-        x = np.asarray(x, dtype=float)
         p, q = self._split(x)
         return np.maximum(self.dual.gauge(p), self.base.gauge(q))
 
     def support(self, u):
-        u = np.asarray(u, dtype=float)
         up, uq = self._split(u)
         return self.dual.support(up) + self.base.support(uq)
 
     def support_witness(self, u):
-        u = np.asarray(u, dtype=float)
         up, uq = self._split(u)
-        return np.concatenate(
-            [self.dual.support_witness(up), self.base.support_witness(uq)], axis=-1
-        )
+        return np.concatenate([self.dual.support_witness(up), self.base.support_witness(uq)], -1)
 
-    def as_polytope(self) -> PolytopeBody:
-        """T x K as one 2n-dimensional polytope, for polytope factors."""
-        n = self.n
-        zeros = tuple(Fraction(0) for _ in range(n))
-        rows = [(a + zeros, b) for a, b in self.dual.facet_halfspaces()]
-        rows += [(zeros + a, b) for a, b in self.base.facet_halfspaces()]
-        verts = [pv + qv for pv in self.dual.extreme_vertices()
-                 for qv in self.base.extreme_vertices()]
-        return PolytopeBody(2 * n, vertices=verts, halfspaces=rows,
-                            check_symmetry=False, vertices_extreme=True,
-                            halfspaces_irredundant=True)
-
-    def polar(self) -> ConvexBody:
-        """With T = dual in the p-block and K = base in the q-block, the polar
-        is conv(T° x 0, 0 x K°), of gauge g_T°(p) + g_K°(q)."""
-        if isinstance(self.base, PolytopeBody) and isinstance(self.dual, PolytopeBody):
-            return self.as_polytope().polar()
-        return L1SumBody([self.dual.polar(), self.base.polar()])
-
-    def describe(self) -> dict:
-        return {
-            "type": "product",
-            "body": self.base.describe(),
-            "dual": self.dual.describe(),
-        }
+    def polar(self) -> "L1SumBody":
+        """The free sum conv(T° x 0, 0 x K°), of gauge g_T°(p) + g_K°(q)."""
+        return L1SumBody(self.base.polar(), self.dual.polar())
 
 
-class L1SumBody(ConvexBody):
-    """conv of bodies placed in orthogonal coordinate blocks (gauge = sum)."""
+class L1SumBody(TwoBlockBody):
+    """The free sum conv(T x 0, 0 x K) in R^{2n}, K = base in the q-block and
+    T = dual in the p-block, of gauge g_T(p) + g_K(q): the polar of
+    K° x T°."""
 
-    def __init__(self, parts: Sequence[ConvexBody]):
-        self.parts = list(parts)
-        self.dim = sum(p.dim for p in parts)
-        self._offsets = np.cumsum([0] + [p.dim for p in parts])
-
-    def _blocks(self, x):
-        return [
-            x[..., self._offsets[i] : self._offsets[i + 1]]
-            for i in range(len(self.parts))
-        ]
+    kind = "l1sum"
 
     def gauge(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(p.gauge(b) for p, b in zip(self.parts, self._blocks(x)))
+        p, q = self._split(x)
+        return self.dual.gauge(p) + self.base.gauge(q)
 
     def support(self, u):
-        u = np.asarray(u, dtype=float)
-        vals = [p.support(b) for p, b in zip(self.parts, self._blocks(u))]
-        return np.max(np.stack(vals, axis=-1), axis=-1)
+        up, uq = self._split(u)
+        return np.maximum(self.dual.support(up), self.base.support(uq))
 
-    def polar(self) -> ConvexBody:
-        polars = [p.polar() for p in self.parts]
-        if len(polars) == 2:
-            return LagrangianProductBody(polars[1], polars[0])
-        raise BodyError("polar of an l1-sum with more than two parts is unsupported")
+    def support_witness(self, u):
+        """The witness of the block with the larger support value, zeros in
+        the other block."""
+        up, uq = self._split(u)
+        wp, wq = self.dual.support_witness(up), self.base.support_witness(uq)
+        hp, hq = np.einsum("...i,...i->...", up, wp), np.einsum("...i,...i->...", uq, wq)
+        in_p = (hp >= hq)[..., None]
+        w = np.zeros(up.shape[:-1] + (self.dim,))
+        np.copyto(w[..., : self.n], wp, where=in_p)
+        np.copyto(w[..., self.n :], wq, where=~in_p)
+        return w
 
-    def describe(self) -> dict:
-        return {"type": "l1sum", "parts": [p.describe() for p in self.parts]}
+    def polar(self) -> LagrangianProductBody:
+        return LagrangianProductBody(self.base.polar(), self.dual.polar())
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1042,7 @@ _BODY_FIELDS = {
     "hpoly": ("A", "b"), "vpoly": ("vertices",), "hanner": ("expr",),
     "polar": ("body",), "section": ("body", "normal"),
     "projection": ("body", "normal"), "linimg": ("body", "matrix"),
-    "product": ("body",), "scaled": ("core", "scales2"),
+    "product": ("body",), "l1sum": ("body", "dual"), "scaled": ("core", "scales2"),
 }
 
 
@@ -1154,6 +1133,8 @@ def parse_body(description) -> ConvexBody:
         if "dual" in description:
             return LagrangianProductBody(base, parse_body(description["dual"]))
         return lagrangian_product(base)
+    if t == "l1sum":
+        return L1SumBody(parse_body(description["body"]), parse_body(description["dual"]))
     if t == "scaled":
         core = parse_body(description["core"])
         if not isinstance(core, PolytopeBody):

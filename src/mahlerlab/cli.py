@@ -27,7 +27,7 @@ from . import crofton as CR
 from . import embedding as E
 from . import symplectic as SY
 from . import volume as V
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
-                   choices=["sections-lp", "sections-hanner", "polytopes-2n2",
-                            "reduction-bound", "capacity-monotone", "crofton",
-                            "embedding"])
+                   choices=list(SUITES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)

@@ -143,17 +143,16 @@ def _lower_beta(s, p, r):
 
 
 def measured_sublevel_area(profile: EmbeddingProfile, A: float) -> float:
-    """Independent quadrature of area{G <= A} (adaptive 1-d integral)."""
+    """Independent quadrature of area{G <= A}: the adaptive 1-d integral of
+    the unit quarter {x^u + y^v <= 1}, scaled by s^(1/u + 1/v) for the level
+    s = (A/c_n)^n_exp.  The scale is taken in log space, since s itself
+    underflows at large n_exp."""
     if A <= 0:
         return 0.0
-    s = (A / profile.c_n) ** profile.n_exp
-    xmax = s ** (1.0 / profile.u)
-
-    def height(x):
-        return (s - x**profile.u) ** (1.0 / profile.v)
-
-    val, _ = quad(height, 0.0, xmax, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 4.0 * val
+    u, v = profile.u, profile.v
+    val, _ = quad(lambda t: (1.0 - t**u) ** (1.0 / v), 0.0, 1.0,
+                  epsabs=1e-12, epsrel=1e-12, limit=200)
+    return 4.0 * val * math.exp(profile.n_exp * math.log(A / profile.c_n) * (1.0 / u + 1.0 / v))
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ def suite_polytopes_2n2(n: int = 3, trials: int = 20, seed: int = 0) -> dict:
 def suite_reduction_bound(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
                           action_bound: int = 4) -> dict:
     """vol S' >= (n/A) vol S, exactly, over random Hanner trees and random
-    rational normals; records where equality holds."""
+    rational normals; records where equality holds.  Checked on Hanner
+    trees only: no theorem for general bodies (``reduction_volume_bound``)."""
     cases = []
     rng = np.random.default_rng(seed)
     for n in n_values:

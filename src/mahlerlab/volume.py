@@ -22,6 +22,7 @@ from .bodies import (
     LagrangianProductBody,
     LpBallBody,
     PolytopeBody,
+    TwoBlockBody,
     hyperplane_projection,
 )
 
@@ -102,15 +103,16 @@ def mahler_bound(n: int) -> Fraction:
 
 def exact_polytope_volume(body: ConvexBody) -> VolumeResult:
     """Exact volume of a rational polytope (dim <= 8), of a per-axis scaled
-    one, or of a product of these (each factor of dim <= 8).
+    one, or of a product of these or its polar, a free sum (each factor of
+    dim <= 8).
 
     ``DiagonalImageBody`` values (hyperplane sections/projections of rational
     polytopes) come out as r*sqrt(d) with rational r, d, reported numerically
     together with the exact pair.
     """
-    if isinstance(body, LagrangianProductBody):
-        return volume_product(exact_polytope_volume(body.base),
-                              exact_polytope_volume(body.dual), None)
+    if isinstance(body, TwoBlockBody):
+        return _two_block_volume(body, exact_polytope_volume(body.base),
+                                 exact_polytope_volume(body.dual), None)
     core, s2 = (body.core, body.volume_scale2()) if isinstance(body, DiagonalImageBody) \
         else (body, Fraction(1))
     if not isinstance(core, PolytopeBody):
@@ -192,14 +194,26 @@ def volume_product(a: VolumeResult, b: VolumeResult, seed: int | None) -> Volume
     return VolumeResult(a.value * b.value, "closed-form", ci_halfwidth=ci)
 
 
+def _two_block_volume(body: TwoBlockBody, base: VolumeResult, dual: VolumeResult,
+                      seed: int | None) -> VolumeResult:
+    """vol K vol T for K x T, times n!^2/(2n)! for the free sum
+    conv(T x 0, 0 x K) (Saint-Raymond, 1981)."""
+    n = body.n
+    f = Fraction(1) if isinstance(body, LagrangianProductBody) \
+        else Fraction(math.factorial(n) ** 2, math.factorial(2 * n))
+    return volume_product(volume_product(base, dual, seed),
+                          VolumeResult(float(f), "exact", exact=f), seed)
+
+
 def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> VolumeResult:
     """Best available volume: exact for polytopes, closed form for l_p balls,
-    the product of the factors' volumes for K x T, Monte Carlo otherwise."""
+    the blocks' volumes times the product or free-sum factor for K x T and
+    its polar, Monte Carlo otherwise."""
     if isinstance(body, (PolytopeBody, DiagonalImageBody)):
         return exact_polytope_volume(body)
-    if isinstance(body, LagrangianProductBody):
-        return volume_product(volume_of(body.base, samples, seed),
-                              volume_of(body.dual, samples, seed + 1), seed)
+    if isinstance(body, TwoBlockBody):
+        return _two_block_volume(body, volume_of(body.base, samples, seed),
+                                 volume_of(body.dual, samples, seed + 1), seed)
     if isinstance(body, LpBallBody):
         return lp_ball_volume(body.p, body.dim)
     return mc_volume(body, samples, seed)
@@ -252,6 +266,10 @@ def reduction_volume_bound(body: PolytopeBody, u, action_bound=Fraction(4)) -> R
     polar of K/L in the shared frame of u^perp, so both sides are Mahler
     products and exact rationals.  The polar of the projection is built from
     its facets, so one double description serves both factors.
+
+    The inequality is checked on Hanner polytopes, not proved for general
+    bodies: at n = 2 the left side is 4, so with A = 4 it reads
+    vol K vol K° <= 8, which only parallelograms meet (Mahler, 1939).
     """
     if not isinstance(body, PolytopeBody):
         raise BodyError("reduction volume bound needs an exact polytope")

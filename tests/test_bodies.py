@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahlerlab import bodies as B
+from mahlerlab import volume as V
 from mahlerlab.exactgeom import ExactHull
 
 from conftest import (
@@ -37,7 +38,7 @@ def test_parse_hanner_expression():
     hull = ExactHull(body.vertices())
     assert len(hull.vertex_points()) == 8
     assert len(hull.facets()) == 6
-    assert (len(body.extreme_vertices()), len(body.facet_halfspaces())) == (8, 6)
+    assert (len(body.extreme_vertices()), len(body.hull().facets())) == (8, 6)
 
 
 def test_parse_lp_ball():
@@ -71,6 +72,9 @@ def test_describe_roundtrip():
         {"type": "hanner", "expr": "L(S, X(S, S))"},
         {"type": "lp_ball", "p": 1.5, "dim": 4},
         {"type": "vpoly", "vertices": [["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]]},
+        {"type": "polar", "body": {"type": "product", "body": {"type": "lp_ball", "p": 3, "dim": 2}}},
+        {"type": "polar", "body": {"type": "product", "body": {"type": "cross", "dim": 2},
+                                   "dual": {"type": "hanner", "expr": "L(S, S)"}}},
     ]
     for d in descs:
         body = B.parse_body(d)
@@ -364,7 +368,7 @@ def test_hanner_polar_swaps_operations():
     body = B.hanner_body("X(S, L(S, S))")
     pol = body.polar()
     assert pol.tree == "L(S, X(S, S))"
-    assert (len(pol.extreme_vertices()), len(pol.facet_halfspaces())) == (6, 8)
+    assert (len(pol.extreme_vertices()), len(pol.hull().facets())) == (6, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +393,38 @@ def test_lagrangian_product_of_ball_is_selfdual_pair():
 
 def test_lagrangian_product_of_segment_is_square():
     S = B.lagrangian_product(B.PolytopeBody.cube(1))
-    P = S.as_polytope()
-    assert P.volume_exact() == 4
+    assert V.volume_of(S).exact == 4
+
+
+def test_product_polar_is_a_free_sum_of_the_factors_polars():
+    K, T = B.PolytopeBody.cross(2), B.PolytopeBody.cube(2)
+    pol = B.LagrangianProductBody(K, T).polar()
+    assert isinstance(pol, B.L1SumBody) and not isinstance(pol, B.LagrangianProductBody)
+    # K° = cube2 in the q-block, T° = cross2 in the p-block
+    assert (pol.base.tree, pol.dual.tree) == ("X(S, S)", "L(S, S)")
+    again = pol.polar()
+    assert isinstance(again, B.LagrangianProductBody)
+    X = np.random.default_rng(23).normal(size=(40, 4))
+    assert np.array_equal(again.gauge(X), B.LagrangianProductBody(K, T).gauge(X))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: B.LagrangianProductBody(B.PolytopeBody.cross(2), B.PolytopeBody.cube(2)),
+    lambda: B.lagrangian_product(B.LpBallBody(3.0, 3)),
+    lambda: B.LagrangianProductBody(B.hanner_body("X(S, L(S, S))"), B.LpBallBody(1.5, 3)),
+])
+def test_free_sum_witness_attains_the_support(make):
+    """The witness lies in the free sum (gauge <= 1) and attains its support
+    value, which is the larger of the two blocks' support values."""
+    pol = make().polar()
+    U = np.random.default_rng(22).normal(size=(5, 40, pol.dim))
+    W = pol.support_witness(U)
+    assert W.shape == U.shape
+    assert np.allclose(np.sum(U * W, axis=-1), pol.support(U), rtol=1e-12, atol=1e-12)
+    assert np.all(pol.gauge(W) <= 1.0 + 1e-12)
+    # one block of each witness is zero
+    n = pol.n
+    assert np.all((W[..., :n] == 0).all(axis=-1) | (W[..., n:] == 0).all(axis=-1))
 
 
 def test_product_polar_gauge_identity():

@@ -68,6 +68,32 @@ def test_volume_of_product_beyond_dimension_eight(capsys):
     assert out["exact"] == "128/15" and out["method"] == "exact"
 
 
+def test_capacity_of_a_product_polar(capsys):
+    """The free sum polar(cross2 x cube2) has a support witness: the
+    witness of the block with the larger support value."""
+    code, out = run_cli(capsys, "--no-log", "capacity", "--body",
+                        '{"type":"polar","body":{"type":"product",'
+                        '"body":{"type":"cross","dim":2},"dual":{"type":"cube","dim":2}}}',
+                        "--points", "32", "--starts", "6", "--seed", "3", "--no-loop")
+    assert code == 0
+    assert out["value"] == 1.3804269710694732
+
+
+def test_mahler_of_product_beyond_dimension_eight(capsys):
+    code, out = run_cli(capsys, "--no-log", "mahler",
+                        "--body", '{"type":"product","body":{"type":"cube","dim":5}}')
+    assert code == 0
+    assert out["exact_ratio"] == "1"
+    assert out["vol_polar"]["method"] == "exact" and out["vol_polar"]["exact"] == "32/945"
+
+
+def test_l1sum_block_mismatch_exit_one(capsys):
+    code = cli.main(["--no-log", "volume", "--body",
+                     '{"type":"l1sum","body":{"type":"cube","dim":2},"dual":{"type":"cross","dim":3}}'])
+    assert code == 1
+    assert "factor dimensions differ" in capsys.readouterr().err
+
+
 def test_capacity_command(capsys):
     code, out = run_cli(capsys, "--no-log", "capacity",
                         "--body", '{"type":"lp_ball","p":2,"dim":4}',
@@ -272,7 +298,6 @@ def test_bad_size_exit_one(capsys, argv, message):
 
 @pytest.mark.parametrize("body", [
     '{"type":"section","body":{"type":"lp_ball","p":3,"dim":3},"normal":[1,2,3]}',
-    '{"type":"polar","body":{"type":"product","body":{"type":"lp_ball","p":3,"dim":2}}}',
 ])
 def test_capacity_without_support_witness_exit_one(capsys, body):
     code = cli.main(["--no-log", "capacity", "--body", body, "--points", "8",

@@ -191,6 +191,18 @@ def test_reduction_bound_cube_diagonal():
     assert rep.lhs_exact == 9 and rep.rhs_exact == 8 and rep.holds
 
 
+def test_reduction_bound_fails_on_the_octagon():
+    """At n = 2 the left side is 4 and the bound reads vol K vol K° <= 8,
+    which the octagon, at 28/3, does not meet: a finding, not an error."""
+    octagon = B.PolytopeBody(2, vertices=[(2, 1), (1, 2), (-1, 2), (-2, 1),
+                                          (-2, -1), (-1, -2), (1, -2), (2, -1)])
+    assert V.mahler_product(octagon).exact_product == Fraction(28, 3)
+    for u in [(1, 0), (1, 1), (1, 2), (3, 1)]:
+        rep = V.reduction_volume_bound(octagon, u)
+        assert (rep.lhs_exact, rep.rhs_exact) == (4, Fraction(14, 3))
+        assert rep.holds is False
+
+
 def test_reduction_bound_needs_rational_normal():
     with pytest.raises(B.BodyError, match="rational normal"):
         V.reduction_volume_bound(B.PolytopeBody.cube(3), (1.0, 0.5, 0.25))
@@ -283,13 +295,44 @@ def test_mahler_product_float_is_the_rounded_exact_product():
 
 
 def test_mahler_product_with_explicit_dual():
-    """The polar of K x T has gauge g_T°(p) + g_K°(q), also when T != K°."""
+    """The polar of K x T has gauge g_T°(p) + g_K°(q), also when T != K°,
+    and the free-sum volume vol T° vol K° 2!2!/4!."""
     ball = B.LpBallBody(3.0, 2)
-    rep = V.mahler_product(B.LagrangianProductBody(ball, ball), samples=200_000, seed=1)
+    S = B.LagrangianProductBody(ball, ball)
+    rep = V.mahler_product(S)
     vol3 = V.lp_ball_volume(3.0, 2).value
     vol15 = V.lp_ball_volume(1.5, 2).value
     want = vol3**2 * vol15**2 * 2 * 2 / 24  # vol(T° ⊕ K°) = vol T° vol K° 2!2!/4!
-    assert abs(rep.product - want) <= 3 * rep.ci_halfwidth
+    assert rep.vol_polar.method == "closed-form"
+    assert math.isclose(rep.product, want, rel_tol=1e-12)
+    # sampled oracle of the free-sum rule: hit-or-miss on the polar's gauge
+    mc = V.mc_volume(S.polar(), 200_000, seed=1)
+    assert abs(mc.value - rep.vol_polar.value) <= 3 * mc.ci_halfwidth
+
+
+@pytest.mark.parametrize("base, dual", [
+    ("X(S, S)", "L(S, S)"), ("X(S, L(S, S))", "L(S, S, S)"), ("L(S, X(S, S))", "X(S, S, S)"),
+])
+def test_free_sum_volume_matches_the_hull_of_its_vertices(base, dual):
+    """The free-sum rule gives the volume of the 2n-dimensional hull of
+    T x 0 and 0 x K, exactly."""
+    K, T = B.hanner_body(base), B.hanner_body(dual)
+    S = B.L1SumBody(K, T)
+    zeros = (Fraction(0),) * K.dim
+    verts = [v + zeros for v in T.extreme_vertices()] + [zeros + v for v in K.extreme_vertices()]
+    hull = B.PolytopeBody(2 * K.dim, vertices=verts).volume_exact()
+    res = V.exact_polytope_volume(S)
+    assert res.exact == hull and res.value == float(hull)
+    assert V.volume_of(S) == res
+
+
+def test_product_of_sections_has_an_exact_polar_volume():
+    """sec x sec° of the hexagon sec = cube3 ∩ (1,1,1)^perp: vol 9, and
+    the polar vol sec° vol sec 2!2!/4! = 3/2."""
+    sec = B.hyperplane_section(B.PolytopeBody.cube(3), [1, 1, 1])
+    rep = V.mahler_product(B.lagrangian_product(sec))
+    assert rep.vol_body.exact == 9 and rep.vol_polar.exact == Fraction(3, 2)
+    assert rep.exact_product == Fraction(27, 2) and rep.exact_ratio == Fraction(81, 64)
 
 
 def test_volume_result_validation():
