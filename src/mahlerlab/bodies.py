@@ -428,8 +428,7 @@ class PolytopeBody(ConvexBody):
     def support_witness(self, u):
         u = np.asarray(u, dtype=float)
         V = self._floats("V")  # rows sorted lexicographically: ties break low
-        idx = np.argmax(u @ V.T, axis=-1)
-        return V[idx]
+        return V.take((u @ V.T).argmax(axis=-1), axis=0)
 
     def polar(self) -> "PolytopeBody":
         verts = None

@@ -32,7 +32,7 @@ from .bodies import (
     LagrangianProductBody,
     PolytopeBody,
 )
-from .symplectic import j_rotate, polygon_action, reduce_product
+from .symplectic import coordinate_sum, j_rotate, polygon_action, reduce_product
 
 
 @dataclass(frozen=True)
@@ -110,25 +110,29 @@ def _ellipse_starts(dim: int, m: int, count: int, rng: np.random.Generator) -> n
 
 
 def _evaluate(S: ConvexBody, z: np.ndarray, nxt: np.ndarray):
-    """Q, length, action, edge witnesses and next vertices z[:, nxt] for a
-    batch of loops (B, m, d)."""
-    zn = z.take(nxt, axis=1)
-    je = j_rotate(zn - z)
-    w = S.support_witness(je)
+    """Q, length, action, edge witnesses and next vertices z[..., nxt] for a
+    batch of loops held as coordinate planes (d, B, m)."""
+    zn = z.take(nxt, axis=-1)
+    je = j_rotate(zn - z, axis=0)
+    # the witness takes and gives rows (B, m, d)
+    w = S.support_witness(np.ascontiguousarray(je.transpose(1, 2, 0)))
+    w = np.ascontiguousarray(w.transpose(2, 0, 1))
     # h_S(Je) at the witness, summed over the edges
-    length = np.add.reduce(np.add.reduce(je * w, axis=-1), axis=-1)
-    action = polygon_action(z, zn)
+    length = np.add.reduce(coordinate_sum(je * w), axis=-1)
+    action = polygon_action(z, zn, axis=0)
     q = np.full(len(action), np.inf)
     np.divide(length**2, 4.0 * action, out=q, where=action > 0)
     return q, length, action, w, zn
 
 
 def _gradient(z, zn, prv, length, action, w):
-    dl = j_rotate(w - w.take(prv, axis=1))
-    da = 0.5 * j_rotate(z.take(prv, axis=1) - zn)
-    l_ = length[:, None, None]
-    a_ = action[:, None, None]
-    return (l_ / (2.0 * a_)) * dl - (l_**2 / (4.0 * a_**2)) * da
+    l_ = length[:, None]
+    a_ = action[:, None]
+    dl = w - w.take(prv, axis=-1)
+    da = z.take(prv, axis=-1) - zn
+    # one J for both terms: rounding to nearest is symmetric in sign, so this
+    # is J(c1 dl) - J(c2 (0.5 da)) up to the sign of an exact zero
+    return j_rotate((l_ / (2.0 * a_)) * dl - (l_**2 / (4.0 * a_**2)) * (0.5 * da), axis=0)
 
 
 def _minimize_quotient(
@@ -138,32 +142,36 @@ def _minimize_quotient(
     rng: np.random.Generator,
     max_iters: int,
 ):
-    """Subgradient descent on Q over a batch of starts.  Returns
-    (best values, best loops, iterations used, restart count, stalled mask).
+    """Subgradient descent on Q over a batch of starts (B, m, d).  Returns
+    (best values, best loops (B, m, d), iterations used, restart count,
+    stalled mask).
 
-    Only the starts still descending are stepped and evaluated: the working
-    arrays hold their rows, ``idx`` names them, and a start's best value
-    and loop go back to ``best_q``/``best_z`` when it finishes.
+    The loops are held as coordinate planes (d, B, m), so sums over the
+    coordinates are adds of whole planes; every sum keeps the order it has
+    over rows, so the estimates do not depend on the layout.  Only the
+    starts still descending are stepped and evaluated: the working arrays
+    hold their entries, ``idx`` names them, and a start's best value and
+    loop go back to ``best_q``/``best_z`` when it finishes.
     """
-    z = z0.copy()
-    B, m_repr, d = z.shape
+    z = np.ascontiguousarray(z0.transpose(2, 0, 1))
+    d, B, m_repr = z.shape
     full_m = 2 * m_repr if symmetric else m_repr
     nxt = np.r_[1:full_m, 0]
     prv = np.r_[full_m - 1, 0:full_m - 1]
 
     def materialize(x):
         if symmetric:
-            return np.concatenate([x, -x], axis=1)
+            return np.concatenate([x, -x], axis=-1)
         return x
 
     def fresh_starts(count):
-        fresh = _ellipse_starts(d, full_m, count, rng)
-        return fresh[:, :m_repr] if symmetric else fresh
+        fresh = _ellipse_starts(d, full_m, count, rng).transpose(2, 0, 1)
+        return fresh[..., :m_repr] if symmetric else fresh
 
     restarts = 0
 
     def evaluate_with_restarts(z):
-        """_evaluate on the full loops, restarting bad rows of z in place;
+        """_evaluate on the full loops, restarting bad starts of z in place;
         the full loops come back last."""
         nonlocal restarts
         zf = materialize(z)
@@ -175,17 +183,20 @@ def _minimize_quotient(
             if not bad.any():
                 break
             restarts += int(bad.sum())
-            z[bad] = fresh_starts(int(bad.sum()))
+            z[:, bad] = fresh_starts(int(bad.sum()))
             zf = materialize(z)
             ev = _evaluate(S, zf, nxt)
             tries += 1
         return (*ev, zf)
 
+    def mean_square(x):
+        return np.add.reduce(coordinate_sum(x**2), axis=-1) / m_repr
+
     q, length, action, w, zn, zf = evaluate_with_restarts(z)
     best_q = np.empty(B)
     best_z = np.empty_like(z)
     stalled = np.zeros(B, dtype=bool)
-    # one row per active start: its index, best value and loop, step size
+    # one entry per active start: its index, best value and loop, step size
     # and counters
     idx = np.arange(B)
     bq, bz, window_q = q.copy(), z.copy(), q.copy()
@@ -197,23 +208,27 @@ def _minimize_quotient(
             break
         g = _gradient(zf, zn, prv, length, action, w)
         if symmetric:
-            g = g[:, :m_repr] - g[:, m_repr:]
-        gnorm = np.sqrt(np.add.reduce(g**2, axis=(1, 2)))
+            g = g[..., :m_repr] - g[..., m_repr:]
+        # the norm sums over (m, d) jointly, in row order
+        gnorm = np.sqrt(np.add.reduce(g.transpose(1, 2, 0).copy()**2, axis=(1, 2)))
         gnorm = np.where(gnorm > 0, gnorm, 1.0)
-        scale = np.sqrt(np.add.reduce(np.add.reduce(z**2, axis=-1), axis=-1) / m_repr)
-        g *= (alpha * scale / gnorm)[:, None, None]
+        scale = np.sqrt(mean_square(z))
+        g *= (alpha * scale / gnorm)[:, None]
         z -= g
         # renormalize: Q is invariant under translation and scaling
         if not symmetric:
-            z -= np.add.reduce(z, axis=1, keepdims=True) / m_repr
-        rms = np.sqrt(np.add.reduce(np.add.reduce(z**2, axis=-1), axis=-1) / m_repr)
+            # the sum over the vertices in its row order: sequential, as
+            # along the outer axis of an (m, d·B) copy
+            c = np.add.reduce(z.reshape(-1, m_repr).T.copy(), axis=0)
+            z -= c.reshape(d, -1, 1) / m_repr
+        rms = np.sqrt(mean_square(z))
         rms = np.where(rms > 0, rms, 1.0)
-        z /= rms[:, None, None]
+        z /= rms[:, None]
 
         q, length, action, w, zn, zf = evaluate_with_restarts(z)
         improved = q < bq * (1.0 - 1e-14)
         bq[improved] = q[improved]
-        bz[improved] = z[improved]
+        bz[:, improved] = z[:, improved]
         no_improve += 1
         no_improve[improved] = 0
         cool = no_improve >= PATIENCE
@@ -227,14 +242,14 @@ def _minimize_quotient(
         if not keep.all():
             done = ~keep
             best_q[idx[done]] = bq[done]
-            best_z[idx[done]] = bz[done]
+            best_z[:, idx[done]] = bz[:, done]
             stalled[idx[done]] = True
-            idx, z, bq, bz, window_q, alpha, no_improve = (
-                x[keep] for x in (idx, z, bq, bz, window_q, alpha, no_improve))
-            length, action, w, zn, zf = (x[keep] for x in (length, action, w, zn, zf))
+            idx, bq, window_q, alpha, no_improve, length, action = (
+                x[keep] for x in (idx, bq, window_q, alpha, no_improve, length, action))
+            z, bz, w, zn, zf = (x[:, keep] for x in (z, bz, w, zn, zf))
     best_q[idx] = bq
-    best_z[idx] = bz
-    return best_q, materialize(best_z), it, restarts, stalled
+    best_z[:, idx] = bz
+    return best_q, materialize(best_z).transpose(1, 2, 0).copy(), it, restarts, stalled
 
 
 def _factor_vertices_float(body: ConvexBody):

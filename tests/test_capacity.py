@@ -326,10 +326,31 @@ def _same_estimate(a, b):
 
 
 @pytest.mark.parametrize("case", ["ball4", "cross2", "cross2-symmetric",
-                                  "skewed-cross3", "lp1.5", "refine"])
+                                  "skewed-cross3", "lp1.5", "refine",
+                                  "cube4", "ball8", "ball8-symmetric", "ball10",
+                                  "ball10-symmetric", "reduced-cross3", "polar-cross2"])
 def test_descent_matches_reference_bit_for_bit(case, monkeypatch):
+    """Coordinate sums of 8 or more terms (d >= 8) are pairwise in NumPy, so
+    the cube4 product and the balls B^8, B^10 check that order."""
     cross2 = B.lagrangian_product(B.PolytopeBody.cross(2))
-    if case == "ball4":
+    if case == "cube4":
+        S = B.lagrangian_product(B.PolytopeBody.cube(4))
+        run = lambda: C.capacity_estimate(S, m=8, starts=2, seed=3)
+    elif case.startswith("ball") and case != "ball4":
+        dim = int(case[4:].split("-")[0])
+        estimate = (C.symmetric_capacity_estimate if case.endswith("symmetric")
+                    else C.capacity_estimate)
+        run = lambda: estimate(B.LpBallBody(2.0, dim), m=8, starts=2, seed=5)
+    elif case == "reduced-cross3":
+        S = SY.reduce_product(B.lagrangian_product(B.PolytopeBody.cross(3)),
+                              (Fraction(1), Fraction(-2), Fraction(3)))
+        assert isinstance(S.base, B.DiagonalImageBody)
+        run = lambda: C.capacity_estimate(S, m=12, starts=3, seed=2)
+    elif case == "polar-cross2":
+        S = cross2.polar()
+        assert isinstance(S, B.L1SumBody)
+        run = lambda: C.capacity_estimate(S, m=8, starts=2, seed=3)
+    elif case == "ball4":
         run = lambda: C.capacity_estimate(B.LpBallBody(2.0, 4), m=16, starts=4, seed=9)
     elif case == "cross2":
         run = lambda: C.capacity_estimate(cross2, m=16, starts=6, seed=1)
@@ -356,8 +377,13 @@ def test_j_rotate_and_action_match_reference(rng):
     for shape in ((4,), (7, 4), (3, 10, 6), (2, 5, 9, 4)):
         v = rng.normal(size=shape)
         assert SY.j_rotate(v).tobytes() == _ref_j_rotate(v).tobytes()
+        planes = np.ascontiguousarray(np.moveaxis(v, -1, 0))
+        assert (SY.j_rotate(planes, axis=0).tobytes()
+                == np.moveaxis(_ref_j_rotate(v), -1, 0).copy().tobytes())
         if len(shape) >= 2:
             assert SY.polygon_action(v).tobytes() == _ref_polygon_action(v).tobytes()
+            assert (SY.polygon_action(planes, axis=0).tobytes()
+                    == _ref_polygon_action(v).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +430,15 @@ def test_quotient_never_below_four_on_k_times_polar(body, seed, m, noise):
     corners = [(y, x), (y, -x), (-y, -x), (-y, x)]
     loop = np.repeat([np.concatenate(c) for c in corners], -(-m // 4), axis=0)
     loop = loop + noise * rng.normal(size=loop.shape)
-    z = loop[None]
-    nxt = np.r_[1:z.shape[1], 0]
+    z = np.ascontiguousarray(loop.T[:, None])  # coordinate planes (d, 1, m)
+    nxt = np.r_[1:z.shape[-1], 0]
     q, length, action, w, zn = C._evaluate(S, z, nxt)
     if action[0] < 0:  # reversed orientation
-        z = z[:, ::-1].copy()
+        z = z[..., ::-1].copy()
         q, length, action, w, zn = C._evaluate(S, z, nxt)
     assume(action[0] > 1e-9 * float(np.sum(z**2)))
     assert q[0] >= 4.0 - 1e-9
-    assert zn.tobytes() == np.roll(z, -1, axis=1).tobytes()
+    assert zn.tobytes() == np.roll(z, -1, axis=-1).tobytes()
     if noise == 0.0:
         assert abs(q[0] - 4.0) <= 1e-9
 

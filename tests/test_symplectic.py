@@ -86,6 +86,16 @@ def test_polygon_action_batch_equals_per_loop(rng):
     assert np.array_equal(SY.polygon_action(loops.reshape(5, 1, 12, 4))[:, 0], batch)
 
 
+@pytest.mark.parametrize("d", [*range(1, 41), 129, 300])
+def test_coordinate_sum_matches_row_reduce(d, rng):
+    # magnitudes from 2^-40 to 2^40 with both signs: a sequential sum in
+    # place of the pairwise one changes the bytes at every d >= 8 here
+    rows = rng.normal(size=(3, 17, d)) * 2.0 ** rng.integers(-40, 41, size=(3, 17, d))
+    rows[0, 0] = -0.0  # an all-zero sum is +0.0, as from np.add.reduce
+    planes = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    assert SY.coordinate_sum(planes).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+
+
 def test_coisotropic_complement_axis():
     spec = SY.coisotropic_complement(np.array([1.0, 0.0]), N=2)
     assert np.allclose(spec.complement_normal, [1, 0, 0, 0])  # {p_1 = 0}
