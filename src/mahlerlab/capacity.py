@@ -119,7 +119,7 @@ def _evaluate(S: ConvexBody, z: np.ndarray, nxt: np.ndarray):
     w = np.ascontiguousarray(w.transpose(2, 0, 1))
     # h_S(Je) at the witness, summed over the edges
     length = np.add.reduce(coordinate_sum(je * w), axis=-1)
-    action = polygon_action(z, zn, axis=0)
+    action = polygon_action(z, zn)
     q = np.full(len(action), np.inf)
     np.divide(length**2, 4.0 * action, out=q, where=action > 0)
     return q, length, action, w, zn

@@ -2,9 +2,9 @@
 
 This module is the home of the convention: `j_rotate` and the batched
 `polygon_action` are the one J and the one polygon action, and the capacity
-estimator imports them.  Both take points as rows (..., d) or as coordinate
-planes (d, ...).  Coordinates are ordered (p_1..p_N, q_1..q_N).
-The pairing is omega(x, y) = sum_i x_p[i] y_q[i] - y_p[i] x_q[i], with
+estimator imports them.  `j_rotate` takes points as rows (..., d) or as
+coordinate planes (d, ...); `polygon_action` takes planes (d, ..., m).
+Coordinates are ordered (p_1..p_N, q_1..q_N).  The pairing is omega(x, y) = sum_i x_p[i] y_q[i] - y_p[i] x_q[i], with
 primitive lambda = 1/2 sum_i (p_i dq_i - q_i dp_i), so the action of a
 closed polygon is 1/2 sum_i omega(z_i, z_{i+1}).
 
@@ -42,44 +42,24 @@ def j_rotate(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def coordinate_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, in the order np.add.reduce takes along a
-    contiguous last axis: sequential below 8 terms, then NumPy's pairwise sum
-    with 8 accumulators, from an identity +0.0.  Summing coordinate planes
-    (d, ...) this way gives the bytes of summing rows (..., d)."""
-    d = len(planes)
-    if d < 8:
-        out = planes[0] + 0.0
-        for x in planes[1:]:
-            out += x
-        return out
-    if d > 128:  # NumPy's pairwise block size: split into halves
-        h = d // 2 - (d // 2) % 8
-        return coordinate_sum(planes[:h]) + coordinate_sum(planes[h:])
-    r = planes[:8].copy()
-    k = d - d % 8
-    for i in range(8, k, 8):
-        r += planes[i:i + 8]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in planes[k:]:
+    """Sum of the coordinate planes (d, ...), added in order from the first.
+    Below 8 terms this is the order np.add.reduce takes along a contiguous
+    last axis, so for d < 8 it gives the bytes of summing rows (..., d)."""
+    out = planes[0] + 0.0
+    for x in planes[1:]:
         out += x
-    return out + 0.0
+    return out
 
 
-def polygon_action(z: np.ndarray, zn: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+def polygon_action(z: np.ndarray, zn: np.ndarray | None = None) -> np.ndarray:
     """1/2 sum_i omega(z_i, z_{i+1}) for a batch of closed polygons (the
     lambda integral, exact for polygons); one value per polygon.  The
-    coordinates lie along ``axis``: -1 for rows (..., m, d), closed along
-    axis -2, or 0 for coordinate planes (d, ..., m), closed along the last
-    axis.  ``zn`` holds the next vertices z_{i+1} when the caller has them
-    already."""
-    vertex_axis = -1 if axis == 0 else -2
+    polygons are coordinate planes (d, ..., m), closed along the last axis;
+    ``zn`` holds the next vertices z_{i+1} when the caller has them already."""
     if zn is None:
-        zn = z.take(np.r_[1:z.shape[vertex_axis], 0], axis=vertex_axis)
-    n = z.shape[axis] // 2
-    if axis == 0:
-        om = coordinate_sum(z[:n] * zn[n:] - zn[:n] * z[n:])
-    else:
-        om = np.add.reduce(z[..., :n] * zn[..., n:] - zn[..., :n] * z[..., n:], axis=-1)
+        zn = np.roll(z, -1, axis=-1)
+    n = len(z) // 2
+    om = coordinate_sum(z[:n] * zn[n:] - zn[:n] * z[n:])
     return 0.5 * np.add.reduce(om, axis=-1)
 
 
