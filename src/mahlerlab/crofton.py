@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv
 
+from . import sampling
+
 C2 = math.pi  # fixed by the exact linear case at R = 1
 CIRCLE_BLOCK = 4096
 
@@ -205,15 +207,12 @@ def perturbed_slice(N: int, epsilon: float, g_text: str) -> SignedSlice:
 
 def sample_hopf_circles(N: int, R: float, count: int, seed: int) -> np.ndarray:
     """Base points uniform on S^{2N-1}(R); the induced circle measure is
-    unitary invariant.  Block b of CIRCLE_BLOCK points is drawn from
-    Philox(key=(seed, b)), so no two seeds share a stream."""
+    unitary invariant.  Block b of CIRCLE_BLOCK points is
+    ``sampling.block_rng(seed, 0, b)``'s draw."""
     if count <= 0:
         raise CroftonError("need a positive sample count")
-    z = np.concatenate([
-        np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), b])).normal(
-            size=(min(CIRCLE_BLOCK, count - start), 2 * N))
-        for b, start in enumerate(range(0, count, CIRCLE_BLOCK))
-    ])
+    z = np.concatenate([rng.normal(size=(m, 2 * N))
+                        for rng, m in sampling.blocks(seed, 0, count, CIRCLE_BLOCK)])
     z *= R / np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
@@ -491,3 +490,13 @@ def crofton_check(slc: SignedSlice, R: float = 1.0, samples: int = 10**5,
         "seed": seed,
         "R": R,
     }
+
+
+def crofton_agrees(slc: SignedSlice, rep: dict) -> bool:
+    """A report's verdict: |lhs - rhs| <= 1e-6 + rhs_ci on the linear slice;
+    <= 3 rhs_ci + 1e-9 on a perturbed one, whose area must also reach the
+    c_2 R^2 of one crossing per circle, less 1e-3."""
+    gap = abs(rep["lhs"] - rep["rhs"])
+    if slc.epsilon == 0.0:
+        return gap <= 1e-6 + rep["rhs_ci"]
+    return gap <= 3.0 * rep["rhs_ci"] + 1e-9 and rep["lhs"] >= C2 * rep["R"] ** 2 - 1e-3

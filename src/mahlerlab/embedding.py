@@ -32,6 +32,8 @@ from scipy import special
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
+from . import sampling
+
 
 # Segments of the unit curve's knot table and sublevel areas A in [0.5, 4.5]
 # checked against an independent quadrature when a profile is built
@@ -48,7 +50,7 @@ JACOBIAN_RADIAL = 24
 JACOBIAN_ANGULAR = 96
 AXIS_MARGIN = 1e-3
 JACOBIAN_STEP = 1e-4
-# points of the oddness certificate, drawn from default_rng(0)
+# points of the oddness certificate, one block of seed 0
 ODDNESS_POINTS = 4096
 # largest |det Df - 1| and |f(z) + f(-z)| a certified map may show
 JACOBIAN_TOL = 1e-3
@@ -232,7 +234,7 @@ def jacobian_grid_check(profile: EmbeddingProfile) -> dict:
 
 
 def oddness_check(profile: EmbeddingProfile) -> float:
-    rng = np.random.default_rng(0)
+    rng = sampling.block_rng(0, 0, 0)
     z = rng.normal(size=ODDNESS_POINTS) + 1j * rng.normal(size=ODDNESS_POINTS)
     q1, p1 = planar_map(profile, z)
     q2, p2 = planar_map(profile, -z)
@@ -254,7 +256,8 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
     containment in the l_alpha x l_beta product.
 
     R = r_factor * sqrt((4/pi)(1 - N eps)) with eps = eps_rect_check(profile);
-    at r_factor <= 1 the containment fraction must be 1.0.
+    at r_factor <= 1 the containment fraction must be 1.0.  Block b of
+    CHECK_BLOCK points is ``sampling.block_rng(seed, 0, b)``'s draw.
     """
     N = int(copies)
     if N < 1 or samples < 1:
@@ -269,12 +272,9 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
     radius = r_factor * math.sqrt(inner)
     if not 0 < radius < math.inf:
         raise EmbeddingError(f"radius must be finite and positive, got {radius}")
-    rng = np.random.default_rng(seed)
     contained = 0
     worst = {"excess": -math.inf, "point": None}
-    done = 0
-    while done < samples:
-        m = min(CHECK_BLOCK, samples - done)
+    for rng, m in sampling.blocks(seed, 0, samples, CHECK_BLOCK):
         x = sample_ball(2 * N, radius, m, rng)
         sum_q = np.zeros(m)
         sum_p = np.zeros(m)
@@ -289,7 +289,6 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
         k = int(np.argmax(excess))
         if excess[k] > worst["excess"]:
             worst = {"excess": float(excess[k]), "point": x[k].tolist()}
-        done += m
     return {
         "alpha": alpha,
         "beta": beta,

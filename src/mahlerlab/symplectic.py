@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampling
 from .bodies import (
     BodyError,
     DiagonalImageBody,
@@ -135,13 +136,6 @@ def reduce_product(S: LagrangianProductBody, u) -> LagrangianProductBody:
     return LagrangianProductBody(new_base, new_dual)
 
 
-def iterate_reduction(S: LagrangianProductBody, normals) -> LagrangianProductBody:
-    out = S
-    for u in normals:
-        out = reduce_product(out, u)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reduction of the round ball
 
@@ -155,6 +149,7 @@ def reduce_ball(N: int, spec_or_line, radius: float = 1.0,
     x + t * X_H by golden section, and the volume is the spherical average
     of r^{2n} times pi^n / n! (n = N - 1).  For the round ball the radial
     function is constant, so the CI half-width collapses to rounding noise.
+    The directions are one block, ``sampling.block_rng(seed, 0, 0)``'s draw.
     """
     from .volume import VolumeResult
 
@@ -168,8 +163,7 @@ def reduce_ball(N: int, spec_or_line, radius: float = 1.0,
     if spec.N != N:
         raise BodyError("spec dimension mismatch")
     ball = LpBallBody(2.0, 2 * N)
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(directions, 2 * n))
+    xi = sampling.block_rng(seed, 0, 0).normal(size=(directions, 2 * n))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     ambient = xi @ spec.quotient_basis.T  # points of L^omega
     # fiber direction is X_H = the q-embedded line itself

@@ -3,9 +3,10 @@
 Exact rational volumes for polytopes (a cone from the centroid over a
 pulling triangulation of the facets, see ``exactgeom.ExactHull``), closed
 forms for l_p balls, and seeded hit-or-miss Monte Carlo for
-everything else.  The Monte Carlo sampler draws each block of samples from
-its own counter-based Philox stream keyed by (seed, block index), so a
-parallel scheduler would reproduce the sequential results bit for bit.
+everything else.  Monte Carlo draws come from ``sampling``: a body's from
+the caller's stream, its polar's from POLAR_STREAM, and a product's dual
+factor's from the product's stream plus its dimension.  Those offsets are
+even and halve with each level of nesting, so no two parts share a stream.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sampling
 from .bodies import (
     BodyError,
     ConvexBody,
@@ -32,6 +34,7 @@ MC_BLOCK = 1 << 16
 # heap instead of being mapped and unmapped for every call
 MC_ROWS = 1 << 13
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+POLAR_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,11 @@ def lp_ball_volume(p: float, n: int) -> VolumeResult:
 # Monte Carlo
 
 
-def mc_volume(body: ConvexBody, samples: int, seed: int) -> VolumeResult:
+def mc_volume(body: ConvexBody, samples: int, seed: int, *, stream: int = 0) -> VolumeResult:
     """Hit-or-miss estimate over the support bounding box, binomial CI.
 
-    Deterministic in (seed, samples): block b of 2^16 points is drawn from
-    Philox(key=(seed, b)), independent of any scheduling.
+    Deterministic in (seed, stream, samples): block b of 2^16 points is
+    ``sampling.block_rng(seed, stream, b)``'s draw.
     """
     if samples <= 0:
         raise BodyError("need a positive number of samples")
@@ -155,16 +158,10 @@ def mc_volume(body: ConvexBody, samples: int, seed: int) -> VolumeResult:
         raise BodyError("body has an invalid bounding box")
     box_vol = float(np.prod(2.0 * half))
     hits = 0
-    done = 0
-    block_idx = 0
-    while done < samples:
-        m = min(MC_BLOCK, samples - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block_idx]))
+    for rng, m in sampling.blocks(seed, stream, samples, MC_BLOCK):
         pts = rng.uniform(-1.0, 1.0, size=(m, body.dim)) * half
         for lo in range(0, m, MC_ROWS):
             hits += int(np.count_nonzero(body.contains_batch(pts[lo:lo + MC_ROWS])))
-        done += m
-        block_idx += 1
     phat = hits / samples
     value = phat * box_vol
     ci = Z95 * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples) * box_vol
@@ -205,18 +202,20 @@ def _two_block_volume(body: TwoBlockBody, base: VolumeResult, dual: VolumeResult
                           VolumeResult(float(f), "exact", exact=f), seed)
 
 
-def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> VolumeResult:
+def volume_of(body: ConvexBody, samples: int = 10**5, seed: int = 0, *,
+              stream: int = 0) -> VolumeResult:
     """Best available volume: exact for polytopes, closed form for l_p balls,
     the blocks' volumes times the product or free-sum factor for K x T and
-    its polar, Monte Carlo otherwise."""
+    its polar, Monte Carlo on ``stream`` otherwise."""
     if isinstance(body, (PolytopeBody, DiagonalImageBody)):
         return exact_polytope_volume(body)
     if isinstance(body, TwoBlockBody):
-        return _two_block_volume(body, volume_of(body.base, samples, seed),
-                                 volume_of(body.dual, samples, seed + 1), seed)
+        return _two_block_volume(body, volume_of(body.base, samples, seed, stream=stream),
+                                 volume_of(body.dual, samples, seed, stream=stream + body.dim),
+                                 seed)
     if isinstance(body, LpBallBody):
         return lp_ball_volume(body.p, body.dim)
-    return mc_volume(body, samples, seed)
+    return mc_volume(body, samples, seed, stream=stream)
 
 
 def mahler_product(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> MahlerReport:
@@ -229,7 +228,7 @@ def mahler_product(body: ConvexBody, samples: int = 10**5, seed: int = 0) -> Mah
     product is rational.
     """
     v1 = volume_of(body, samples, seed)
-    v2 = volume_of(body.polar(), samples, seed + 10**6)
+    v2 = volume_of(body.polar(), samples, seed, stream=POLAR_STREAM)
     prod = volume_product(v1, v2, seed)
     bound = mahler_bound(body.dim)
     return MahlerReport(

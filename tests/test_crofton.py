@@ -266,3 +266,24 @@ def test_edge_violation_raises_for_large_perturbation():
     slc = CR.perturbed_slice(2, 3.0, "q2^3 + q1^3")
     with pytest.raises(CR.CroftonError):
         CR.sigma_plus_area(slc)
+
+
+def test_crofton_verdict_rules():
+    lin, slc = CR.linear_slice(2), CR.perturbed_slice(2, 0.05, "q2^3")
+
+    def rep(lhs, rhs, rhs_ci, R=1.0):
+        return {"lhs": lhs, "rhs": rhs, "rhs_ci": rhs_ci, "R": R}
+
+    # linear slice: |lhs - rhs| <= 1e-6 + rhs_ci, no area bound
+    assert CR.crofton_agrees(lin, rep(math.pi, math.pi + 1.5e-6, 1e-6))
+    assert not CR.crofton_agrees(lin, rep(math.pi, math.pi + 2.5e-6, 1e-6))
+    assert CR.crofton_agrees(lin, rep(1.0, 1.0, 0.0))
+    # perturbed slice: within 3 rhs_ci + 1e-9, and lhs >= c_2 R^2 - 1e-3
+    assert CR.crofton_agrees(slc, rep(3.2, 3.2 + 2.9e-3, 1e-3))
+    assert not CR.crofton_agrees(slc, rep(3.2, 3.2 + 3.1e-3, 1e-3))
+    assert CR.crofton_agrees(slc, rep(math.pi, math.pi + 0.9e-9, 0.0))
+    assert not CR.crofton_agrees(slc, rep(math.pi, math.pi + 1.1e-9, 0.0))
+    assert not CR.crofton_agrees(slc, rep(math.pi - 2e-3, math.pi - 2e-3, 0.1))
+    # the area bound scales with the radius: pi R^2 at R = 1/2
+    assert CR.crofton_agrees(slc, rep(math.pi / 4, math.pi / 4, 0.0, R=0.5))
+    assert not CR.crofton_agrees(slc, rep(math.pi / 4 - 2e-3, math.pi / 4 - 2e-3, 0.0, R=0.5))

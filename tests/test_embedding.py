@@ -258,3 +258,38 @@ def test_build_profile_validation():
         E.build_profile(1.0, 8)
     with pytest.raises(E.EmbeddingError):
         E.build_profile(2.0, 0)
+
+
+def test_embedding_stream_is_keyed_by_block(monkeypatch):
+    drawn = []
+    sample_ball = E.sample_ball
+
+    def spy(dim, radius, count, rng):
+        drawn.append(sample_ball(dim, radius, count, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(E, "sample_ball", spy)
+    monkeypatch.setattr(E, "CHECK_BLOCK", 1000)
+    prof = E.build_profile(2.0, 8)
+    one = E.product_embedding_check(2.0, 2, 8, samples=1000, seed=3, profile=prof,
+                                    r_factor=1.2)
+    first = drawn[0]
+    drawn.clear()
+    longer = E.product_embedding_check(2.0, 2, 8, samples=2500, seed=3, profile=prof,
+                                       r_factor=1.2)
+    # a one-block run is the first block of a longer run
+    assert [len(x) for x in drawn] == [1000, 1000, 500]
+    assert np.array_equal(drawn[0], first)
+    assert not np.array_equal(drawn[1], first)
+    assert longer["worst_excess"] >= one["worst_excess"]
+    # deterministic in the seed
+    drawn.clear()
+    assert E.product_embedding_check(2.0, 2, 8, samples=2500, seed=3, profile=prof,
+                                     r_factor=1.2) == longer
+    E.product_embedding_check(2.0, 2, 8, samples=1000, seed=4, profile=prof)
+    assert not np.array_equal(drawn[-1], first)
+
+
+def test_oddness_check_is_deterministic():
+    prof = E.build_profile(1.5, 8)
+    assert E.oddness_check(prof) == E.oddness_check(prof) <= E.ODDNESS_TOL

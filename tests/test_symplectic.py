@@ -265,3 +265,24 @@ def test_reduce_ball_quotient_basis_independence():
     a = SY.reduce_ball(3, spec, directions=256, seed=3)
     b = SY.reduce_ball(3, other, directions=256, seed=3)
     assert abs(a.value - b.value) < 1e-12
+
+
+def test_reduce_ball_stream_is_keyed(monkeypatch):
+    drawn = []
+    fiber_min_gauge = SY.fiber_min_gauge
+
+    def spy(body, x0, direction):
+        drawn.append(x0)
+        return fiber_min_gauge(body, x0, direction)
+
+    monkeypatch.setattr(SY, "fiber_min_gauge", spy)
+    ell = np.array([1.0, -2.0, 0.5])
+    a = SY.reduce_ball(3, ell, directions=256, seed=3)
+    # deterministic in the seed
+    assert SY.reduce_ball(3, ell, directions=256, seed=3) == a
+    assert np.array_equal(drawn[0], drawn[1])
+    # the directions are one block: a shorter draw is a prefix of a longer one
+    SY.reduce_ball(3, ell, directions=512, seed=3)
+    assert np.array_equal(drawn[2][:256], drawn[0])
+    SY.reduce_ball(3, ell, directions=256, seed=4)
+    assert not np.array_equal(drawn[3], drawn[0])

@@ -363,3 +363,46 @@ def test_projection_hits_match_the_full_fiber_search(case, monkeypatch):
     settled = V.mc_volume(body, samples=150_000, seed=11)
     monkeypatch.setattr(B, "fiber_min_gauge", _level_free_fiber_min)
     assert V.mc_volume(body, samples=150_000, seed=11) == settled
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo streams
+
+
+def test_mc_volume_stream_zero_is_pinned():
+    # pinned from the sampler keyed by (seed, block) alone: stream 0 keeps that key
+    res = V.mc_volume(B.LpBallBody(3.0, 3), 100_000, seed=42)
+    assert res.value.hex() == "0x1.6d9a95421c044p+2"
+    assert res.ci_halfwidth.hex() == "0x1.6f13f32d9649ep-6"
+    assert V.mc_volume(B.LpBallBody(3.0, 3), 100_000, seed=42, stream=0) == res
+    assert V.mc_volume(B.LpBallBody(3.0, 3), 100_000, seed=42, stream=1).value != res.value
+
+
+def test_polar_draws_its_own_stream_of_the_callers_seed():
+    sec = B.hyperplane_section(B.LpBallBody(3.0, 4), np.array([1.0, 2.0, -1.0, 0.5]))
+    rep = V.mahler_product(sec, samples=20_000, seed=0)
+    polar = sec.polar()
+    assert rep.vol_polar.seed == 0 and rep.vol_body.seed == 0
+    assert rep.vol_polar == V.mc_volume(polar, 20_000, seed=0, stream=V.POLAR_STREAM)
+    assert rep.vol_body == V.mc_volume(sec, 20_000, seed=0)
+    # no seed offset: the polar shares no draw with another seed's stream 0
+    assert rep.vol_polar.value != V.mc_volume(polar, 20_000, seed=10**6).value
+
+
+def test_parts_of_one_call_draw_distinct_streams(monkeypatch):
+    calls = []
+    mc_volume = V.mc_volume
+
+    def spy(body, samples, seed, *, stream=0):
+        calls.append((seed, stream))
+        return mc_volume(body, samples, seed, stream=stream)
+
+    monkeypatch.setattr(V, "mc_volume", spy)
+    sec = B.hyperplane_section(B.LpBallBody(3.0, 3), np.array([1.0, 2.0, 2.0]))
+    product = B.lagrangian_product(sec)
+    for body, parts in ((sec, 2), (product, 4), (B.lagrangian_product(product), 8)):
+        calls.clear()
+        rep = V.mahler_product(body, samples=2_000, seed=5)
+        assert len(calls) == parts
+        assert len(set(calls)) == parts and {seed for seed, _ in calls} == {5}
+        assert rep.vol_body.seed == rep.vol_polar.seed == 5
