@@ -114,6 +114,9 @@ SETTLE_EVERY = 2
 # relative margin by which a miss's convexity bound must clear the level: far
 # beyond the rounding of the few gauge values the bound extrapolates
 MISS_MARGIN = 1e-9
+# Newton/secant steps an l_p fiber takes after its Euclidean foot to settle
+# membership by a certificate (``_certify_lp_fibers``) before golden section
+CERTIFY_STEPS = 8
 
 
 def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
@@ -190,6 +193,70 @@ def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
     return float(vals[0]) if single else vals
 
 
+def _certify_lp_fibers(ball: "LpBallBody", x0: np.ndarray, u: np.ndarray, t: np.ndarray,
+                       level: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``x0`` whose side of ``level`` a primal-dual certificate
+    settles for min_t ||x0 + t u||_r, r = ball.p and u a unit vector: two
+    masks, (hit, miss).  A row in neither is left to golden section.
+
+    A probe y = x0 + t u is a hit when ball.gauge(y) <= level, the test
+    golden section applies (the gauge summed over coordinates in order,
+    which for n < 8 gives ball.gauge's bytes).  With s = sign(y)|y|^(r-1)
+    and w = s - <s,u> u, so that w is orthogonal to u, Hölder's inequality
+    gives ||x0 + t'u||_r >= <x0, w> / ||w||_{r*} for every t'; the probe is
+    a miss when that bound clears level * (1 + MISS_MARGIN), the margin of
+    ``_convex_floor``, and is finite.  The first probe is at ``t`` (the
+    Euclidean foot); up to CERTIFY_STEPS more close in on the root of
+    phi(t) = <u, s>, which is nondecreasing and vanishes at the fiber's
+    minimizer: a Newton step while the root is bracketed from one side
+    only, and Illinois regula falsi once both sides are known.  When r < 2
+    the first Newton step is scaled by r - 1, which makes it exact where
+    one coordinate's sign(y_i)|y_i|^(r-1) dominates phi; a full step
+    would overshoot there by a factor 1/(r - 1).  A row whose next probe is not finite drops out, so a NaN or an
+    inf decides nothing.
+    """
+    r = ball.p
+    rows = np.arange(len(t))
+    hit = np.zeros(len(t), dtype=bool)
+    miss = np.zeros(len(t), dtype=bool)
+    x = np.ascontiguousarray(x0.T)  # coordinate planes (n, rows)
+    lo, hi = np.full(len(t), -np.inf), np.full(len(t), np.inf)  # brackets the root
+    phi_lo, phi_hi = np.zeros(len(t)), np.zeros(len(t))  # phi at lo and hi
+    last = np.zeros(len(t))  # end replaced last: -1 lo, +1 hi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(CERTIFY_STEPS + 1):
+            y = x + u[:, None] * t
+            pw = abs_power(y, r)
+            s = np.divide(pw, y, out=np.zeros_like(y), where=y != 0)
+            phi = u @ s
+            w = s - u[:, None] * phi
+            bound = coordinate_sum(x * w) / coordinate_sum(abs_power(w, ball.q)) ** (1.0 / ball.q)
+            settled_hit = coordinate_sum(pw) ** (1.0 / r) <= level
+            settled_miss = (bound > level * (1.0 + MISS_MARGIN)) & (bound < np.inf)
+            hit[rows[settled_hit]] = True
+            miss[rows[settled_miss]] = True
+            if step == CERTIFY_STEPS:
+                break
+            # phi' = (r - 1) sum u_i^2 |y_i|^(r-2), a zero coordinate counting 0
+            dphi = (r - 1.0) * ((u * u) @ np.divide(s, y, out=np.zeros_like(y), where=y != 0))
+            up = phi > 0  # the root lies below t
+            # Illinois: an end kept twice in a row has its value halved
+            phi_lo = np.where(up & (last == 1), 0.5 * phi_lo, np.where(up, phi_lo, phi))
+            phi_hi = np.where(~up & (last == -1), 0.5 * phi_hi, np.where(up, phi, phi_hi))
+            lo, hi = np.where(up, lo, t), np.where(up, t, hi)
+            last = np.where(up, 1.0, -1.0)
+            newton = t - (min(1.0, r - 1.0) if step == 0 else 1.0) * phi / dphi
+            secant = lo + (hi - lo) * phi_lo / (phi_lo - phi_hi)
+            t = np.where((lo > -np.inf) & (hi < np.inf), secant, newton)
+            keep = np.flatnonzero(~(settled_hit | settled_miss) & np.isfinite(t))
+            if not keep.size:
+                break
+            rows, t, lo, hi, phi_lo, phi_hi, last = (
+                a[keep] for a in (rows, t, lo, hi, phi_lo, phi_hi, last))
+            x = x.take(keep, axis=1)
+    return hit, miss
+
+
 def _convex_floor(lo, m1, m2, hi, flo, f1, f2, fhi):
     """Lower bound of a convex f over [lo, hi] from its values at
     lo < m1 < m2 < hi.  On [lo, m1] and [m2, hi] the chord through m1 and m2
@@ -239,6 +306,16 @@ def abs_power(x: np.ndarray, p: float) -> np.ndarray:
 
 def pnorm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
     return np.sum(abs_power(x, p), axis=axis) ** (1.0 / p)
+
+
+def coordinate_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum of the coordinate planes (d, ...), added in order from the first.
+    Below 8 terms this is the order np.add.reduce takes along a contiguous
+    last axis, so for d < 8 it gives the bytes of summing rows (..., d)."""
+    out = planes[0] + 0.0
+    for x in planes[1:]:
+        out += x
+    return out
 
 
 class ConvexBody:
@@ -584,11 +661,16 @@ class ImageBody(ConvexBody):
         d the distance from x0 to the fiber line, the gauge at the
         Euclidean minimizer is an upper bound, and c * d a lower bound,
         where ||y||_p >= c ||y||_2 with c = 1 for p <= 2 and
-        c = n^(1/p - 1/2) for p > 2.  Only points the sandwich cannot decide
-        run the golden-section minimization (28 steps; 48 for other
-        children).  That search stops each point as soon as its side of
-        the level is settled (``fiber_min_gauge`` with ``level``), so the hits
-        are those of the full search.
+        c = n^(1/p - 1/2) for p > 2.  A point the sandwich cannot decide is
+        settled by a primal-dual certificate (``_certify_lp_fibers``): a
+        fiber point that passes the gauge test is a hit, and a Hölder lower
+        bound on the whole fiber that clears the level by MISS_MARGIN is a
+        miss.  The few points left run the golden-section minimization (28
+        steps; 48 for other children), which stops each as soon as its side
+        of the level is settled (``fiber_min_gauge`` with ``level``).  So a
+        point is a hit exactly when the full search makes it one, except
+        when its fiber minimum lies below the level by less than that
+        search's resolution, where a certificate hit is the truer answer.
         """
         x = np.asarray(x, dtype=float)
         level = 1.0 + MEMBERSHIP_TOL
@@ -609,10 +691,14 @@ class ImageBody(ConvexBody):
         d2 = np.linalg.norm(x2, axis=-1)
         lower = d2 * (n ** (1.0 / p - 0.5)) if p > 2.0 else d2
         out = upper <= level
-        ambiguous = (~out) & (lower <= level)
-        if np.any(ambiguous):
-            vals = fiber_min_gauge(self.child, x0[ambiguous], u, iters=28, level=level)
-            out[ambiguous] = vals <= level
+        ambiguous = np.flatnonzero((~out) & (lower <= level))
+        if ambiguous.size:
+            hit, miss = _certify_lp_fibers(self.child, x0[ambiguous], u, t2[ambiguous], level)
+            out[ambiguous[hit]] = True
+            rest = ambiguous[~(hit | miss)]
+            if rest.size:
+                vals = fiber_min_gauge(self.child, x0[rest], u, iters=28, level=level)
+                out[rest] = vals <= level
         return out[0:1].reshape(()) if single else out
 
     def support(self, u):

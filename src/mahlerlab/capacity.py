@@ -31,8 +31,9 @@ from .bodies import (
     ImageBody,
     LagrangianProductBody,
     PolytopeBody,
+    coordinate_sum,
 )
-from .symplectic import coordinate_sum, j_rotate, polygon_action, reduce_product
+from .symplectic import j_rotate, polygon_action, reduce_product
 
 
 @dataclass(frozen=True)

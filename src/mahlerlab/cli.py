@@ -171,11 +171,10 @@ def cmd_embed(args) -> int:
     rep = E.product_embedding_check(
         args.alpha, args.copies, args.nexp, samples=args.samples, seed=args.seed,
         profile=prof, r_factor=args.radius_factor)
+    rep["area_rel_err"] = E.area_rel_err(prof)
     rep["jacobian_dev"] = E.jacobian_grid_check(prof)["max_abs_det_minus_1"]
     rep["oddness"] = E.oddness_check(prof)
-    ok = ((rep["contained_fraction"] == 1.0 or args.radius_factor > 1.0)
-          and rep["jacobian_dev"] <= E.JACOBIAN_TOL and rep["oddness"] <= E.ODDNESS_TOL)
-    code = EXIT_OK if ok else EXIT_ASSERTION
+    code = EXIT_OK if E.embedding_certified(rep, args.radius_factor) else EXIT_ASSERTION
     return _emit(args, "embed", rep, args.seed, None,
                  {"alpha": args.alpha, "nexp": args.nexp,
                   "copies": args.copies, "samples": args.samples,

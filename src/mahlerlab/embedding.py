@@ -55,6 +55,8 @@ ODDNESS_POINTS = 4096
 # largest |det Df - 1| and |f(z) + f(-z)| a certified map may show
 JACOBIAN_TOL = 1e-3
 ODDNESS_TOL = 1e-10
+# largest relative error of a certified profile's measured sublevel areas
+AREA_TOL = 1e-6
 # containment tolerance and points per block of the product check
 CONTAIN_TOL = 1e-9
 CHECK_BLOCK = 1 << 16
@@ -239,6 +241,22 @@ def oddness_check(profile: EmbeddingProfile) -> float:
     q1, p1 = planar_map(profile, z)
     q2, p2 = planar_map(profile, -z)
     return float(max(np.max(np.abs(q1 + q2)), np.max(np.abs(p1 + p2))))
+
+
+def area_rel_err(profile: EmbeddingProfile) -> float:
+    """Largest relative error of the profile's measured sublevel areas."""
+    return max(abs(meas - A) / A for A, meas in profile.area_table)
+
+
+def embedding_certified(rep: dict, radius_factor: float = 1.0) -> bool:
+    """A report's verdict: every sampled point contained (not required once
+    the radius is scaled past the certified one, radius_factor > 1), and the
+    area normalization, oddness and Jacobian certificates within AREA_TOL,
+    ODDNESS_TOL and JACOBIAN_TOL."""
+    return bool((rep["contained_fraction"] == 1.0 or radius_factor > 1.0)
+                and rep["area_rel_err"] <= AREA_TOL
+                and rep["oddness"] <= ODDNESS_TOL
+                and rep["jacobian_dev"] <= JACOBIAN_TOL)
 
 
 def sample_ball(dim: int, radius: float, count: int, rng: np.random.Generator):

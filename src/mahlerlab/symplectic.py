@@ -25,6 +25,7 @@ from .bodies import (
     DiagonalImageBody,
     LagrangianProductBody,
     LpBallBody,
+    coordinate_sum,
     fiber_min_gauge,
     hyperplane_projection,
     hyperplane_section,
@@ -39,16 +40,6 @@ def j_rotate(v: np.ndarray, axis: int = -1) -> np.ndarray:
     out = v.take(np.arange(-n, n), axis=axis)  # (q, p)
     p = out[(slice(None),) * (axis % v.ndim) + (slice(0, n),)]
     np.negative(p, out=p)
-    return out
-
-
-def coordinate_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum of the coordinate planes (d, ...), added in order from the first.
-    Below 8 terms this is the order np.add.reduce takes along a contiguous
-    last axis, so for d < 8 it gives the bytes of summing rows (..., d)."""
-    out = planes[0] + 0.0
-    for x in planes[1:]:
-        out += x
     return out
 
 
@@ -176,4 +167,4 @@ def reduce_ball(N: int, spec_or_line, radius: float = 1.0,
     value = unit * mean
     ci = 1.959963984540054 * unit * std / math.sqrt(directions)
     return VolumeResult(value, "monte-carlo", ci_halfwidth=ci,
-                        samples=directions, seed=seed)
+                        samples=directions, seed=seed, stream=0)

@@ -225,25 +225,17 @@ def suite_embedding(alphas=(2.0, 1.5), copies: int = 2, n_exp: int = 8,
     cases = []
     for alpha in alphas:
         prof = E.build_profile(alpha, n_exp)
-        area_err = max(abs(meas - A) / A for A, meas in prof.area_table)
-        odd = E.oddness_check(prof)
-        jac = E.jacobian_grid_check(prof)
         rep = E.product_embedding_check(alpha, copies, n_exp, samples=samples,
                                         seed=seed, profile=prof)
-        ok = (
-            rep["contained_fraction"] == 1.0
-            and area_err <= 1e-6
-            and odd <= E.ODDNESS_TOL
-            and jac["max_abs_det_minus_1"] <= E.JACOBIAN_TOL
-        )
-        cases.append({
+        case = {
             "alpha": alpha, "n_exp": n_exp, "copies": copies,
             "eps": rep["eps"], "radius": rep["radius"],
             "contained_fraction": rep["contained_fraction"],
-            "area_rel_err": area_err, "oddness": odd,
-            "jacobian_dev": jac["max_abs_det_minus_1"],
-            "samples": samples, "passed": bool(ok),
-        })
+            "area_rel_err": E.area_rel_err(prof), "oddness": E.oddness_check(prof),
+            "jacobian_dev": E.jacobian_grid_check(prof)["max_abs_det_minus_1"],
+            "samples": samples,
+        }
+        cases.append({**case, "passed": E.embedding_certified(case)})
     return _suite("embedding", {"alphas": list(alphas), "copies": copies,
                                 "n_exp": n_exp, "samples": samples,
                                 "seed": seed}, cases)

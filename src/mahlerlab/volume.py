@@ -44,6 +44,7 @@ class VolumeResult:
     ci_halfwidth: float = 0.0
     samples: int = 0
     seed: int | None = None
+    stream: int | None = None  # the sampling stream of a Monte Carlo draw
     exact: Fraction | None = None
     exact_sqrt: tuple[Fraction, Fraction] | None = None  # value = r * sqrt(d)
 
@@ -60,6 +61,7 @@ class VolumeResult:
             "ci_halfwidth": self.ci_halfwidth,
             "samples": self.samples,
             "seed": self.seed,
+            "stream": self.stream,
         }
         if self.exact is not None:
             d["exact"] = str(self.exact)
@@ -165,7 +167,8 @@ def mc_volume(body: ConvexBody, samples: int, seed: int, *, stream: int = 0) -> 
     phat = hits / samples
     value = phat * box_vol
     ci = Z95 * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples) * box_vol
-    return VolumeResult(value, "monte-carlo", ci_halfwidth=ci, samples=samples, seed=seed)
+    return VolumeResult(value, "monte-carlo", ci_halfwidth=ci, samples=samples, seed=seed,
+                        stream=stream)
 
 
 # ---------------------------------------------------------------------------

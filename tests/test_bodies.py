@@ -490,3 +490,116 @@ def test_fiber_min_with_level_decides_like_the_full_search(child, iters, seed, l
     settled = B.fiber_min_gauge(child, x0, u, iters=iters, level=level)
     assert np.array_equal(settled <= level, full <= level)
     assert np.all(settled >= full)  # a settled row stops at an earlier best value
+
+
+# ---------------------------------------------------------------------------
+# the l_p membership certificate
+
+CERT_RS = [1.05, 1.2, 1.5, 3.0, 6.0, 21.0]
+LEVEL = 1.0 + B.MEMBERSHIP_TOL
+# relative distance from the level within which the 28-step search may miss a
+# member: it stops on a probe above a minimum it has not pinned down
+NEAR_LEVEL = 1e-5
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _base_points(rng, u, rows):
+    """Points of u-perp, as ImageBody.contains_batch lifts them."""
+    x0 = rng.normal(size=(rows, len(u)))
+    return x0 - np.outer(x0 @ u, u)
+
+
+def _certified_decisions(ball, x0, u):
+    """contains_batch's decision after the sandwich: certificate, then the
+    settling 28-step search on the rows it leaves."""
+    hit, miss = B._certify_lp_fibers(ball, x0, u, -(x0 @ u), LEVEL)
+    assert not np.any(hit & miss)
+    out = hit.copy()
+    rest = ~(hit | miss)
+    if rest.any():
+        out[rest] = B.fiber_min_gauge(ball, x0[rest], u, iters=28, level=LEVEL) <= LEVEL
+    return hit, miss, out
+
+
+def _fiber_minimum(ball, x0, u, grid=2001):
+    """The fiber minimum from a 200-step search and a dense grid over its
+    bracket, whichever is lower."""
+    acc = B.fiber_min_gauge(ball, x0, u, iters=200)
+    T = 2.0 * ball.gauge(x0) / ball.gauge(u)
+    ts = np.linspace(-1.0, 1.0, grid)[None, :] * T[:, None]
+    dense = ball.gauge(x0[:, None, :] + ts[..., None] * u).min(axis=1)
+    return np.minimum(acc, dense)
+
+
+def _assert_decides_like_the_full_search(ball, x0, u):
+    _, _, decided = _certified_decisions(ball, x0, u)
+    full = B.fiber_min_gauge(ball, x0, u, iters=28)
+    ref = full <= LEVEL
+    assert np.all(decided[ref])  # no hit of the full search is lost
+    far = np.abs(full / LEVEL - 1.0) > NEAR_LEVEL
+    assert np.array_equal(decided[far], ref[far])
+    # a near-level row the full search misses may be a hit: a member whose
+    # minimum that search overestimates, never a point outside the body
+    extra = decided & ~ref
+    assert np.all(B.fiber_min_gauge(ball, x0[extra], u, iters=200) <= LEVEL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from(CERT_RS), n=st.sampled_from([3, 4, 5]),
+       seed=st.integers(0, 2**32 - 1), rel=st.sampled_from([1e-6, 1e-10]))
+def test_certificate_decides_like_the_full_search(r, n, seed, rel):
+    rng = np.random.default_rng(seed)
+    ball = B.LpBallBody(r, n)
+    u = _unit(rng.normal(size=n))
+    x0 = _base_points(rng, u, 300)
+    # half the points as drawn, half scaled to within rel of the level on
+    # either side (the fiber minimum is 1-homogeneous in x0)
+    full = B.fiber_min_gauge(ball, x0[150:], u, iters=28)
+    x0[150:] *= (LEVEL / full * (1.0 + rel * rng.choice([-1.0, 1.0], size=150)))[:, None]
+    _assert_decides_like_the_full_search(ball, x0, u)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("r", CERT_RS)
+def test_certified_misses_clear_the_margin(r, n):
+    rng = np.random.default_rng([n, int(100 * r)])
+    ball = B.LpBallBody(r, n)
+    u = _unit(rng.normal(size=n))
+    x0 = _base_points(rng, u, 240)
+    # minima just inside the miss margin, just outside it, and well clear
+    rel = np.repeat([-1e-6, 1e-10, 5e-10, 1e-8, 1e-6, 1e-3], 40)
+    x0 *= (LEVEL * (1.0 + rel) / B.fiber_min_gauge(ball, x0, u, iters=200))[:, None]
+    hit, miss, _ = _certified_decisions(ball, x0, u)
+    fmin = _fiber_minimum(ball, x0, u)
+    assert np.all(fmin[miss] > LEVEL)
+    # rows whose minimum lies within the margin are left to golden section
+    assert not np.any(miss & (fmin <= LEVEL * (1.0 + B.MISS_MARGIN)))
+    assert np.all(fmin[hit] <= LEVEL)
+    assert hit.any() and miss.any()  # the certificate does settle rows
+
+
+@pytest.mark.parametrize("r", [1.2, 3.0, 21.0])
+def test_certificate_on_zero_normal_entries_and_zero_coordinates(r):
+    rng = np.random.default_rng(int(10 * r))
+    ball = B.LpBallBody(r, 4)
+    u = _unit([0.0, 0.0, 1.0, 1.0])
+    x0 = _base_points(rng, u, 200)
+    x0[:50, 0] = 0.0  # a coordinate that is zero along the whole fiber
+    x0[50:100, 2:] = 0.0  # the fiber's coordinates both zero at the foot
+    x0[100] = 0.0
+    x0[101:] *= (LEVEL / B.fiber_min_gauge(ball, x0[101:], u, iters=28)
+                 * (1.0 + 1e-10 * rng.choice([-1.0, 1.0], size=99)))[:, None]
+    with np.errstate(all="raise"):
+        hit, miss, _ = _certified_decisions(ball, x0, u)
+    assert hit[100]  # x0 = 0: the foot is a hit
+    _assert_decides_like_the_full_search(ball, x0, u)
+    # rows whose gauge overflows decide nothing and fall back
+    big = np.full((3, 4), 1e300)
+    big[:, 2:] = [[1e300, -1e300], [0.0, 0.0], [5e299, -5e299]]
+    with np.errstate(all="raise"):
+        hit, miss = B._certify_lp_fibers(ball, big, u, -(big @ u), LEVEL)
+    assert not hit.any() and not miss.any()

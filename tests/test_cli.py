@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mahlerlab import cli
 from mahlerlab import embedding as E
+from mahlerlab.verify import suite_embedding
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +150,31 @@ def test_assertion_failure_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(cli.E, "product_embedding_check", fake_check)
     code = cli.main(["--no-log", "embed", "--samples", "10"])
     assert code == 2
+
+
+def test_corrupted_area_table_fails_embed_and_the_suite(capsys, monkeypatch):
+    build_profile = E.build_profile
+
+    def corrupted(alpha, n_exp):
+        prof = build_profile(alpha, n_exp)
+        prof.area_table = prof.area_table * [1.0, 1.0 + 1e-3]  # measured areas 0.1% off
+        return prof
+
+    monkeypatch.setattr(E, "build_profile", corrupted)
+    code, out = run_cli(capsys, "--no-log", "embed", "--copies", "2", "--samples", "2000")
+    assert code == 2
+    assert out["contained_fraction"] == 1.0 and out["area_rel_err"] > E.AREA_TOL
+    rep = suite_embedding(alphas=(2.0,), samples=2000)
+    assert not rep["passed"]
+    monkeypatch.setattr(E, "build_profile", build_profile)
+    assert suite_embedding(alphas=(2.0,), samples=2000)["passed"]
+
+
+def test_mahler_reports_each_volume_stream(capsys):
+    body = '{"type":"section","body":{"type":"lp_ball","p":3,"dim":3},"normal":[1,2,2]}'
+    code, out = run_cli(capsys, "--no-log", "mahler", "--body", body, "--samples", "5000")
+    assert code == 0
+    assert (out["vol_body"]["stream"], out["vol_polar"]["stream"]) == (0, 1)
 
 
 @pytest.mark.parametrize("alpha, nexp, code", [

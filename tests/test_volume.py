@@ -350,11 +350,25 @@ def _level_free_fiber_min(child, x0, direction, iters=48, level=None):
     return _FULL_FIBER_MIN(child, x0, direction, iters)
 
 
-@pytest.mark.parametrize("case", ["lp1.5", "lp3", "lp6-n4", "polytope"])
+def _settles_nothing(ball, x0, u, t, level):
+    """The certificate switched off: every ambiguous row goes to golden section."""
+    return np.zeros(len(t), dtype=bool), np.zeros(len(t), dtype=bool)
+
+
+# l_p cases by p and normal; p = 1.05 and 20 sit near the ends of the range,
+# and normals with zero entries leave coordinates the fiber never moves
+LP_NORMALS = {"lp1.05": (1.05, (1.0, -2.0, 3.0)), "lp1.2-aligned": (1.2, (1.0, 1.0, 0.0)),
+              "lp20-aligned": (20.0, (0.0, 0.0, 1.0, 1.0))}
+
+
+@pytest.mark.parametrize("case", ["lp1.5", "lp3", "lp6-n4", "polytope", *LP_NORMALS])
 def test_projection_hits_match_the_full_fiber_search(case, monkeypatch):
     if case == "polytope":
         u = np.array([0.3, -1.1, 0.7])
         body = B.ImageBody(B.hanner_body("X(S, L(S, S))"), B.orthonormal_frame(u).T)
+    elif case in LP_NORMALS:
+        p, u = LP_NORMALS[case]
+        body = B.hyperplane_projection(B.LpBallBody(p, len(u)), np.array(u))
     else:
         p, n = {"lp1.5": (1.5, 3), "lp3": (3.0, 3), "lp6-n4": (6.0, 4)}[case]
         u = np.random.default_rng(n).normal(size=n)
@@ -362,6 +376,9 @@ def test_projection_hits_match_the_full_fiber_search(case, monkeypatch):
     assert isinstance(body, B.ImageBody)
     settled = V.mc_volume(body, samples=150_000, seed=11)
     monkeypatch.setattr(B, "fiber_min_gauge", _level_free_fiber_min)
+    assert V.mc_volume(body, samples=150_000, seed=11) == settled
+    # the certificate-free reference: every ambiguous row runs the full search
+    monkeypatch.setattr(B, "_certify_lp_fibers", _settles_nothing)
     assert V.mc_volume(body, samples=150_000, seed=11) == settled
 
 
@@ -387,6 +404,17 @@ def test_polar_draws_its_own_stream_of_the_callers_seed():
     assert rep.vol_body == V.mc_volume(sec, 20_000, seed=0)
     # no seed offset: the polar shares no draw with another seed's stream 0
     assert rep.vol_polar.value != V.mc_volume(polar, 20_000, seed=10**6).value
+
+
+def test_volume_result_records_its_stream():
+    sec = B.hyperplane_section(B.LpBallBody(3.0, 4), np.array([1.0, 2.0, -1.0, 0.5]))
+    rep = V.mahler_product(sec, samples=20_000, seed=3)
+    assert (rep.vol_body.stream, rep.vol_polar.stream) == (0, V.POLAR_STREAM)
+    assert V.mc_volume(sec.polar(), 20_000, seed=rep.vol_polar.seed,
+                       stream=rep.vol_polar.stream) == rep.vol_polar
+    assert rep.as_dict()["vol_polar"]["stream"] == V.POLAR_STREAM
+    # a product of two volumes was drawn on no single stream
+    assert V.volume_of(B.lagrangian_product(sec), 20_000, seed=3).stream is None
 
 
 def test_parts_of_one_call_draw_distinct_streams(monkeypatch):
