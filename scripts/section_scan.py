@@ -29,6 +29,8 @@ def main():
     ap.add_argument("--samples", type=int, default=10**5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error(f"--trials must be >= 1, got {args.trials}")
 
     rng = np.random.default_rng(args.seed)
     bound = float(V.mahler_bound(args.n - 1))

@@ -33,7 +33,7 @@ from .bodies import (
     PolytopeBody,
     coordinate_sum,
 )
-from .symplectic import j_rotate, polygon_action, reduce_product
+from .symplectic import j_rotate, polygon_action
 
 
 @dataclass(frozen=True)
@@ -339,15 +339,6 @@ def _estimate(S, m, starts, seed, symmetric, max_iters):
     )
 
 
-def _subdivide(z: np.ndarray) -> np.ndarray:
-    nxt = np.roll(z, -1, axis=0)
-    mid = 0.5 * (z + nxt)
-    out = np.empty((2 * z.shape[0], z.shape[1]))
-    out[0::2] = z
-    out[1::2] = mid
-    return out
-
-
 def capacity_estimate(S: ConvexBody, m: int = 64, starts: int = 16, seed: int = 0,
                       max_iters: int = 50_000) -> CapacityEstimate:
     """Upper-bound estimate of the capacity of S by polygonal loops."""
@@ -359,105 +350,3 @@ def symmetric_capacity_estimate(S: ConvexBody, m: int = 64, starts: int = 16,
     """Same functional restricted to centrally symmetric loops (half the
     variables); for symmetric bodies one of the minimizers is symmetric."""
     return _estimate(S, m, starts, seed, symmetric=True, max_iters=max_iters)
-
-
-def refine_estimate(S: ConvexBody, est: CapacityEstimate, rounds: int = 1,
-                    max_iters: int = 50_000) -> CapacityEstimate:
-    """Warm-started edge subdivision; the estimate never increases."""
-    rng = np.random.default_rng(est.seed + 777)
-    value = est.value
-    loop_v = est.loop.vertices
-    symmetric = est.loop.symmetric
-    iters = 0
-    restarts = 0
-    for _ in range(rounds):
-        doubled_full = _subdivide(loop_v)
-        z_init = doubled_full[: doubled_full.shape[0] // 2] if symmetric else doubled_full
-        q2, loops2, it2, r2, _ = _minimize_quotient(
-            S, z_init[None, :, :], symmetric, rng, max_iters=max_iters
-        )
-        iters += it2
-        restarts += r2
-        if float(q2[0]) < value:
-            value = float(q2[0])
-            loop_v = loops2[0]
-        else:
-            loop_v = doubled_full
-    return CapacityEstimate(
-        value=value,
-        loop=PolygonalLoop(loop_v, symmetric=symmetric),
-        m=loop_v.shape[0],
-        starts=est.starts,
-        seed=est.seed,
-        converged=est.converged,
-        iterations=est.iterations + iters,
-        restarts=est.restarts + restarts,
-    )
-
-
-# ---------------------------------------------------------------------------
-# reduction monotonicity experiment
-
-
-def random_rational_normal(rng: np.random.Generator, dim: int,
-                           max_num: int = 9, max_den: int = 9):
-    from fractions import Fraction
-
-    while True:
-        nums = rng.integers(-max_num, max_num + 1, size=dim)
-        dens = rng.integers(1, max_den + 1, size=dim)
-        if np.any(nums != 0):
-            return tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
-
-
-def reduction_monotonicity_experiment(
-    S: LagrangianProductBody,
-    trials: int = 10,
-    seed: int = 0,
-    m: int = 48,
-    starts: int = 12,
-    max_iters: int = 50_000,
-    rel_slack: float = 0.02,
-) -> dict:
-    """Capacity never drops (within slack) under one-step linear reduction.
-
-    For seeded random rational normals u, compares the estimate on S with
-    the estimate on (K/L) x (K° ∩ L^perp) and reports every pair.
-    Per-instance optimizer failures are recorded, not raised.
-    """
-    if not isinstance(S, LagrangianProductBody):
-        raise BodyError("experiment needs a Lagrangian product")
-    if S.base.dim < 2:
-        raise BodyError("base must have dimension >= 2")
-    rng = np.random.default_rng(seed)
-    base_est = capacity_estimate(S, m=m, starts=starts, seed=seed, max_iters=max_iters)
-    pairs = []
-    all_hold = True
-    for t in range(trials):
-        u = random_rational_normal(rng, S.base.dim)
-        entry: dict = {"normal": [str(x) for x in u]}
-        try:
-            S2 = reduce_product(S, u)
-            red_est = capacity_estimate(
-                S2, m=m, starts=starts, seed=seed + 1000 + t, max_iters=max_iters
-            )
-            holds = red_est.value >= base_est.value * (1.0 - rel_slack)
-            entry.update(
-                {
-                    "c_original": base_est.value,
-                    "c_reduced": red_est.value,
-                    "holds": bool(holds),
-                }
-            )
-            all_hold &= holds
-        except Exception as e:  # noqa: BLE001 - per-instance reporting
-            entry.update({"error": f"{type(e).__name__}: {e}", "holds": False})
-            all_hold = False
-        pairs.append(entry)
-    return {
-        "c_original": base_est.value,
-        "trials": trials,
-        "seed": seed,
-        "pairs": pairs,
-        "all_hold": bool(all_hold),
-    }

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -182,17 +183,22 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    suite = SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
     params: dict = {"seed": args.seed}
-    if args.trials is not None:
-        params["trials"] = args.trials
-    if args.samples is not None:
-        params["samples"] = args.samples
-    if args.n is not None:
-        if args.suite in ("sections-lp", "sections-hanner", "reduction-bound"):
-            params["n_values"] = [args.n]
-        elif args.suite == "polytopes-2n2":
-            params["n"] = args.n
-    rep = SUITES[args.suite](**params)
+    for option, value in (("trials", args.trials), ("samples", args.samples),
+                          ("n", args.n)):
+        if value is None:
+            continue
+        name = "n_values" if option == "n" and "n_values" in takes else option
+        if name not in takes:
+            print(f"error: suite {args.suite} takes no --{option}", file=sys.stderr)
+            return EXIT_USAGE
+        params[name] = [value] if name == "n_values" else value
+    if args.trials is not None and args.trials < 1:
+        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_USAGE
+    rep = suite(**params)
     code = EXIT_OK if rep["passed"] else EXIT_ASSERTION
     return _emit(args, "verify", rep, args.seed, None,
                  {"suite": args.suite, **params}, code)

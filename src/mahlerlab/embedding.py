@@ -275,13 +275,18 @@ def product_embedding_check(alpha: float, copies: int, n_exp: int,
 
     R = r_factor * sqrt((4/pi)(1 - N eps)) with eps = eps_rect_check(profile);
     at r_factor <= 1 the containment fraction must be 1.0.  Block b of
-    CHECK_BLOCK points is ``sampling.block_rng(seed, 0, b)``'s draw.
+    CHECK_BLOCK points is ``sampling.block_rng(seed, 0, b)``'s draw.  A
+    given ``profile`` must be the one built for (alpha, n_exp).
     """
     N = int(copies)
     if N < 1 or samples < 1:
         raise EmbeddingError("copies and samples must be >= 1")
     if profile is None:
         profile = build_profile(alpha, n_exp)
+    elif (profile.alpha, profile.n_exp) != (float(alpha), int(n_exp)):
+        raise EmbeddingError(
+            f"profile is for alpha={profile.alpha}, n_exp={profile.n_exp}, "
+            f"not alpha={alpha}, n_exp={n_exp}")
     beta = profile.beta
     eps = eps_rect_check(profile)
     inner = (4.0 / math.pi) * (1.0 - N * eps)

@@ -15,7 +15,6 @@ handled by iterating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,53 +55,6 @@ def polygon_action(z: np.ndarray, zn: np.ndarray | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# coisotropic complements and reduction specs
-
-
-@dataclass(frozen=True)
-class ReductionSpec:
-    """Isotropic line L in the q-subspace and its coisotropic complement."""
-
-    N: int
-    line: np.ndarray            # unit vector spanning L, in R^{2N} (q-block)
-    complement_normal: np.ndarray  # n with L^omega = {x : <n, x> = 0}
-    quotient_basis: np.ndarray  # (2N, 2N-2), symplectic basis of L^omega / L
-
-
-def coisotropic_complement(ell, N: int) -> ReductionSpec:
-    """Reduction data for a line spanned by ``ell`` inside the q-subspace.
-
-    ``ell`` is either an N-vector of q-coordinates or a 2N-vector whose
-    p-block must vanish (rejected otherwise: the construction requires an
-    isotropic line inside the Lagrangian q-subspace).
-    """
-    ell = np.asarray(ell, dtype=float)
-    if ell.shape == (2 * N,):
-        p_part, q_part = ell[:N], ell[N:]
-        if np.any(np.abs(p_part) > 1e-12 * max(1.0, np.abs(ell).max())):
-            raise BodyError("line must lie in the q-subspace")
-        ell = q_part
-    if ell.shape != (N,):
-        raise BodyError("bad line specification")
-    norm = np.linalg.norm(ell)
-    if norm == 0:
-        raise BodyError("zero line")
-    ellq = ell / norm
-    line = np.concatenate([np.zeros(N), ellq])
-    # omega((0, ell), x) = -<ell, x_p>: the complement is {x : <ell, x_p> = 0}
-    normal = np.concatenate([ellq, np.zeros(N)])
-    f = orthonormal_frame(ell)
-    cols = []
-    for i in range(f.shape[1]):
-        cols.append(np.concatenate([f[:, i], np.zeros(N)]))  # p-type vector
-    for i in range(f.shape[1]):
-        cols.append(np.concatenate([np.zeros(N), f[:, i]]))  # q-type vector
-    basis = np.stack(cols, axis=1)
-    return ReductionSpec(N=N, line=line, complement_normal=normal,
-                         quotient_basis=basis)
-
-
-# ---------------------------------------------------------------------------
 # reduction of Lagrangian products
 
 
@@ -131,9 +83,22 @@ def reduce_product(S: LagrangianProductBody, u) -> LagrangianProductBody:
 # reduction of the round ball
 
 
-def reduce_ball(N: int, spec_or_line, radius: float = 1.0,
-                directions: int = 4096, seed: int = 0):
-    """Symplectic volume of (B^{2N}(R) ∩ L^omega) / L in the quotient frame.
+def _quotient_basis(ell: np.ndarray) -> np.ndarray:
+    """Symplectic basis (2N, 2N-2) of L^omega / L for the line L spanned by
+    (0, ell) in the q-subspace.
+
+    omega((0, ell), x) = -<ell, x_p>, so L^omega = {x : <ell, x_p> = 0}.  An
+    orthonormal frame f of ell^perp gives its p-type columns (f, 0) and its
+    q-type columns (0, f), which are orthogonal to L.
+    """
+    f = orthonormal_frame(ell)
+    zero = np.zeros_like(f)
+    return np.block([[f, zero], [zero, f]])
+
+
+def reduce_ball(N: int, line, directions: int = 4096, seed: int = 0):
+    """Symplectic volume of (B^{2N} ∩ L^omega) / L in the quotient frame, for
+    the line L spanned by the N-vector ``line`` of q-coordinates.
 
     The reduced body's radial function is evaluated honestly: for each
     sampled quotient direction the gauge is minimized along the fiber
@@ -147,18 +112,18 @@ def reduce_ball(N: int, spec_or_line, radius: float = 1.0,
     n = N - 1
     if n < 1:
         raise BodyError("need N >= 2")
-    if isinstance(spec_or_line, ReductionSpec):
-        spec = spec_or_line
-    else:
-        spec = coisotropic_complement(spec_or_line, N=N)
-    if spec.N != N:
-        raise BodyError("spec dimension mismatch")
+    ell = np.asarray(line, dtype=float)
+    if ell.shape != (N,):
+        raise BodyError(f"line must be an N-vector of q-coordinates, got shape {ell.shape}")
+    norm = np.linalg.norm(ell)
+    if norm == 0:
+        raise BodyError("zero line")
     ball = LpBallBody(2.0, 2 * N)
     xi = sampling.block_rng(seed, 0, 0).normal(size=(directions, 2 * n))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    ambient = xi @ spec.quotient_basis.T  # points of L^omega
+    ambient = xi @ _quotient_basis(ell).T  # points of L^omega
     # fiber direction is X_H = the q-embedded line itself
-    gvals = fiber_min_gauge(ball, ambient, spec.line) / radius
+    gvals = fiber_min_gauge(ball, ambient, np.concatenate([np.zeros(N), ell / norm]))
     r = 1.0 / gvals
     powers = r ** (2 * n)
     mean = float(np.mean(powers))

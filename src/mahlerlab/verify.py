@@ -15,8 +15,18 @@ from . import bodies as B
 from . import capacity as C
 from . import crofton as CR
 from . import embedding as E
+from . import symplectic as SY
 from . import volume as V
-from .capacity import random_rational_normal
+
+
+def random_rational_normal(rng: np.random.Generator, dim: int,
+                           max_num: int = 9, max_den: int = 9):
+    """A nonzero vector of Fractions a/b, |a| <= max_num, 1 <= b <= max_den."""
+    while True:
+        nums = rng.integers(-max_num, max_num + 1, size=dim)
+        dens = rng.integers(1, max_den + 1, size=dim)
+        if np.any(nums != 0):
+            return tuple(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
 
 
 def random_hanner_expr(leaves: int, rng: np.random.Generator) -> str:
@@ -34,7 +44,8 @@ def _suite(name: str, params: dict, cases: list[dict]) -> dict:
         "suite": name,
         "params": params,
         "cases": cases,
-        "passed": all(c.get("passed", False) for c in cases),
+        # a suite that ran no case has checked nothing
+        "passed": bool(cases) and all(c.get("passed", False) for c in cases),
     }
 
 
@@ -99,6 +110,8 @@ def suite_sections_hanner(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
 def suite_polytopes_2n2(n: int = 3, trials: int = 20, seed: int = 0) -> dict:
     """Random symmetric polytopes with 2n+2 vertices (linear images of the
     cross-polytope in R^{n+1}): exact Mahler product >= 4^n/n!."""
+    if n < 2:
+        raise ValueError(f"polytopes-2n2 needs n >= 2, got {n}")
     cases = []
     rng = np.random.default_rng(seed)
     bound = V.mahler_bound(n)
@@ -110,13 +123,10 @@ def suite_polytopes_2n2(n: int = 3, trials: int = 20, seed: int = 0) -> dict:
             tuple(Fraction(int(x)) for x in rng.integers(-5, 6, size=n))
             for _ in range(n + 1)
         ]
-        try:
-            body = B.PolytopeBody(n, vertices=gens + [tuple(-x for x in g) for g in gens])
-            if body.is_degenerate or len(body.extreme_vertices()) != 2 * (n + 1):
-                continue
-            rep = V.mahler_product(body)
-        except Exception:
+        body = B.PolytopeBody(n, vertices=gens + [tuple(-x for x in g) for g in gens])
+        if body.is_degenerate or len(body.extreme_vertices()) != 2 * (n + 1):
             continue
+        rep = V.mahler_product(body)
         ok = rep.exact_product is not None and rep.exact_product >= bound
         cases.append({
             "n": n, "trial": done,
@@ -155,29 +165,40 @@ def suite_reduction_bound(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
 def suite_capacity_monotone(trials: int = 10, seed: int = 0, m: int = 48,
                             starts: int = 12, image_trials: int | None = None,
                             rel_slack: float = 0.02) -> dict:
-    """Capacity does not drop under one-step reduction: half the trials on
-    cross3 x cube3, half on products of random linear images of cross3.
+    """Capacity does not drop (within ``rel_slack``) under one-step linear
+    reduction along a random rational normal u: the estimate on S = K x K°
+    against the estimate on (K/L) x (K° ∩ L^perp).  Half the trials reduce
+    cross3 x cube3, half products of random linear images of cross3.
 
     Every reduced body is again some K' x K'°, whose capacity is exactly 4,
     so each case also reports ``c_reduced_rel_err_vs_4`` = |c - 4|/4, the
-    estimate's error from above or below; it does not enter ``passed``."""
+    estimate's error from above or below; it does not enter ``passed``.
+    A reduction or estimate that raises is recorded as a failed case."""
     if image_trials is None:
         image_trials = trials // 2
     plain_trials = trials - image_trials
     cases = []
 
-    def with_oracle(pair):
-        if "c_reduced" not in pair:
-            return pair
-        return {**pair, "c_reduced_rel_err_vs_4": abs(pair["c_reduced"] - 4.0) / 4.0}
+    def reduction_case(S, c_original, rng, red_seed):
+        u = random_rational_normal(rng, S.base.dim)
+        case = {"normal": [str(x) for x in u]}
+        try:
+            c = C.capacity_estimate(SY.reduce_product(S, u), m=m, starts=starts,
+                                    seed=red_seed).value
+        except Exception as e:  # noqa: BLE001 - per-case reporting
+            return {**case, "error": f"{type(e).__name__}: {e}", "holds": False,
+                    "passed": False}
+        holds = bool(c >= c_original * (1.0 - rel_slack))
+        return {**case, "c_original": c_original, "c_reduced": c, "holds": holds,
+                "c_reduced_rel_err_vs_4": abs(c - 4.0) / 4.0, "passed": holds}
 
-    S0 = B.lagrangian_product(B.PolytopeBody.cross(3))
-    rep = C.reduction_monotonicity_experiment(
-        S0, trials=plain_trials, seed=seed, m=m, starts=starts,
-        rel_slack=rel_slack)
-    for pair in map(with_oracle, rep["pairs"]):
-        cases.append({"body": "cross3xcube3", **pair,
-                      "passed": bool(pair.get("holds", False))})
+    if plain_trials > 0:
+        S0 = B.lagrangian_product(B.PolytopeBody.cross(3))
+        c0 = C.capacity_estimate(S0, m=m, starts=starts, seed=seed).value
+        rng = np.random.default_rng(seed)
+        for t in range(plain_trials):
+            cases.append({"body": "cross3xcube3",
+                          **reduction_case(S0, c0, rng, seed + 1000 + t)})
     rng = np.random.default_rng(seed + 1)
     for t in range(image_trials):
         while True:
@@ -189,12 +210,10 @@ def suite_capacity_monotone(trials: int = 10, seed: int = 0, m: int = 48,
             except B.BodyError:
                 continue
         S = B.lagrangian_product(K)
-        repm = C.reduction_monotonicity_experiment(
-            S, trials=1, seed=seed + 500 + t, m=m, starts=starts,
-            rel_slack=rel_slack)
-        pair = with_oracle(repm["pairs"][0])
+        s = seed + 500 + t
+        c = C.capacity_estimate(S, m=m, starts=starts, seed=s).value
         cases.append({"body": f"image{t}", "matrix": [[str(x) for x in r] for r in M],
-                      **pair, "passed": bool(pair.get("holds", False))})
+                      **reduction_case(S, c, np.random.default_rng(s), s + 1000)})
     return _suite("capacity-monotone", {"trials": trials, "seed": seed,
                                         "m": m, "starts": starts}, cases)
 

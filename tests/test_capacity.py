@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mahlerlab import bodies as B
 from mahlerlab import capacity as C
 from mahlerlab import symplectic as SY
+from mahlerlab.verify import random_rational_normal
 
 
 # The body norm sup { omega(v, z) : z in S } is h_S(Jv), S.support(SY.j_rotate(v)).
@@ -146,14 +147,6 @@ def test_symmetric_vs_full_on_smooth_images(rng):
         assert abs(es.value - ef.value) / ef.value <= 0.02
 
 
-def test_refinement_never_increases():
-    ball = B.LpBallBody(2.0, 4)
-    e0 = C.capacity_estimate(ball, m=16, starts=4, seed=9)
-    e1 = C.refine_estimate(ball, e0, rounds=2)
-    assert e1.value <= e0.value + 1e-12
-    assert e1.m == 4 * e0.m
-
-
 def test_linear_symplectic_invariance():
     # block maps diag(A^{-T}, A) preserve Lagrangian products
     S = B.lagrangian_product(B.PolytopeBody.cross(2))
@@ -183,11 +176,14 @@ def test_argmin_is_centrally_symmetric_for_smooth_bodies(rng):
 def test_monotonicity_experiment_polydisc():
     # product of discs: the reduction is a square, both capacities are 4
     S = B.lagrangian_product(B.LpBallBody(2.0, 2))
-    rep = C.reduction_monotonicity_experiment(S, trials=2, seed=0, m=24, starts=8)
-    assert rep["all_hold"]
-    assert abs(rep["c_original"] - 4.0) / 4.0 < 0.02
-    for pair in rep["pairs"]:
-        assert abs(pair["c_reduced"] - 4.0) / 4.0 < 0.02
+    c_original = C.capacity_estimate(S, m=24, starts=8, seed=0).value
+    assert abs(c_original - 4.0) / 4.0 < 0.02
+    rng = np.random.default_rng(0)
+    for t in range(2):
+        S2 = SY.reduce_product(S, random_rational_normal(rng, 2))
+        c_reduced = C.capacity_estimate(S2, m=24, starts=8, seed=1000 + t).value
+        assert c_reduced >= c_original * (1.0 - 0.02)
+        assert abs(c_reduced - 4.0) / 4.0 < 0.02
 
 
 def test_monotonicity_experiment_cross3_axis():
@@ -326,7 +322,7 @@ def _same_estimate(a, b):
 
 
 @pytest.mark.parametrize("case", ["ball4", "cross2", "cross2-symmetric",
-                                  "skewed-cross3", "lp1.5", "refine",
+                                  "skewed-cross3", "lp1.5",
                                   "reduced-cross3", "polar-cross2"])
 def test_descent_matches_reference_bit_for_bit(case, monkeypatch):
     """Every case has fewer than 8 coordinates, where the descent adds its
@@ -352,12 +348,9 @@ def test_descent_matches_reference_bit_for_bit(case, monkeypatch):
         S = B.lagrangian_product(B.PolytopeBody.cross(3).linear_image(M))
         assert C._product_preconditioner(S) is not None  # the ImageBody path
         run = lambda: C.capacity_estimate(S, m=12, starts=4, seed=2)
-    elif case == "lp1.5":
+    else:
         S = B.lagrangian_product(B.LpBallBody(1.5, 2))
         run = lambda: C.capacity_estimate(S, m=16, starts=4, seed=1)
-    else:
-        e0 = C.capacity_estimate(cross2, m=8, starts=4, seed=4)
-        run = lambda: C.refine_estimate(cross2, e0, rounds=1)
     lean = run()
     monkeypatch.setattr(C, "_minimize_quotient", _ref_minimize_quotient)
     _same_estimate(lean, run())
@@ -463,3 +456,33 @@ def test_capacity_monotone_reports_error_vs_four():
     for case in rep["cases"]:
         assert case["c_reduced_rel_err_vs_4"] == abs(case["c_reduced"] - 4.0) / 4.0
         assert case["passed"] == (case["c_reduced"] >= case["c_original"] * (1 - 0.02))
+
+
+def test_capacity_monotone_case_keys(monkeypatch):
+    """The suite's cases keep their keys, in order, and their estimator
+    seeds; a reduced estimate that raises is recorded as a failed case."""
+    from types import SimpleNamespace
+
+    from mahlerlab.verify import suite_capacity_monotone
+
+    calls = []
+
+    def estimate(S, m, starts, seed):
+        calls.append((S.dim, seed))
+        if seed == 1500:  # the first image's reduced estimate
+            raise B.BodyError("no support witness")
+        return SimpleNamespace(value=4.0 + 1e-3 * len(calls))
+
+    monkeypatch.setattr(C, "capacity_estimate", estimate)
+    rep = suite_capacity_monotone(trials=3, seed=0, m=8, starts=2, image_trials=2)
+    assert calls == [(6, 0), (4, 1000), (6, 500), (4, 1500), (6, 501), (4, 1501)]
+    measured = ["c_original", "c_reduced", "holds", "c_reduced_rel_err_vs_4", "passed"]
+    assert [list(case) for case in rep["cases"]] == [
+        ["body", "normal"] + measured,
+        ["body", "matrix", "normal", "error", "holds", "passed"],
+        ["body", "matrix", "normal"] + measured,
+    ]
+    assert [case["body"] for case in rep["cases"]] == ["cross3xcube3", "image0", "image1"]
+    assert rep["cases"][1]["error"] == "BodyError: no support witness"
+    assert [case["passed"] for case in rep["cases"]] == [True, False, True]
+    assert not rep["passed"]

@@ -1,5 +1,6 @@
 """CLI behavior: output, exit codes, logging, replay."""
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mahlerlab import cli
 from mahlerlab import embedding as E
-from mahlerlab.verify import suite_embedding
+from mahlerlab.verify import SUITES, suite_embedding
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,77 @@ def test_verify_command(capsys):
                         "--seed", "1")
     assert code == 0
     assert out["passed"]
+
+
+# the verify options that a suite's signature does not take
+REFUSED_OPTIONS = [
+    ("sections-hanner", "--samples"), ("polytopes-2n2", "--samples"),
+    ("reduction-bound", "--samples"), ("capacity-monotone", "--samples"),
+    ("capacity-monotone", "--n"), ("crofton", "--n"), ("crofton", "--trials"),
+    ("embedding", "--n"), ("embedding", "--trials"),
+]
+OPTION_VALUES = {"--trials": "1", "--samples": "10", "--n": "3"}
+
+
+def _stand_in_suite(monkeypatch, suite):
+    """Replace a suite by a stand-in with its signature that records its
+    arguments and returns a passing report without running anything."""
+    calls = []
+
+    @functools.wraps(SUITES[suite])
+    def stand_in(**params):
+        calls.append(params)
+        return {"suite": suite, "params": params, "cases": [{"passed": True}],
+                "passed": True}
+
+    monkeypatch.setitem(cli.SUITES, suite, stand_in)
+    return calls
+
+
+@pytest.mark.parametrize("suite, option", REFUSED_OPTIONS)
+def test_verify_refuses_an_option_the_suite_does_not_take(capsys, monkeypatch, suite,
+                                                           option):
+    calls = _stand_in_suite(monkeypatch, suite)
+    code = cli.main(["--no-log", "verify", "--suite", suite, option, OPTION_VALUES[option]])
+    assert code == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert suite in err and option in err
+
+
+@pytest.mark.parametrize("suite, option", [
+    (suite, option) for suite in SUITES for option in OPTION_VALUES
+    if (suite, option) not in REFUSED_OPTIONS])
+def test_verify_passes_an_option_the_suite_takes(capsys, monkeypatch, suite, option):
+    monkeypatch.delenv("MAHLER_LAB_SEED", raising=False)
+    calls = _stand_in_suite(monkeypatch, suite)
+    code = cli.main(["--no-log", "verify", "--suite", suite, option, OPTION_VALUES[option]])
+    assert code == 0
+    value = int(OPTION_VALUES[option])
+    expect = {"--trials": {"trials": value}, "--samples": {"samples": value},
+              "--n": {"n_values": [value]} if suite != "polytopes-2n2" else {"n": value}}
+    assert calls == [{"seed": 0, **expect[option]}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "sections-lp", "--trials", "0"], "--trials must be >= 1"),
+    (["--suite", "sections-lp", "--trials", "-1"], "--trials must be >= 1"),
+    (["--suite", "polytopes-2n2", "--n", "1", "--trials", "1"],
+     "polytopes-2n2 needs n >= 2"),
+])
+def test_verify_that_would_check_nothing_exit_one(capsys, argv, message):
+    code = cli.main(["--no-log", "verify"] + argv)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_suite_without_cases_does_not_pass():
+    from mahlerlab.verify import suite_sections_lp
+
+    rep = suite_sections_lp(trials=0)
+    assert rep["cases"] == [] and not rep["passed"]
 
 
 def test_usage_error_exit_one(capsys):

@@ -244,6 +244,16 @@ def test_product_embedding_violation_reported():
     assert rep["worst_point"] is not None
 
 
+@pytest.mark.parametrize("alpha, n_exp", [(2.0, 64), (2.0, 8), (1.5, 64)])
+def test_product_embedding_refuses_a_profile_for_other_arguments(alpha, n_exp):
+    prof = E.build_profile(1.5, 8)
+    with pytest.raises(E.EmbeddingError, match="profile is for alpha=1.5, n_exp=8"):
+        E.product_embedding_check(alpha, 2, n_exp, samples=10, profile=prof)
+    # the profile for the same arguments, given as int or float, is taken
+    rep = E.product_embedding_check(3 / 2, 2, 8.0, samples=10, profile=prof)
+    assert (rep["alpha"], rep["n_exp"], rep["eps"]) == (1.5, 8.0, E.eps_rect_check(prof))
+
+
 def test_inverse_map_roundtrip():
     prof = E.build_profile(1.5, 8)
     rng = np.random.default_rng(3)

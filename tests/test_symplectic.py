@@ -1,5 +1,4 @@
 """Symplectic pairing, actions, coisotropic complements, reductions."""
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -100,41 +99,50 @@ def test_coordinate_sum_matches_row_reduce(d, rng):
     assert SY.coordinate_sum(planes(rows)).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
 
 
+def q_line(ell):
+    """The line (0, ell) of the q-subspace, as a 2N-vector."""
+    return np.concatenate([np.zeros(len(ell)), ell])
+
+
 def test_coisotropic_complement_axis():
-    spec = SY.coisotropic_complement(np.array([1.0, 0.0]), N=2)
-    assert np.allclose(spec.complement_normal, [1, 0, 0, 0])  # {p_1 = 0}
-    # L^omega is the hyperplane {<n, x> = 0} of R^4, so L^omega / L has dim 2
-    assert spec.complement_normal.shape == (4,) and spec.quotient_basis.shape == (4, 2)
+    Qb = SY._quotient_basis(np.array([1.0, 0.0]))
+    # L^omega = {p_1 = 0} is a hyperplane of R^4, so L^omega / L has dim 2
+    assert Qb.shape == (4, 2)
+    assert np.all(Qb[0] == 0)  # every column in {p_1 = 0}
+    assert np.all(Qb[2] == 0)  # and orthogonal to L = span(e_q1)
 
 
 def test_coisotropic_complement_diagonal():
     ell = np.array([1.0, 1.0]) / math.sqrt(2)
-    spec = SY.coisotropic_complement(ell, N=2)
-    # omega(l, x) = 0 iff <l, x_p> = 0
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.normal(size=4)
-        x_proj = x - (x @ spec.complement_normal) * spec.complement_normal
-        assert abs(SY.j_rotate(spec.line) @ x_proj) < 1e-12
+    Qb = SY._quotient_basis(ell)
+    for col in Qb.T:
+        # omega(l, x) = 0 iff <l, x_p> = 0: the column lies in L^omega
+        assert abs(SY.j_rotate(q_line(ell)) @ col) < 1e-12
+        assert abs(q_line(ell) @ col) < 1e-12
 
 
 def test_coisotropic_rejects_mixed_line():
-    with pytest.raises(B.BodyError):
-        SY.coisotropic_complement(np.array([1.0, 0.0, 0.5, 0.0]), N=2)
+    # the line is an N-vector of q-coordinates: a 2N-vector is refused, even
+    # one with a vanishing p-block, and so is a zero line
+    for line in ([1.0, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(B.BodyError):
+            SY.reduce_ball(2, np.array(line), directions=16)
 
 
 def test_quotient_basis_standard_form():
     for N in (2, 3, 4):
         rng = np.random.default_rng(N)
         ell = rng.normal(size=N)
-        spec = SY.coisotropic_complement(ell, N=N)
         k = 2 * (N - 1)
-        Qb = spec.quotient_basis
+        Qb = SY._quotient_basis(ell)
         M = SY.j_rotate(Qb.T) @ Qb  # M[i, j] = omega(Qb[:, i], Qb[:, j])
         expect = np.zeros((k, k))
         expect[: k // 2, k // 2 :] = np.eye(k // 2)
         expect[k // 2 :, : k // 2] = -np.eye(k // 2)
         assert np.allclose(M, expect, atol=1e-12)
+        line = q_line(ell / np.linalg.norm(ell))
+        assert np.allclose(SY.j_rotate(line) @ Qb, 0, atol=1e-12)  # in L^omega
+        assert np.allclose(line @ Qb, 0, atol=1e-12)  # orthogonal to L
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +254,18 @@ def test_reduce_ball_random_lines():
             assert abs(res.value - expect) < 1e-10
 
 
-def test_reduce_ball_radius_scaling():
-    res = SY.reduce_ball(3, np.array([1.0, 2.0, 2.0]), radius=1.5,
-                         directions=256, seed=2)
-    expect = 1.5**4 * math.pi**2 / 2
-    assert abs(res.value - expect) < 1e-9
-
-
-def test_reduce_ball_quotient_basis_independence():
+def test_reduce_ball_quotient_basis_independence(monkeypatch):
     # a second symplectic frame of L^omega / L: the same rotation Q of the
     # p-type and of the q-type columns
     ell = np.array([1.0, 2.0, -1.0])
-    spec = SY.coisotropic_complement(ell, N=3)
     c, s = math.cos(0.7), math.sin(0.7)
     Q = np.array([[c, -s], [s, c]])
-    other = dataclasses.replace(spec, quotient_basis=spec.quotient_basis @ block_diag(Q, Q))
-    assert not np.allclose(other.quotient_basis, spec.quotient_basis)
-    a = SY.reduce_ball(3, spec, directions=256, seed=3)
-    b = SY.reduce_ball(3, other, directions=256, seed=3)
+    quotient_basis = SY._quotient_basis
+    a = SY.reduce_ball(3, ell, directions=256, seed=3)
+    monkeypatch.setattr(SY, "_quotient_basis",
+                        lambda ell: quotient_basis(ell) @ block_diag(Q, Q))
+    assert not np.allclose(SY._quotient_basis(ell), quotient_basis(ell))
+    b = SY.reduce_ball(3, ell, directions=256, seed=3)
     assert abs(a.value - b.value) < 1e-12
 
 
