@@ -10,11 +10,17 @@ on both sides.  Prints, per metric, each side's median and quartiles and the
 share of pairs the change wins; "better" comes from BENCHMARK.json (lower
 when a metric is not listed there).  `--out` also writes every run's
 metrics as JSON.
+
+`setup_s` times the import of mahlerlab, which is faster from compiled
+bytecode: both sides run with PYTHONDONTWRITEBYTECODE=1, and the script
+refuses to start while either checkout's src/mahlerlab/__pycache__ holds
+compiled files.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -24,11 +30,17 @@ from pathlib import Path
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def compiled_files(root: Path) -> list[Path]:
+    """The compiled bytecode files in the checkout's src/mahlerlab/__pycache__."""
+    return sorted((root / "src" / "mahlerlab" / "__pycache__").glob("*.pyc"))
 
 
 def better_directions(root: Path) -> dict[str, str]:
@@ -71,6 +83,10 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
+    for root in (args.base, args.change):
+        if compiled_files(root):
+            ap.exit(2, f"{root / 'src' / 'mahlerlab' / '__pycache__'} holds compiled files, "
+                       "which would speed up that side's import in setup_s; remove them\n")
 
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(args.pairs):

@@ -75,34 +75,38 @@ def rational_vector(seq) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in seq)
 
 
-def orthogonal_complement_basis(u: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    """Rational orthogonal (not normalized) basis of u-perp.
+def orthogonal_complement_basis(u) -> np.ndarray:
+    """Basis of u-perp as the columns of an (n, n-1) array.
 
-    Gram-Schmidt over Q, seeded with coordinate vectors in a fixed pivot
-    order: the coordinate of largest |u_i| (first such index) is dropped,
-    the rest are taken in increasing index order.
+    Gram-Schmidt on u and the coordinate vectors: each e_j, the coordinate
+    of largest |u_i| (first such index) left out and the rest in increasing
+    index order, less its projections on u and on the columns before it.
+    Fractions (an object array) give exact orthogonal columns, not
+    normalized; floats give orthonormal columns, projecting on u/|u|, so u
+    need not be normalized.  A zero normal, a non-finite entry, or a |u|^2
+    that overflows or underflows raises BodyError.
     """
-    u = rational_vector(u)
-    n = len(u)
-    if all(x == 0 for x in u):
-        raise BodyError("zero normal vector")
-    mags = [abs(x) for x in u]
-    m = max(mags)
-    pivot = mags.index(m)
-    order = [j for j in range(n) if j != pivot]
-    basis: list[tuple[Fraction, ...]] = []
-    uu = sum(x * x for x in u)
-    for j in order:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        coef = u[j] / uu
-        v = [v[k] - coef * u[k] for k in range(n)]
-        for b in basis:
-            bb = sum(x * x for x in b)
-            c = sum(v[k] * b[k] for k in range(n)) / bb
-            v = [v[k] - c * b[k] for k in range(n)]
-        basis.append(tuple(v))
-    return basis
+    u = np.asarray(u)
+    exact = u.dtype == object
+    u = u if exact else u.astype(float)
+    with np.errstate(over="ignore"):
+        uu = u @ u
+    if not 0 < uu < np.inf:
+        raise BodyError("normal must be finite, nonzero, and of finite norm")
+    pivot = int(np.argmax(np.abs(u)))
+    if not exact:  # unit vectors, whose squared norms are taken as exactly 1
+        u, uu = u / np.sqrt(uu), 1.0
+    cols = []  # the columns so far, with their squared norms
+    for j in range(len(u)):
+        if j == pivot:
+            continue
+        v = np.eye(len(u), dtype=u.dtype)[j] - u[j] / uu * u
+        for b, bb in cols:
+            v = v - (v @ b) / bb * b
+        if not exact:
+            v = v / np.linalg.norm(v)
+        cols.append((v, v @ v if exact else 1.0))
+    return np.stack([v for v, _ in cols], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +621,14 @@ class SliceBody(ConvexBody):
     def polar(self) -> "ImageBody":
         return ImageBody(self.child.polar(), self.basis.T)
 
+    def bounding_halfwidths(self) -> np.ndarray:
+        """For an l_p child, one batched gauge of the polar, whose rows are
+        each the bytes of ``support`` alone; a polytope's gauge is a matrix
+        product that rounds by the batch shape, so it keeps the loop."""
+        if not isinstance(self.child, LpBallBody):
+            return super().bounding_halfwidths()
+        return self.polar().gauge(np.eye(self.dim))
+
     def describe(self) -> dict:
         return {
             "type": "slice_numeric",
@@ -1015,27 +1027,27 @@ def linear_image(body: ConvexBody, M) -> ConvexBody:
     return ImageBody(body, Mf)
 
 
-def _is_rational_vector(u) -> bool:
-    try:
-        rational_vector(u)
-        return True
-    except BodyError:
-        return False
-
-
 def _open_cut(name: str, body: ConvexBody, u):
-    """The checks that open both cuts, and their l_p shortcut.  Returns the
-    normal as floats and, when the cut of an l_p ball is the l_p ball of one
-    dimension less (a coordinate normal, or p = 2), that ball; else None.
-    Errors name the cut ``name``."""
+    """The checks that open both cuts, and their l_p shortcut.  The normal
+    is exact when ``body`` is a rational polytope and every entry parses as
+    a rational, else floats.  Returns its ``orthogonal_complement_basis``
+    and, when the cut of an l_p ball is the l_p ball of one dimension less
+    (a coordinate normal, or p = 2), that ball; else None."""
     if body.dim < 2:
         raise BodyError(f"{name} needs dim >= 2")
-    uf = np.asarray(u, dtype=float)
-    if uf.shape != (body.dim,) or not np.any(uf) or not np.all(np.isfinite(uf)):
+    exact = isinstance(body, PolytopeBody)
+    try:
+        u = np.array(rational_vector(u), dtype=object if exact else float)
+    except (BodyError, TypeError):
+        u = np.asarray(u, dtype=float)
+    except OverflowError as e:  # a rational entry beyond the float range
+        raise BodyError("normal must be finite, nonzero, and of finite norm") from e
+    if u.shape != (body.dim,):
         raise BodyError("normal must be a nonzero finite vector of matching dimension")
-    if isinstance(body, LpBallBody) and (np.count_nonzero(uf) == 1 or body.p == 2.0):
-        return uf, LpBallBody(body.p, body.dim - 1)
-    return uf, None
+    basis = orthogonal_complement_basis(u)
+    if isinstance(body, LpBallBody) and (np.count_nonzero(u) == 1 or body.p == 2.0):
+        return basis, LpBallBody(body.p, body.dim - 1)
+    return basis, None
 
 
 def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
@@ -1045,73 +1057,26 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
     normalized rational Gram-Schmidt basis); functional bodies restrict their
     gauge to the subspace.
     """
-    uf, ball = _open_cut("hyperplane_section", body, u)
+    basis, ball = _open_cut("hyperplane_section", body, u)
     if ball is not None:
         return ball
-    if isinstance(body, PolytopeBody) and _is_rational_vector(u):
-        basis = orthogonal_complement_basis(rational_vector(u))
-        A = []
-        for a, b in body.halfspaces():
-            A.append(
-                (
-                    tuple(
-                        sum(a[k] * bv[k] for k in range(body.dim)) for bv in basis
-                    ),
-                    b,
-                )
-            )
-        core = PolytopeBody(body.dim - 1, halfspaces=A, check_symmetry=False)
-        scales2 = [sum(x * x for x in bv) for bv in basis]
-        return DiagonalImageBody(core, scales2)
-    basis = orthonormal_frame(uf)
-    return SliceBody(body, basis)
+    if basis.dtype != object:
+        return SliceBody(body, basis)
+    A = [(tuple(np.array(a, dtype=object) @ basis), b) for a, b in body.halfspaces()]
+    core = PolytopeBody(body.dim - 1, halfspaces=A, check_symmetry=False)
+    return DiagonalImageBody(core, (basis * basis).sum(axis=0))
 
 
 def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
     """body / span(u), i.e. the shadow on u^perp, same frame as the section."""
-    uf, ball = _open_cut("hyperplane_projection", body, u)
+    basis, ball = _open_cut("hyperplane_projection", body, u)
     if ball is not None:
         return ball
-    if isinstance(body, PolytopeBody) and _is_rational_vector(u):
-        basis = orthogonal_complement_basis(rational_vector(u))
-        verts = [
-            tuple(sum(bv[k] * v[k] for k in range(body.dim)) for bv in basis)
-            for v in body.vertices()
-        ]
-        core = PolytopeBody(body.dim - 1, vertices=verts, check_symmetry=False)
-        scales2 = [1 / sum(x * x for x in bv) for bv in basis]
-        return DiagonalImageBody(core, scales2)
-    basis = orthonormal_frame(uf)
-    return ImageBody(body, basis.T)
-
-
-def orthonormal_frame(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of u^perp as the columns of an (n, n-1) array.
-
-    Gram-Schmidt in floating point on u/|u| and the coordinate vectors, the
-    coordinate of largest |u_i| (first such index) left out; ``u`` need not
-    be normalized.  A normal with a non-finite entry, or whose norm
-    overflows or underflows, raises BodyError.
-    """
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(u)
-    if not 0 < norm < np.inf:
-        raise BodyError("normal must be finite, nonzero, and of finite norm")
-    n = len(u)
-    un = u / norm
-    pivot = int(np.argmax(np.abs(u)))
-    cols = []
-    for j in range(n):
-        if j == pivot:
-            continue
-        v = np.zeros(n)
-        v[j] = 1.0
-        v = v - (v @ un) * un
-        for c in cols:
-            v = v - (v @ c) * c
-        v = v / np.linalg.norm(v)
-        cols.append(v)
-    return np.stack(cols, axis=1)
+    if basis.dtype != object:
+        return ImageBody(body, basis.T)
+    verts = [tuple(np.array(v, dtype=object) @ basis) for v in body.vertices()]
+    core = PolytopeBody(body.dim - 1, vertices=verts, check_symmetry=False)
+    return DiagonalImageBody(core, 1 / (basis * basis).sum(axis=0))
 
 
 def lagrangian_product(body: ConvexBody) -> LagrangianProductBody:
@@ -1209,7 +1174,7 @@ def parse_body(description) -> ConvexBody:
     if t in ("section", "projection"):
         cut = hyperplane_section if t == "section" else hyperplane_projection
         return cut(parse_body(description["body"]),
-                   _parse_normal(_vector_field(t, "normal", description["normal"])))
+                   _vector_field(t, "normal", description["normal"]))
     if t == "linimg":
         return linear_image(parse_body(description["body"]),
                             _matrix_field(t, "matrix", description["matrix"]))
@@ -1227,13 +1192,6 @@ def parse_body(description) -> ConvexBody:
         scales2 = _vector_field(t, "scales2", description["scales2"])
         return DiagonalImageBody(core, [parse_rational(s) for s in scales2])
     raise BodyError(f"unknown body type {t!r}")
-
-
-def _parse_normal(seq):
-    try:
-        return rational_vector(seq)
-    except BodyError:
-        return np.asarray(seq, dtype=float)
 
 
 def canonical_description(body_or_desc) -> str:

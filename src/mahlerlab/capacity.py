@@ -304,6 +304,8 @@ def _estimate(S, m, starts, seed, symmetric, max_iters):
         raise BodyError("m must be even and >= 4")
     if starts < 1:
         raise BodyError("starts must be >= 1")
+    if max_iters < 1:
+        raise BodyError("max_iters must be >= 1")
     pre = _product_preconditioner(S)
     unmap = None
     if pre is not None:

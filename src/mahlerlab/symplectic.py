@@ -28,7 +28,7 @@ from .bodies import (
     fiber_min_gauge,
     hyperplane_projection,
     hyperplane_section,
-    orthonormal_frame,
+    orthogonal_complement_basis,
 )
 
 
@@ -91,7 +91,7 @@ def _quotient_basis(ell: np.ndarray) -> np.ndarray:
     orthonormal frame f of ell^perp gives its p-type columns (f, 0) and its
     q-type columns (0, f), which are orthogonal to L.
     """
-    f = orthonormal_frame(ell)
+    f = orthogonal_complement_basis(ell)
     zero = np.zeros_like(f)
     return np.block([[f, zero], [zero, f]])
 

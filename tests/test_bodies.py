@@ -294,18 +294,99 @@ def test_section_zero_normal_rejected():
         B.hyperplane_section(B.PolytopeBody.cube(3), [0, 0, 0])
 
 
+def reference_orthonormal_frame(u):
+    """The float frame as an earlier release computed it, kept as an oracle
+    for ``orthogonal_complement_basis`` on floats."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(u)
+    if not 0 < norm < np.inf:
+        raise B.BodyError("normal must be finite, nonzero, and of finite norm")
+    n = len(u)
+    un = u / norm
+    pivot = int(np.argmax(np.abs(u)))
+    cols = []
+    for j in range(n):
+        if j == pivot:
+            continue
+        v = np.zeros(n)
+        v[j] = 1.0
+        v = v - (v @ un) * un
+        for c in cols:
+            v = v - (v @ c) * c
+        v = v / np.linalg.norm(v)
+        cols.append(v)
+    return np.stack(cols, axis=1)
+
+
+def reference_rational_basis(u):
+    """The rational basis as an earlier release computed it, as rows: the
+    oracle for ``orthogonal_complement_basis`` on Fractions."""
+    n = len(u)
+    mags = [abs(x) for x in u]
+    pivot = mags.index(max(mags))
+    basis = []
+    uu = sum(x * x for x in u)
+    for j in range(n):
+        if j == pivot:
+            continue
+        v = [Fraction(int(k == j)) for k in range(n)]
+        coef = u[j] / uu
+        v = [v[k] - coef * u[k] for k in range(n)]
+        for b in basis:
+            c = sum(v[k] * b[k] for k in range(n)) / sum(x * x for x in b)
+            v = [v[k] - c * b[k] for k in range(n)]
+        basis.append(tuple(v))
+    return basis
+
+
 def test_orthonormal_frame(rng):
     for n in (2, 3, 5):
         u = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6)
-        F = B.orthonormal_frame(u)
-        assert F.shape == (n, n - 1)
+        F = B.orthogonal_complement_basis(u)
+        assert F.shape == (n, n - 1) and F.dtype == float
         assert np.allclose(F.T @ F, np.eye(n - 1), atol=1e-12)
         assert np.allclose(u @ F / np.linalg.norm(u), 0.0, atol=1e-12)
-    # a non-finite entry, an overflowing |u| and an underflowing |u|^2
-    for bad in ([1.0, np.inf, 1.0], [np.nan, 1.0, 0.0], [1.0, 1e308, 1e308],
-                [1e-200, 1e-200, 0.0]):
+    # a zero normal, a non-finite entry, an overflowing |u| and an
+    # underflowing |u|^2; an exact zero normal too
+    for bad in ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0], [np.nan, 1.0, 0.0],
+                [1.0, 1e308, 1e308], [1e-200, 1e-200, 0.0]):
+        with pytest.raises(B.BodyError, match="finite"):
+            B.orthogonal_complement_basis(np.array(bad))
+    with pytest.raises(B.BodyError, match="finite"):
+        B.orthogonal_complement_basis(np.array([Fraction(0)] * 3, dtype=object))
+
+
+FLOAT_NORMALS = st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-10.0, 10.0) | st.integers(-4, 4).map(float) | st.just(-0.0),
+             min_size=n, max_size=n),
+    st.integers(-100, 100)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_NORMALS)
+def test_float_frame_is_the_reference_frame_bytes(case):
+    # zero entries, -0.0 and integer-valued floats are drawn on their own
+    entries, exponent = case
+    u = np.array(entries) * 10.0 ** exponent
+    if not 0 < u @ u < np.inf:
         with pytest.raises(B.BodyError):
-            B.orthonormal_frame(np.array(bad))
+            B.orthogonal_complement_basis(u)
+        return
+    F = B.orthogonal_complement_basis(u)
+    assert F.tobytes() == reference_orthonormal_frame(u).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(nonzero_fraction_vectors))
+def test_rational_basis_is_the_reference_basis(u):
+    M = B.orthogonal_complement_basis(np.array(u, dtype=object))
+    assert M.shape == (len(u), len(u) - 1)
+    cols = [tuple(M[:, k]) for k in range(M.shape[1])]
+    assert cols == reference_rational_basis(u)
+    assert all(isinstance(x, Fraction) for x in M.flat)
+    assert all(sum(x * y for x, y in zip(c, u)) == 0 for c in cols)
+    assert all(sum(x * y for x, y in zip(a, b)) == 0
+               for i, a in enumerate(cols) for b in cols[i + 1:])
 
 
 def test_slicing_duality_polytopes():
@@ -455,6 +536,19 @@ def test_product_dual_is_polar_of_base_sampled():
 def test_bounding_halfwidths():
     body = B.PolytopeBody.cross(3)
     assert np.allclose(body.bounding_halfwidths(), np.ones(3))
+
+
+def test_lp_section_box_is_the_per_axis_box_bytes():
+    # SliceBody batches the axes into one polar gauge; the base class asks
+    # each axis's support alone
+    rng = np.random.default_rng(41)
+    for p in (1.05, 1.5, 3.0, 6.0, 20.0):
+        for n in (3, 4, 5):
+            for _ in range(4):
+                sec = B.hyperplane_section(B.LpBallBody(p, n), rng.normal(size=n))
+                assert isinstance(sec, B.SliceBody)
+                box = sec.bounding_halfwidths()
+                assert box.tobytes() == B.ConvexBody.bounding_halfwidths(sec).tobytes()
 
 
 def test_fiber_min_gauge_matches_scalar_scan():

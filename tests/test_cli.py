@@ -368,6 +368,9 @@ def test_crofton_accepts_float_literals(capsys, g, coef, exps, malformed):
     ('{"type":"lp_ball","p":3,"dim":3}', "1,1e308,1e308"),
     # |u|^2 underflows to 0
     ('{"type":"cube","dim":3}', "1e-200,1e-200,0.0"),
+    # an exact integer entry that no float holds, on a body cut in floats
+    pytest.param('{"type":"lp_ball","p":3,"dim":3}', "1" + "0" * 400 + ",1,1",
+                 id="lp3-integer-10^400"),
 ])
 @pytest.mark.parametrize("command", ["section", "project"])
 def test_non_finite_normal_exit_one(capsys, command, body, normal):
@@ -392,6 +395,17 @@ def test_bad_size_exit_one(capsys, argv, message):
     code = cli.main(["--no-log"] + argv)
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_iters", ["0", "-3"])
+def test_capacity_without_descent_steps_exit_one(capsys, max_iters):
+    # no descent step would refine the start value
+    code = cli.main(["--no-log", "capacity", "--body", '{"type":"cube","dim":2}',
+                     "--points", "8", "--starts", "2", "--max-iters", max_iters])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_iters must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("body", [

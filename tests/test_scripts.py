@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/: each runs at its smallest
 arguments and ends in exit 0 or 2 (a check it reports failed), never in a
 traceback."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,3 +46,24 @@ def test_section_scan_refuses_an_empty_scan(trials):
     assert proc.returncode == 2
     assert "--trials must be >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_pairs_refuses_a_checkout_with_compiled_files(tmp_path, monkeypatch, capsys):
+    # compiled bytecode on one side only would make its import, and setup_s,
+    # look faster
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base, change = tmp_path / "base", tmp_path / "change"
+    for root in (base, change):
+        (root / "src" / "mahlerlab" / "__pycache__").mkdir(parents=True)
+    (base / "src" / "mahlerlab" / "__pycache__" / "bodies.cpython-312.pyc").write_bytes(b"")
+
+    def run_once(*args):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(base), str(change), "--workload", "exact", "--pairs", "1"])
+    assert exit_info.value.code == 2
+    assert "compiled files" in capsys.readouterr().err

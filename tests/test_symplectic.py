@@ -214,9 +214,9 @@ def test_reduction_volume_basis_independence():
     K = B.PolytopeBody.cross(3)
     u = (Fraction(2), Fraction(-1), Fraction(3))
     perm = (2, 1, 0)
-    basis_a = B.orthogonal_complement_basis(u)
+    basis_a = [tuple(bv) for bv in B.orthogonal_complement_basis(np.array(u, dtype=object)).T]
     basis_b = []
-    for bv in B.orthogonal_complement_basis(tuple(u[i] for i in perm)):
+    for bv in B.orthogonal_complement_basis(np.array([u[i] for i in perm], dtype=object)).T:
         back = [Fraction(0)] * 3
         for k, i in enumerate(perm):
             back[i] = bv[k]

@@ -365,7 +365,7 @@ LP_NORMALS = {"lp1.05": (1.05, (1.0, -2.0, 3.0)), "lp1.2-aligned": (1.2, (1.0, 1
 def test_projection_hits_match_the_full_fiber_search(case, monkeypatch):
     if case == "polytope":
         u = np.array([0.3, -1.1, 0.7])
-        body = B.ImageBody(B.hanner_body("X(S, L(S, S))"), B.orthonormal_frame(u).T)
+        body = B.ImageBody(B.hanner_body("X(S, L(S, S))"), B.orthogonal_complement_basis(u).T)
     elif case in LP_NORMALS:
         p, u = LP_NORMALS[case]
         body = B.hyperplane_projection(B.LpBallBody(p, len(u)), np.array(u))
