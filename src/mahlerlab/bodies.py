@@ -34,15 +34,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import ExactHull, dd_vertices, int_rank, scale_to_int
+from .exactgeom import (
+    BodyError,
+    ExactHull,
+    dd_vertices,
+    int_rank,
+    invert_rational_matrix,
+    scale_to_int,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # membership: a point lies in a body when its gauge is at most 1 + MEMBERSHIP_TOL
 MEMBERSHIP_TOL = 1e-12
-
-
-class BodyError(ValueError):
-    """Malformed or inconsistent body description."""
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +408,9 @@ class PolytopeBody(ConvexBody):
 
     @staticmethod
     def cube(n: int) -> "PolytopeBody":
-        rows = []
-        for i in range(n):
-            for s in (1, -1):
-                a = [Fraction(0)] * n
-                a[i] = Fraction(s)
-                rows.append((a, Fraction(1)))
-        verts = None
-        if n <= 10:
-            import itertools
-
-            verts = [
-                tuple(Fraction(s) for s in t)
-                for t in itertools.product([1, -1], repeat=n)
-            ]
-        return PolytopeBody(n, vertices=verts, halfspaces=rows,
-                            tree="X(" + ", ".join(["S"] * n) + ")" if n > 1 else "S",
-                            tag={"type": "cube", "dim": n},
-                            vertices_extreme=True, halfspaces_irredundant=True)
+        body = hanner_body("X(" + ", ".join(["S"] * n) + ")" if n > 1 else "S")
+        body.tag = {"type": "cube", "dim": n}
+        return body
 
     @staticmethod
     def cross(n: int) -> "PolytopeBody":
@@ -854,35 +842,6 @@ class L1SumBody(TwoBlockBody):
 
     def polar(self) -> LagrangianProductBody:
         return LagrangianProductBody(self.base.polar(), self.dual.polar())
-
-
-# ---------------------------------------------------------------------------
-# rational matrix inverse
-
-
-def invert_rational_matrix(M: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    aug = [
-        [Fraction(M[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise BodyError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

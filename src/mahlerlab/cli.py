@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except (B.BodyError, CR.CroftonError, E.EmbeddingError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

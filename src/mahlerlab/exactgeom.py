@@ -3,10 +3,17 @@
 Everything here works over the rationals.  Input coordinates are
 `fractions.Fraction`; internally all computations are scaled to integers so
 that predicates reduce to signs of integer dot products, ranks and
-determinants (Bareiss elimination, no floating point anywhere).
+determinants (no floating point anywhere).
 
 Provides:
 
+* ``_eliminate`` -- the one elimination kernel: fraction-free (Bareiss)
+  row echelon form, or with ``jordan`` the reduced form, every division
+  exact.  ``bareiss_det`` and ``int_rank`` read its last pivot and its pivot
+  count; ``invert_rational_matrix`` reads ``d M^-1`` off one pass over
+  ``[M | I]``; the double description takes its first independent rows
+  from the pivot columns of the transpose and its starting rays from the
+  same inverse.
 * ``ExactHull`` -- the one V <-> H and volume kernel.  With the points
   centred at their centroid, the facets are the vertices of the polar (double
   description) unless an H-representation is passed in; vertices, redundant
@@ -16,13 +23,19 @@ Provides:
   volume computation for polytopes: a practical study*, 2000).
 * ``dd_vertices`` -- vertex enumeration for a bounded H-polytope
   ``{x : Ax <= b}`` by the double description method on the homogenization
-  cone.
+  cone, each ray's incidence bitmask carried from step to step (Fukuda and
+  Prodon, *Double description method revisited*, 1996).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+class BodyError(ValueError):
+    """Malformed or inconsistent body description, a singular matrix
+    included."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,62 +59,69 @@ def gcd_reduce(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def _eliminate(rows: Iterable[Sequence[int]], jordan: bool = False,
+               stop: int | None = None) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Pivots on the columns in order, the first ``stop`` of them (all by
+    default), taking the first nonzero entry at or below the current row.
+    A step with pivot ``p`` replaces each other row ``r`` by
+    ``(p * r - r[col] * pivot_row) / p_prev``, an exact division
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  Rows below the
+    pivot are reduced, so the result is a row echelon form whose last pivot
+    is +- a minor; with ``jordan`` the rows above are reduced too, and a
+    square invertible left block ends as ``p I``, ``p`` the last pivot.
+
+    Returns ``(matrix, pivot_columns, swap_sign)``; ``swap_sign`` is the
+    sign of the row permutation.
+    """
     m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
+    k = 0  # the current row
+    for col in range(ncols if stop is None else stop):
+        if not m[k][col]:
+            for i in range(k + 1, nrows):
+                if m[i][col]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+                continue
+        prow = m[k]
+        p = prow[col]
+        for i in range(k + 1, nrows):  # zero before col in both rows
+            row = m[i]
+            f = row[col]
+            row[col] = 0
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+        if jordan:
+            for i in range(k):
+                f = m[i][col]
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], prow)]
+        pivots.append(col)
+        prev = p
+        k += 1
+        if k == nrows:
+            break
+    return m, pivots, sign
+
+
+def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free elimination."""
+    if not rows:
+        return 1
+    m, pivots, sign = _eliminate(rows)
+    return sign * m[-1][-1] if len(pivots) == len(m) else 0
 
 
 def int_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix (fraction-free row echelon)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            mic = m[i][col]
-            for j in range(col, ncols):
-                m[i][j] = (m[i][j] * pivot - mic * m[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return len(_eliminate(rows)[1])
 
 
 def scale_to_int(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -110,6 +130,30 @@ def scale_to_int(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int,
              for v in vectors]
     lcm = math.lcm(*{x.denominator for v in fracs for x in v})
     return [tuple(x.numerator * (lcm // x.denominator) for x in v) for v in fracs], lcm
+
+
+def _scaled_inverse(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(d, d M^-1)`` for a square integer matrix ``M``, ``d = +-det M``: one
+    Gauss-Jordan pass over ``[M | I]`` ends as ``[d I | d M^-1]``.  ``d`` is 0
+    when ``M`` is singular."""
+    n = len(mat)
+    m, pivots, _ = _eliminate(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)],
+        jordan=True, stop=n)
+    if len(pivots) < n:
+        return 0, []
+    return m[-1][n - 1], [r[n:] for r in m]
+
+
+def invert_rational_matrix(M: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a square rational matrix.  With ``L`` the common
+    denominator, ``M^-1 = L (d A^-1) / d`` for the integer matrix
+    ``A = L M``."""
+    ints, lcm = scale_to_int(M)
+    d, inv = _scaled_inverse(ints)
+    if d == 0:
+        raise BodyError("singular matrix")
+    return [[Fraction(lcm * x, d) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -290,42 +334,6 @@ class ExactHull:
 # double description (vertex enumeration from halfspaces)
 
 
-def _greedy_independent_rows(rows: list[tuple[int, ...]], target: int) -> list[int]:
-    chosen: list[int] = []
-    for i, _ in enumerate(rows):
-        if len(chosen) == target:
-            break
-        cand = chosen + [i]
-        if int_rank([rows[k] for k in cand]) == len(cand):
-            chosen.append(i)
-    if len(chosen) < target:
-        raise ValueError("halfspace system is rank deficient (unbounded body?)")
-    return chosen
-
-
-def _cramer_column_rays(mat: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Extreme rays of the simplicial cone {y : My <= 0} for invertible M.
-
-    Columns r_j with M r_j = -|det M| e_j, via Cramer's rule.
-    """
-    n = len(mat)
-    det = bareiss_det(mat)
-    if det == 0:
-        raise ValueError("singular initialization matrix")
-    sgn = 1 if det > 0 else -1
-    rays = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            replaced = [
-                list(mat[r][:i]) + [1 if r == j else 0] + list(mat[r][i + 1 :])
-                for r in range(n)
-            ]
-            col.append(bareiss_det(replaced))
-        rays.append(gcd_reduce([-sgn * x for x in col]))
-    return rays
-
-
 def dd_vertices(
     A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> list[tuple[Fraction, ...]]:
@@ -349,31 +357,32 @@ def dd_vertices(
             seen.add(r)
             rows.append(r)
     D = d + 1
-    init = _greedy_independent_rows(rows, D)
-    order = init + [i for i in range(len(rows)) if i not in set(init)]
-    rays = _cramer_column_rays([rows[i] for i in init])
-
-    def zero_mask(ray: tuple[int, ...], upto: int) -> int:
-        mask = 0
-        for k in range(upto):
-            if _dot(rows[order[k]], ray) == 0:
-                mask |= 1 << k
-        return mask
-
-    masks = [zero_mask(r, D) for r in rays]
+    # the first D independent rows: the pivot columns of the transpose
+    init = _eliminate(list(zip(*rows)))[1]
+    if len(init) < D:
+        raise ValueError("halfspace system is rank deficient (unbounded body?)")
+    order = init + sorted(set(range(len(rows))) - set(init))
+    # the cone {y : My <= 0} has the rays r_j with M r_j = -|det M| e_j, the
+    # columns of -sgn(det) adj M; ray j is tight on every starting row but j
+    det, inv = _scaled_inverse([rows[i] for i in init])
+    sgn = 1 if det > 0 else -1
+    rays = [gcd_reduce([-sgn * row[j] for row in inv]) for j in range(D)]
+    masks = [((1 << D) - 1) ^ (1 << j) for j in range(D)]
 
     for step in range(D, len(order)):
         row = rows[order[step]]
+        bit = 1 << step
         vals = [_dot(row, r) for r in rays]
         keep_idx = [i for i, v in enumerate(vals) if v <= 0]
         pos_idx = [i for i, v in enumerate(vals) if v > 0]
         neg_idx = [i for i, v in enumerate(vals) if v < 0]
         new_rays: list[tuple[int, ...]] = []
+        new_masks: list[int] = []
         seen_new: set[tuple[int, ...]] = set()
         for ip in pos_idx:
             for im in neg_idx:
                 common = masks[ip] & masks[im]
-                if bin(common).count("1") < D - 2:
+                if common.bit_count() < D - 2:
                     continue
                 adjacent = True
                 for k, mk in enumerate(masks):
@@ -391,9 +400,11 @@ def dd_vertices(
                 if combo not in seen_new:
                     seen_new.add(combo)
                     new_rays.append(combo)
+                    # both parents satisfy every earlier row, with positive
+                    # weights: the combination is tight where both are
+                    new_masks.append(common | bit)
         rays = [rays[i] for i in keep_idx] + new_rays
-        upto = step + 1
-        masks = [zero_mask(r, upto) for r in rays]
+        masks = [masks[i] | (bit if vals[i] == 0 else 0) for i in keep_idx] + new_masks
 
     verts = []
     seen_v: set[tuple[Fraction, ...]] = set()

@@ -1,4 +1,5 @@
 """Body representations, duality operations, and their invariants."""
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -29,6 +30,38 @@ def test_parse_cube():
     body = B.parse_body({"type": "cube", "dim": 3})
     assert body.dim == 3
     assert len(body.halfspaces()) == 6
+
+
+def reference_cube(n):
+    """The cube built directly, not as a Hanner product: its coordinate facet
+    rows, and its sign vectors as vertices up to n = 10."""
+    rows = []
+    for i in range(n):
+        for s in (1, -1):
+            a = [Fraction(0)] * n
+            a[i] = Fraction(s)
+            rows.append((a, Fraction(1)))
+    verts = None
+    if n <= 10:
+        verts = [tuple(Fraction(s) for s in t) for t in itertools.product([1, -1], repeat=n)]
+    return B.PolytopeBody(n, vertices=verts, halfspaces=rows,
+                          tree="X(" + ", ".join(["S"] * n) + ")" if n > 1 else "S",
+                          tag={"type": "cube", "dim": n},
+                          vertices_extreme=True, halfspaces_irredundant=True)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cube_is_the_reference_cube(n):
+    ref = reference_cube(n)
+    for body, expect, tag in ((B.PolytopeBody.cube(n), ref, "cube"),
+                              (B.PolytopeBody.cross(n), ref.polar(), "cross")):
+        assert body.dim == n
+        assert body.vertices() == expect.vertices()
+        assert body.halfspaces() == expect.halfspaces()
+        assert body.tree == expect.tree
+        assert body.describe() == {"type": tag, "dim": n}
+        assert (body._vertices_extreme, body._hrep_irredundant) == \
+            (expect._vertices_extreme, expect._hrep_irredundant)
 
 
 def test_parse_hanner_expression():

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -310,6 +311,30 @@ def test_missing_body_field_exit_one(capsys):
     code = cli.main(["--no-log", "volume", "--body", '{"type":"cube"}'])
     assert code == 1
     assert "lacks field(s) dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "below-a-file"])
+def test_unreadable_body_path_exit_one(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "below-a-file":
+        (tmp_path / "body.json").write_text('{"type":"cross","dim":2}')
+        path = tmp_path / "body.json" / "inner.json"
+    code = cli.main(["--no-log", "volume", "--body", str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+
+
+@pytest.mark.parametrize("dim", [17, 24])  # one past the Hanner leaf limit, and far past
+@pytest.mark.parametrize("kind", ["cube", "cross"])
+def test_oversized_cube_and_cross_exit_one_fast(capsys, kind, dim):
+    start = time.perf_counter()
+    code = cli.main(["--no-log", "volume", "--method", "mc",
+                     "--body", json.dumps({"type": kind, "dim": dim})])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"{dim} leaves" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body, message", [

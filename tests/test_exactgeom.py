@@ -263,3 +263,193 @@ def test_hull_off_centre_and_asymmetric():
         assert hull.volume() == Fraction(1, math.factorial(d))
         assert len(hull.vertex_points()) == d + 1
         assert len(hull.facets()) == d + 1
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against independent oracles
+#
+# The greedy choice of independent rows (one rank per candidate row), the
+# starting rays of a simplicial cone by Cramer's rule (D^2 + 1 determinants)
+# and a Gauss-Jordan inverse over Fractions, on top of a Leibniz determinant
+# and a Fraction rank; none of them calls the kernel.
+
+
+def reference_det(M):
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def reference_rank(M):
+    m = [[Fraction(x) for x in row] for row in M]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def reference_greedy_rows(rows, target):
+    chosen = []
+    for i, _ in enumerate(rows):
+        if len(chosen) == target:
+            break
+        cand = chosen + [i]
+        if reference_rank([rows[k] for k in cand]) == len(cand):
+            chosen.append(i)
+    if len(chosen) < target:
+        raise ValueError("halfspace system is rank deficient (unbounded body?)")
+    return chosen
+
+
+def reference_cramer_rays(mat):
+    """Columns r_j with M r_j = -|det M| e_j, via Cramer's rule."""
+    n = len(mat)
+    det = reference_det(mat)
+    if det == 0:
+        raise ValueError("singular initialization matrix")
+    sgn = 1 if det > 0 else -1
+    rays = []
+    for j in range(n):
+        col = []
+        for i in range(n):
+            replaced = [
+                list(mat[r][:i]) + [1 if r == j else 0] + list(mat[r][i + 1:])
+                for r in range(n)
+            ]
+            col.append(reference_det(replaced))
+        rays.append(exactgeom.gcd_reduce([-sgn * x for x in col]))
+    return rays
+
+
+def reference_invert_rational_matrix(M):
+    n = len(M)
+    aug = [
+        [Fraction(M[i][j]) for j in range(n)]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if aug[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            raise exactgeom.BodyError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@st.composite
+def integer_matrices(draw, square=False):
+    """Small integer matrices, about one row in four an integer combination of
+    earlier rows (so leading rows can be dependent and square ones singular).
+    Half the square ones get a multiple of I added, which makes most of them
+    invertible: in the 300 derandomized draws of the test below, 152 are
+    singular and 54 are 1x1."""
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    entry = st.integers(-5, 5)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i in range(1, nrows):
+        if draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, i - 1))
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[i - 1])]
+    if square and draw(st.booleans()):
+        shift = draw(st.integers(0, 12))
+        for i in range(nrows):
+            rows[i][i] += shift
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices())
+def test_eliminate_rank_and_pivot_rows_match_the_references(M):
+    rank = reference_rank(M)
+    m, pivots, sign = exactgeom._eliminate(M)
+    assert len(pivots) == rank == int_rank(M)
+    assert sign in (1, -1)
+    # row echelon: each pivot row starts at its pivot column
+    for r, col in enumerate(pivots):
+        assert m[r][col] != 0 and not any(m[r][:col])
+    assert not any(any(row) for row in m[rank:])
+    # the first independent rows are the pivot columns of the transpose
+    assert exactgeom._eliminate(list(zip(*M)))[1] == reference_greedy_rows(M, rank)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices(square=True),
+       st.lists(st.integers(1, 6), min_size=12, max_size=12))
+def test_eliminate_det_adjugate_and_inverse_match_the_references(M, dens):
+    n = len(M)
+    det = reference_det(M)
+    assert bareiss_det(M) == det
+    m, pivots, sign = exactgeom._eliminate(M)
+    assert (sign * m[-1][-1] if len(pivots) == n else 0) == det
+    d, inv = exactgeom._scaled_inverse(M)
+    # rows and columns scaled by 1/dens: singular exactly when M is
+    Mq = [[Fraction(x, dens[i] * dens[6 + j]) for j, x in enumerate(row)]
+          for i, row in enumerate(M)]
+    if det == 0:
+        assert d == 0
+        with pytest.raises(exactgeom.BodyError, match="singular matrix"):
+            exactgeom.invert_rational_matrix(Mq)
+        with pytest.raises(exactgeom.BodyError, match="singular matrix"):
+            reference_invert_rational_matrix(Mq)
+        return
+    # the Gauss-Jordan pass ends as [d I | d M^-1], d = +-det M
+    assert abs(d) == abs(det)
+    m, _, _ = exactgeom._eliminate(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(M)], jordan=True)
+    assert [row[:n] for row in m] == [[d * (i == j) for j in range(n)] for i in range(n)]
+    assert inv == [[d * x for x in row] for row in reference_invert_rational_matrix(M)]
+    sgn = 1 if d > 0 else -1
+    assert [exactgeom.gcd_reduce([-sgn * row[j] for row in inv]) for j in range(n)] \
+        == reference_cramer_rays(M)
+    assert exactgeom.invert_rational_matrix(Mq) == reference_invert_rational_matrix(Mq)
+
+
+@pytest.mark.parametrize("M", [[[0]], [[3]], [[-7]], [[0, 0], [0, 0]], [[2, 4], [1, 2]]])
+def test_eliminate_one_by_one_and_singular(M):
+    det = reference_det(M)
+    assert bareiss_det(M) == det
+    assert int_rank(M) == reference_rank(M)
+    Mq = [[Fraction(x) for x in row] for row in M]
+    if det:
+        assert exactgeom.invert_rational_matrix(Mq) == [[Fraction(1, det)]]
+    else:
+        with pytest.raises(exactgeom.BodyError, match="singular matrix"):
+            exactgeom.invert_rational_matrix(Mq)
+
+
+@pytest.mark.parametrize("lead", [
+    # x <= 1, y <= 1 and their sum x + y <= 2: dependent homogenized rows
+    [([1, 0, 0], 1), ([0, 1, 0], 1), ([1, 1, 0], 2)],
+    # the same row twice, and one a multiple of it
+    [([1, 0, 0], 1), ([1, 0, 0], 1), ([2, 0, 0], 2), ([0, 0, 1], 1)],
+])
+def test_dd_dependent_leading_rows(lead):
+    A = [a for a, _ in lead] + [list(a) for a, _ in _cube_rows(3)]
+    b = [c for _, c in lead] + [c for _, c in _cube_rows(3)]
+    verts = dd_vertices(A, b)
+    assert verts == sorted(tuple(Fraction(x) for x in p)
+                           for p in itertools.product([-1, 1], repeat=3))
+    assert verts == dd_vertices(A[len(lead):], b[len(lead):])

@@ -1,6 +1,8 @@
 """Exact, closed-form, and Monte-Carlo volumes plus the volume product."""
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +436,25 @@ def test_parts_of_one_call_draw_distinct_streams(monkeypatch):
         assert len(calls) == parts
         assert len(set(calls)) == parts and {seed for seed, _ in calls} == {5}
         assert rep.vol_body.seed == rep.vol_polar.seed == 5
+
+
+def load_oracles():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
+def test_cube_section_products_equal_the_closed_form():
+    """The whole exact chain (cut, double description, hull, volume, polar)
+    against the vertex-sum and Cauchy formulas for a central section of the
+    cube and its polar, the shadow of the cross-polytope."""
+    cube_section_product = load_oracles().cube_section_product
+    rng = np.random.default_rng(1801)
+    for n in (3, 4, 5):
+        cube = B.PolytopeBody.cube(n)
+        for _ in range(40):
+            u = random_rational_normal(rng, n, max_num=7, max_den=5)
+            rep = V.mahler_product(B.hyperplane_section(cube, u))
+            assert rep.exact_product == cube_section_product(u), (n, u)
