@@ -26,6 +26,7 @@ body, so values are safe to share across threads.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -359,7 +360,16 @@ class ConvexBody:
 
 
 class PolytopeBody(ConvexBody):
-    """Centrally symmetric rational polytope with origin in the interior."""
+    """Centrally symmetric rational polytope with origin in the interior.
+
+    Both representations are point lists in one canonical form, a sorted
+    tuple of ``Fraction`` tuples: the vertices, and the facet normals scaled
+    to offset 1, the ``a`` of ``{x : <a, x> <= 1}``.  The normals are the
+    polar's vertices, so ``polar`` swaps the two lists (and their flags, the
+    Hanner tree and which of them were given) and parses nothing.  A list
+    not given is filled by the first conversion that needs it; ``describe``
+    presents the body as it was given.
+    """
 
     def __init__(self, dim, vertices=None, halfspaces=None, tree=None, tag=None,
                  check_symmetry=True, vertices_extreme=False,
@@ -368,9 +378,10 @@ class PolytopeBody(ConvexBody):
             raise BodyError("polytope needs vertices or halfspaces")
         self.dim = int(dim)
         self._vertices = None
-        self._hrep = None
+        self._normals = None
         self._vertices_extreme = bool(vertices_extreme)
-        self._hrep_irredundant = bool(halfspaces_irredundant)
+        self._normals_irredundant = bool(halfspaces_irredundant)
+        self._given = (vertices is not None, halfspaces is not None)
         self._hull = None
         self._degenerate = None
         self.tree = tree
@@ -380,13 +391,10 @@ class PolytopeBody(ConvexBody):
             if any(len(v) != self.dim for v in vs):
                 raise BodyError("vertex dimension mismatch")
             self._vertices = tuple(vs)
-            if check_symmetry:
-                vset = set(vs)
-                for v in vs:
-                    if tuple(-x for x in v) not in vset:
-                        raise BodyError("vertex set not closed under negation")
+            if check_symmetry and not _closed_under_negation(vs):
+                raise BodyError("vertex set not closed under negation")
         if halfspaces is not None:
-            rows = []
+            normals = set()
             for a, b in halfspaces:
                 a = rational_vector(a)
                 b = parse_rational(b)
@@ -394,14 +402,10 @@ class PolytopeBody(ConvexBody):
                     raise BodyError("halfspace dimension mismatch")
                 if b <= 0:
                     raise BodyError("halfspace offsets must be positive (origin interior)")
-                rows.append((tuple(x / b for x in a), Fraction(1)))
-            canon = sorted(set(rows))
-            if check_symmetry:
-                rset = {r[0] for r in canon}
-                for a in rset:
-                    if tuple(-x for x in a) not in rset:
-                        raise BodyError("halfspace set not symmetric")
-            self._hrep = tuple(canon)
+                normals.add(a if b == 1 else tuple(x / b for x in a))
+            self._normals = tuple(sorted(normals))
+            if check_symmetry and not _closed_under_negation(self._normals):
+                raise BodyError("halfspace set not symmetric")
         self._float_cache: dict[str, np.ndarray] = {}
 
     # -- constructions
@@ -422,16 +426,15 @@ class PolytopeBody(ConvexBody):
 
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._vertices is None:
-            A = [r[0] for r in self._hrep]
-            b = [r[1] for r in self._hrep]
-            self._vertices = tuple(dd_vertices(A, b))
+            self._vertices = tuple(dd_vertices(self._normals, [1] * len(self._normals)))
             self._vertices_extreme = True
         return self._vertices
 
     def hull(self) -> ExactHull:
         if self._hull is None:
             verts = self.vertices()  # first: DD here marks the vertices extreme
-            self._hull = ExactHull(verts, self._hrep, extreme=self._vertices_extreme)
+            rows = None if self._normals is None else [(a, 1) for a in self._normals]
+            self._hull = ExactHull(verts, rows, extreme=self._vertices_extreme)
         return self._hull
 
     def extreme_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -445,14 +448,13 @@ class PolytopeBody(ConvexBody):
         return tuple(self.hull().vertex_points())
 
     def halfspaces(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
-        if self._hrep is None:
-            rows = [
-                (tuple(x / c for x in a), Fraction(1))
-                for a, c in self.hull().facets()
-            ]
-            self._hrep = tuple(sorted(rows))
-            self._hrep_irredundant = True
-        return self._hrep
+        """The facet rows ``(a, 1)``; normals not given are read off the hull."""
+        if self._normals is None:
+            self._normals = tuple(sorted(tuple(x / c for x in a)
+                                         for a, c in self.hull().facets()))
+            self._normals_irredundant = True
+        one = Fraction(1)
+        return tuple((a, one) for a in self._normals)
 
     @property
     def is_degenerate(self) -> bool:
@@ -475,12 +477,13 @@ class PolytopeBody(ConvexBody):
     def _floats(self, key: str) -> np.ndarray:
         if key not in self._float_cache:
             if key == "V":
-                arr = np.array([[float(x) for x in v] for v in self.vertices()])
+                points = self.vertices()
             elif key == "A":
-                arr = np.array([[float(x) for x in a] for a, _ in self.halfspaces()])
+                self.halfspaces()  # fills the normals when they were not given
+                points = self._normals
             else:
                 raise KeyError(key)
-            self._float_cache[key] = arr
+            self._float_cache[key] = np.array([[float(x) for x in p] for p in points])
         return self._float_cache[key]
 
     def gauge(self, x):
@@ -500,63 +503,58 @@ class PolytopeBody(ConvexBody):
         return V.take((u @ V.T).argmax(axis=-1), axis=0)
 
     def polar(self) -> "PolytopeBody":
-        verts = None
-        rows = None
-        if self._hrep is None and self._hull is not None:
+        """The two point lists swapped, in a copy without hull, degeneracy,
+        tag or float caches."""
+        if self._normals is None and self._hull is not None:
             self.halfspaces()  # a hull already built knows the facets
-        if self._hrep is not None:
-            verts = [a for a, _ in self._hrep]  # offsets normalized to 1
-        if self._vertices is not None:
-            rows = [(v, Fraction(1)) for v in self._vertices]
-        tree = dual_tree(self.tree) if self.tree else None
-        return PolytopeBody(self.dim, vertices=verts, halfspaces=rows, tree=tree,
-                            check_symmetry=False,
-                            vertices_extreme=self._hrep_irredundant,
-                            halfspaces_irredundant=self._vertices_extreme)
+        polar = copy.copy(self)
+        polar._vertices, polar._normals = self._normals, self._vertices
+        polar._vertices_extreme = self._normals_irredundant
+        polar._normals_irredundant = self._vertices_extreme
+        polar._given = self._given[::-1]
+        polar.tree = dual_tree(self.tree) if self.tree else None
+        polar.tag = None
+        polar._hull = polar._degenerate = None
+        polar._float_cache = {}
+        return polar
 
     def linear_image(self, M: Sequence[Sequence[Fraction]]) -> "PolytopeBody":
         M = [rational_vector(row) for row in M]
         if len(M) != self.dim or any(len(r) != self.dim for r in M):
             raise BodyError("matrix shape mismatch")
         Minv = invert_rational_matrix(M)  # raises on singular
-        verts = None
-        rows = None
+        verts = rows = None
         if self._vertices is not None:
-            verts = [
-                tuple(sum(M[i][k] * v[k] for k in range(self.dim)) for i in range(self.dim))
-                for v in self._vertices
-            ]
-        if self._hrep is not None:
-            rows = [
-                (
-                    tuple(
-                        sum(a[k] * Minv[k][i] for k in range(self.dim))
-                        for i in range(self.dim)
-                    ),
-                    b,
-                )
-                for a, b in self._hrep
-            ]
+            verts = [tuple(sum(M[i][k] * v[k] for k in range(self.dim)) for i in range(self.dim))
+                     for v in self._vertices]
+        if self._normals is not None:
+            rows = [(tuple(sum(a[k] * Minv[k][i] for k in range(self.dim))
+                           for i in range(self.dim)), 1) for a in self._normals]
         return PolytopeBody(self.dim, vertices=verts, halfspaces=rows,
                             check_symmetry=False,
                             vertices_extreme=self._vertices_extreme,
-                            halfspaces_irredundant=self._hrep_irredundant)
+                            halfspaces_irredundant=self._normals_irredundant)
 
     def describe(self) -> dict:
         if self.tag:
             return dict(self.tag)
         if self.tree is not None:
             return {"type": "hanner", "expr": self.tree}
-        if self._vertices is not None:
+        if self._given[0]:
             return {
                 "type": "vpoly",
                 "vertices": [[format_rational(x) for x in v] for v in self._vertices],
             }
         return {
             "type": "hpoly",
-            "A": [[format_rational(x) for x in a] for a, _ in self._hrep],
-            "b": [format_rational(b) for _, b in self._hrep],
+            "A": [[format_rational(x) for x in a] for a in self._normals],
+            "b": ["1"] * len(self._normals),
         }
+
+
+def _closed_under_negation(points) -> bool:
+    pset = set(points)
+    return all(tuple(-x for x in p) in pset for p in points)
 
 
 class LpBallBody(ConvexBody):
@@ -852,6 +850,7 @@ _HANNER_TOKEN = re.compile(r"\s*([SXL(),])\s*")
 # A Hanner body stores both representations in full, and one of them grows
 # exponentially with the leaf count (2^n vertices for the n-cube)
 MAX_HANNER_LEAVES = 16
+_DUAL_OPS = str.maketrans("XL", "LX")
 
 
 def parse_hanner(expr: str):
@@ -913,57 +912,40 @@ def hanner_tree_str(tree) -> str:
 
 
 def dual_tree(expr: str) -> str:
-    swap = {"X": "L", "L": "X"}
-
-    def rec(t):
-        if t == "S":
-            return "S"
-        op, children = t
-        return (swap[op], [rec(c) for c in children])
-
-    return hanner_tree_str(rec(parse_hanner(expr)))
+    """The tree of the polar: X and L swapped in a canonical tree string,
+    one written by ``hanner_tree_str``."""
+    return expr.translate(_DUAL_OPS)
 
 
 def hanner_body(expr: str) -> PolytopeBody:
     tree = parse_hanner(expr)
 
     def build(t) -> tuple[list, list, int]:
+        """(vertices, normals, dim) of a subtree.  X takes the product of
+        its parts' vertices and the union of their padded normals; L, the
+        polar of X, the same with the two lists swapped."""
         if t == "S":
-            return (
-                [(Fraction(1),), (Fraction(-1),)],
-                [((Fraction(1),), Fraction(1)), ((Fraction(-1),), Fraction(1))],
-                1,
-            )
+            segment = [(Fraction(1),), (Fraction(-1),)]
+            return segment, segment, 1
         op, children = t
         parts = [build(c) for c in children]
-        dims = [p[2] for p in parts]
-        total = sum(dims)
-        if op == "X":
-            verts = [()]
-            for pv, _, _ in parts:
-                verts = [v + w for v in verts for w in pv]
-            rows = []
-            off = 0
-            for (_, ph, d) in parts:
-                pre = (Fraction(0),) * off
-                post = (Fraction(0),) * (total - off - d)
-                rows += [(pre + a + post, b) for a, b in ph]
-                off += d
-        else:
-            verts = []
-            off = 0
-            for (pv, _, d) in parts:
-                pre = (Fraction(0),) * off
-                post = (Fraction(0),) * (total - off - d)
-                verts += [pre + v + post for v in pv]
-                off += d
-            rows = [((), Fraction(1))]
-            for (_, ph, _) in parts:
-                rows = [(a + a2, Fraction(1)) for a, _ in rows for a2, _ in ph]
-        return verts, rows, total
+        if op == "L":
+            parts = [(normals, verts, d) for verts, normals, d in parts]
+        total = sum(d for _, _, d in parts)
+        products = [()]
+        for points, _, _ in parts:
+            products = [v + w for v in products for w in points]
+        padded = []
+        off = 0
+        for _, points, d in parts:
+            pre = (Fraction(0),) * off
+            post = (Fraction(0),) * (total - off - d)
+            padded += [pre + a + post for a in points]
+            off += d
+        return (products, padded, total) if op == "X" else (padded, products, total)
 
-    verts, rows, total = build(tree)
-    return PolytopeBody(total, vertices=verts, halfspaces=rows,
+    verts, normals, total = build(tree)
+    return PolytopeBody(total, vertices=verts, halfspaces=[(a, 1) for a in normals],
                         tree=hanner_tree_str(tree), check_symmetry=False,
                         vertices_extreme=True, halfspaces_irredundant=True)
 
@@ -1021,7 +1003,8 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
         return ball
     if basis.dtype != object:
         return SliceBody(body, basis)
-    A = [(tuple(np.array(a, dtype=object) @ basis), b) for a, b in body.halfspaces()]
+    body.halfspaces()  # fills the normals when they were not given
+    A = [(tuple(np.array(a, dtype=object) @ basis), 1) for a in body._normals]
     core = PolytopeBody(body.dim - 1, halfspaces=A, check_symmetry=False)
     return DiagonalImageBody(core, (basis * basis).sum(axis=0))
 

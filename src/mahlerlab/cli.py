@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -287,20 +288,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_normals(argv: list[str]) -> list[str]:
+    """``--normal <value>`` as ``--normal=<value>`` when the value starts
+    with a minus sign and a digit or a dot, which argparse would otherwise
+    read as an option; an option name after ``--normal`` is left to fail."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--normal" and re.match(r"-[\d.]", token):
+            out[-1] = f"--normal={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_normals(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         if getattr(args, "seed", 0) is None:  # --seed not given: the environment
             args.seed = int(os.environ.get("MAHLER_LAB_SEED", "0"))
         return args.func(args)
-    except (B.BodyError, CR.CroftonError, E.EmbeddingError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (ValueError, OSError) as e:  # BodyError, CroftonError, EmbeddingError among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,5 @@
 """Body representations, duality operations, and their invariants."""
+import contextlib
 import itertools
 import json
 import math
@@ -60,8 +61,8 @@ def test_cube_is_the_reference_cube(n):
         assert body.halfspaces() == expect.halfspaces()
         assert body.tree == expect.tree
         assert body.describe() == {"type": tag, "dim": n}
-        assert (body._vertices_extreme, body._hrep_irredundant) == \
-            (expect._vertices_extreme, expect._hrep_irredundant)
+        assert (body._vertices_extreme, body._normals_irredundant) == \
+            (expect._vertices_extreme, expect._normals_irredundant)
 
 
 def test_parse_hanner_expression():
@@ -483,6 +484,143 @@ def test_hanner_polar_swaps_operations():
     pol = body.polar()
     assert pol.tree == "L(S, X(S, S))"
     assert (len(pol.extreme_vertices()), len(pol.hull().facets())) == (6, 8)
+
+
+def test_halfspaces_are_stored_as_unit_offset_normals():
+    """Rows (a, b) are kept as the normals a/b, sorted and without
+    duplicates, which are the polar's vertices."""
+    body = B.PolytopeBody(2, halfspaces=[((2, 0), 2), ((-4, 0), 4), ((0, 3), 1),
+                                         ((0, -3), "1"), ((0, 6), 2)])
+    normals = tuple(tuple(Fraction(x) for x in a) for a in ((-1, 0), (0, -3), (0, 3), (1, 0)))
+    assert body.halfspaces() == tuple((a, 1) for a in normals)
+    assert body.describe() == {"type": "hpoly", "A": [["-1", "0"], ["0", "-3"], ["0", "3"], ["1", "0"]],
+                               "b": ["1"] * 4}
+    assert body.polar().vertices() == normals
+    assert body.vertices() == ((-1, Fraction(-1, 3)), (-1, Fraction(1, 3)),
+                               (1, Fraction(-1, 3)), (1, Fraction(1, 3)))
+
+
+def reference_dual_tree(expr):
+    """The polar's tree by parsing, swapping X and L, and rendering."""
+    def swap(t):
+        return "S" if t == "S" else ({"X": "L", "L": "X"}[t[0]], [swap(c) for c in t[1]])
+    return B.hanner_tree_str(swap(B.parse_hanner(expr)))
+
+
+def hanner_trees(min_leaves, max_leaves):
+    """Hanner trees of X and L nodes with 2 to 4 children each."""
+    def leaves(t):
+        return 1 if t == "S" else sum(leaves(c) for c in t[1])
+    return st.recursive(
+        st.just("S"),
+        lambda kids: st.tuples(st.sampled_from("XL"), st.lists(kids, min_size=2, max_size=4)),
+        max_leaves=max_leaves,
+    ).filter(lambda t: min_leaves <= leaves(t) <= max_leaves)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hanner_trees(1, 16))
+def test_dual_tree_matches_parse_and_render(tree):
+    expr = B.hanner_tree_str(tree)
+    assert B.dual_tree(expr) == reference_dual_tree(expr)
+    assert B.dual_tree(B.dual_tree(expr)) == expr
+
+
+def _point_list_bodies(tree, kind, u, M):
+    """A Hanner body, a rational section or projection core, an integer
+    linear image, or the V-only rebuild of the body."""
+    body = B.hanner_body(B.hanner_tree_str(tree))
+    if kind == "section":
+        return B.hyperplane_section(body, u[:body.dim]).core
+    if kind == "projection":
+        return B.hyperplane_projection(body, u[:body.dim]).core
+    if kind == "image":
+        return body.linear_image([row[:body.dim] for row in M[:body.dim]])
+    if kind == "vonly":
+        return B.PolytopeBody(body.dim, vertices=body.vertices())
+    return body
+
+
+def _state(P):
+    return (P.vertices(), P.halfspaces(), P._vertices_extreme, P._normals_irredundant, P.tree)
+
+
+@contextlib.contextmanager
+def _parse_calls():
+    """The calls of ``PolytopeBody.__init__`` and ``rational_vector`` made
+    inside the block."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B.PolytopeBody, "__init__", counting("__init__", B.PolytopeBody.__init__))
+        mp.setattr(B, "rational_vector", counting("rational_vector", B.rational_vector))
+        yield calls
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tree=hanner_trees(2, 6),
+       kind=st.sampled_from(["hanner", "section", "projection", "image", "vonly"]),
+       u=nonzero_fraction_vectors(6).filter(lambda v: any(v[:2])),  # nonzero on R^2
+       shift=st.integers(1, 5))
+def test_polar_swaps_the_two_point_lists(tree, kind, u, shift):
+    """polar() swaps the vertices with the unit-offset normals, parsing
+    nothing; twice it gives the body back."""
+    # 2 I plus a shift permutation, and its leading blocks: invertible, as
+    # every eigenvalue of the shift part has modulus at most 1
+    M = [[Fraction(2 * (i == j) + (j == (i + shift) % 6)) for j in range(6)]
+         for i in range(6)]
+    P = _point_list_bodies(tree, kind, u, M)
+    flags = (P._vertices_extreme, P._normals_irredundant)
+    with _parse_calls() as calls:
+        before = P.describe()
+        Q = P.polar()
+        PP = Q.polar()
+    assert calls == []
+    assert (Q._normals_irredundant, Q._vertices_extreme) == flags
+    assert PP.describe() == before
+    assert _state(PP) == _state(P)
+    assert P.describe() == before
+    assert Q.vertices() == tuple(a for a, _ in P.halfspaces())
+    assert Q.halfspaces() == tuple((v, 1) for v in P.vertices())
+    if kind == "vonly":
+        hull = ExactHull(P.vertices())
+        assert tuple(a for a, _ in P.halfspaces()) == tuple(
+            sorted(tuple(x / c for x in a) for a, c in hull.facets()))
+    # a body whose hull is built gives the polar the normals read off it
+    R = _point_list_bodies(tree, kind, u, M)
+    R.hull()
+    with _parse_calls() as calls:
+        R_polar = R.polar()
+    assert calls == []
+    assert R_polar._vertices == Q.vertices()
+    assert (R_polar._normals_irredundant, R_polar._vertices_extreme) == \
+        (R._vertices_extreme, R._normals_irredundant)
+
+
+@pytest.mark.parametrize("expr", ["X(S, L(S, S))", "L(S, X(S, S), S)", "X(L(S, S), L(S, S))"])
+def test_describe_is_the_body_as_given(expr):
+    """Sections, projections and their polars describe themselves the same
+    before and after a Mahler product computed their other representation."""
+    rng = np.random.default_rng(19)
+    body = B.hanner_body(expr)
+    for _ in range(4):
+        u = tuple(Fraction(int(x)) for x in rng.integers(-5, 6, size=body.dim))
+        if not any(u):
+            continue
+        for cut, given, swapped in ((B.hyperplane_section, "hpoly", "vpoly"),
+                                    (B.hyperplane_projection, "vpoly", "hpoly")):
+            for polar, kind in ((False, given), (True, swapped)):
+                K = cut(body, u).polar() if polar else cut(body, u)
+                before = K.describe()
+                assert before["core"]["type"] == kind
+                V.mahler_product(K)
+                assert K.describe() == before
 
 
 # ---------------------------------------------------------------------------

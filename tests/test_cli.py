@@ -10,6 +10,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mahlerlab import bodies as B
 from mahlerlab import cli
 from mahlerlab import embedding as E
 from mahlerlab.verify import SUITES, suite_embedding
@@ -311,6 +312,59 @@ def test_missing_body_field_exit_one(capsys):
     code = cli.main(["--no-log", "volume", "--body", '{"type":"cube"}'])
     assert code == 1
     assert "lacks field(s) dim" in capsys.readouterr().err
+
+
+HEXAGON = json.dumps({"type": "hpoly", "A": [[2, 0], [0, 1], [1, 1], [-2, 0], [0, -1], [-1, -1]],
+                      "b": [2, 1, 1, 2, 1, 1]})
+
+
+def test_log_records_the_body_as_given(tmp_path, capsys):
+    """section, project and mahler log the same hash and the H-description
+    of an H-polytope, whichever representations the command computed."""
+    log = tmp_path / "exp.jsonl"
+    for argv in (["section", "--body", HEXAGON, "--normal", "1,2"],
+                 ["project", "--body", HEXAGON, "--normal", "1,2"],
+                 ["mahler", "--body", HEXAGON]):
+        code, _ = run_cli(capsys, "--log", str(log), *argv)
+        assert code == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    given = B.parse_body(HEXAGON).describe()
+    assert given["type"] == "hpoly"
+    assert [r["body"] for r in records] == [given] * 3
+    assert {r["body_hash"] for r in records} == {cli.body_content_hash(given)}
+
+
+CUBE3 = '{"type":"cube","dim":3}'
+CROSS3_PRODUCT = '{"type":"product","body":{"type":"cross","dim":3}}'
+
+
+@pytest.mark.parametrize("normal", ["-1,2,3", "-1/2,2,3", "-.5,1,0"])
+@pytest.mark.parametrize("command, body", [("section", CUBE3), ("project", CUBE3),
+                                           ("reduce", CROSS3_PRODUCT)],
+                         ids=["section", "project", "reduce"])
+def test_negative_normal_is_a_value(capsys, command, body, normal):
+    """``--normal -1,2,3`` prints what ``--normal=-1,2,3`` prints."""
+    outputs = []
+    for flags in (["--normal", normal], [f"--normal={normal}"]):
+        assert cli.main(["--no-log", command, "--body", body] + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_negative_normals_repeat_on_reduce(capsys):
+    outputs = []
+    for flags in (["--normal", "-1,2,3", "--normal", "-.5,1"],
+                  ["--normal=-1,2,3", "--normal=-.5,1"]):
+        assert cli.main(["--no-log", "reduce", "--body", CROSS3_PRODUCT] + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["dim"] == 2
+
+
+@pytest.mark.parametrize("after", ["--body", "-h", "--no-log"])
+def test_option_after_normal_is_not_a_value(capsys, after):
+    code = cli.main(["--no-log", "section", "--body", CUBE3, "--normal", after, CUBE3])
+    assert code == 1
+    assert "--normal: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["directory", "below-a-file"])
