@@ -41,6 +41,7 @@ from .exactgeom import (
     dd_vertices,
     int_rank,
     invert_rational_matrix,
+    map_points,
     scale_to_int,
 )
 
@@ -387,14 +388,14 @@ class PolytopeBody(ConvexBody):
         self.tree = tree
         self.tag = tag
         if vertices is not None:
-            vs = sorted({rational_vector(v) for v in vertices})
+            vs = _canonical([rational_vector(v) for v in vertices])
             if any(len(v) != self.dim for v in vs):
                 raise BodyError("vertex dimension mismatch")
-            self._vertices = tuple(vs)
+            self._vertices = vs
             if check_symmetry and not _closed_under_negation(vs):
                 raise BodyError("vertex set not closed under negation")
         if halfspaces is not None:
-            normals = set()
+            normals = []
             for a, b in halfspaces:
                 a = rational_vector(a)
                 b = parse_rational(b)
@@ -402,8 +403,8 @@ class PolytopeBody(ConvexBody):
                     raise BodyError("halfspace dimension mismatch")
                 if b <= 0:
                     raise BodyError("halfspace offsets must be positive (origin interior)")
-                normals.add(a if b == 1 else tuple(x / b for x in a))
-            self._normals = tuple(sorted(normals))
+                normals.append(a if b == 1 else tuple(x / b for x in a))
+            self._normals = _canonical(normals)
             if check_symmetry and not _closed_under_negation(self._normals):
                 raise BodyError("halfspace set not symmetric")
         self._float_cache: dict[str, np.ndarray] = {}
@@ -450,8 +451,8 @@ class PolytopeBody(ConvexBody):
     def halfspaces(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
         """The facet rows ``(a, 1)``; normals not given are read off the hull."""
         if self._normals is None:
-            self._normals = tuple(sorted(tuple(x / c for x in a)
-                                         for a, c in self.hull().facets()))
+            self._normals = _canonical([tuple(x / c for x in a)
+                                        for a, c in self.hull().facets()])
             self._normals_irredundant = True
         one = Fraction(1)
         return tuple((a, one) for a in self._normals)
@@ -524,12 +525,10 @@ class PolytopeBody(ConvexBody):
             raise BodyError("matrix shape mismatch")
         Minv = invert_rational_matrix(M)  # raises on singular
         verts = rows = None
-        if self._vertices is not None:
-            verts = [tuple(sum(M[i][k] * v[k] for k in range(self.dim)) for i in range(self.dim))
-                     for v in self._vertices]
-        if self._normals is not None:
-            rows = [(tuple(sum(a[k] * Minv[k][i] for k in range(self.dim))
-                           for i in range(self.dim)), 1) for a in self._normals]
+        if self._vertices is not None:  # v -> Mv: the rows of M as columns
+            verts = map_points(self._vertices, *scale_to_int(M))
+        if self._normals is not None:  # a -> a M^-1
+            rows = [(a, 1) for a in map_points(self._normals, *scale_to_int(list(zip(*Minv))))]
         return PolytopeBody(self.dim, vertices=verts, halfspaces=rows,
                             check_symmetry=False,
                             vertices_extreme=self._vertices_extreme,
@@ -550,6 +549,15 @@ class PolytopeBody(ConvexBody):
             "A": [[format_rational(x) for x in a] for a in self._normals],
             "b": ["1"] * len(self._normals),
         }
+
+
+def _canonical(points: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The point-list format: sorted and unique, ordered and deduped on the
+    points scaled to integers by one common denominator (a positive scale
+    keeps the lexicographic order of the rationals)."""
+    ints, _ = scale_to_int(points)
+    unique = dict(zip(ints, points))
+    return tuple(unique[k] for k in sorted(unique))
 
 
 def _closed_under_negation(points) -> bool:
@@ -991,6 +999,13 @@ def _open_cut(name: str, body: ConvexBody, u):
     return basis, None
 
 
+def _integer_frame(basis: np.ndarray) -> tuple[list[tuple[int, ...]], int, list[Fraction]]:
+    """The columns of an exact basis scaled to integers over one common
+    denominator, that denominator, and the columns' squared norms."""
+    cols, den = scale_to_int(basis.T)
+    return cols, den, [Fraction(sum(x * x for x in c), den * den) for c in cols]
+
+
 def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
     """body ∩ u^perp in an orthonormal frame of u^perp.
 
@@ -1003,10 +1018,11 @@ def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
         return ball
     if basis.dtype != object:
         return SliceBody(body, basis)
+    cols, den, norms2 = _integer_frame(basis)
     body.halfspaces()  # fills the normals when they were not given
-    A = [(tuple(np.array(a, dtype=object) @ basis), 1) for a in body._normals]
+    A = [(a, 1) for a in map_points(body._normals, cols, den)]
     core = PolytopeBody(body.dim - 1, halfspaces=A, check_symmetry=False)
-    return DiagonalImageBody(core, (basis * basis).sum(axis=0))
+    return DiagonalImageBody(core, norms2)
 
 
 def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
@@ -1016,9 +1032,10 @@ def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
         return ball
     if basis.dtype != object:
         return ImageBody(body, basis.T)
-    verts = [tuple(np.array(v, dtype=object) @ basis) for v in body.vertices()]
-    core = PolytopeBody(body.dim - 1, vertices=verts, check_symmetry=False)
-    return DiagonalImageBody(core, 1 / (basis * basis).sum(axis=0))
+    cols, den, norms2 = _integer_frame(basis)
+    core = PolytopeBody(body.dim - 1, vertices=map_points(body.vertices(), cols, den),
+                        check_symmetry=False)
+    return DiagonalImageBody(core, [1 / s for s in norms2])
 
 
 def lagrangian_product(body: ConvexBody) -> LagrangianProductBody:

@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Every invocation prints one JSON document to stdout and appends an
-experiment record (JSON-lines) to the log.  Exit codes: 0 success, 1 usage
-error, 2 mathematical assertion failed (a verified bound was violated).
+A command that runs to the end (exit code 0 or 2) prints one JSON document
+to stdout and, unless ``--no-log`` is given, appends an experiment record
+(JSON-lines) to the log.  A run that exits 1 prints only an error message
+to stderr (``error: ...``, or argparse's usage message) and appends
+nothing: the log keeps no record of failed attempts.  Exit codes: 0
+success, 1 usage error (bad arguments, a malformed body, a singular
+matrix), 2 mathematical assertion failed (a verified bound was violated).
 
 Environment: MAHLER_LAB_SEED supplies the default seed, MAHLER_LAB_LOG the
 default log path (fallback ./experiments.jsonl).

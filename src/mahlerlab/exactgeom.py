@@ -1,9 +1,11 @@
 """Exact rational polytope machinery.
 
 Everything here works over the rationals.  Input coordinates are
-`fractions.Fraction`; internally all computations are scaled to integers so
-that predicates reduce to signs of integer dot products, ranks and
-determinants (no floating point anywhere).
+`fractions.Fraction` (or ints); each point list and each H-list is scaled to
+integers once, by one common denominator (``scale_to_int``), so that
+predicates reduce to signs of integer dot products, ranks and determinants
+(no floating point anywhere), and Fractions are built again only for the
+outputs.
 
 Provides:
 
@@ -20,7 +22,11 @@ Provides:
   rows and an always-on certificate follow from vertex-facet incidence.  The
   exact volume cones from the centroid over a pulling triangulation of the
   facets, built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact
-  volume computation for polytopes: a practical study*, 2000).
+  volume computation for polytopes: a practical study*, 2000).  When the
+  vertex set is symmetric about its centroid, the two rows of a +- facet
+  pair share one rank check.
+* ``map_points`` -- the exact image of a point list under integer columns
+  over a common denominator: one integer dot product per entry.
 * ``dd_vertices`` -- vertex enumeration for a bounded H-polytope
   ``{x : Ax <= b}`` by the double description method on the homogenization
   cone, each ray's incidence bitmask carried from step to step (Fukuda and
@@ -29,6 +35,7 @@ Provides:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -43,10 +50,7 @@ class BodyError(ValueError):
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    s = 0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
+    return sum(map(operator.mul, a, b))
 
 
 def gcd_reduce(v: Sequence[int]) -> tuple[int, ...]:
@@ -126,10 +130,20 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
 
 def scale_to_int(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
     """Scale rational vectors by a common denominator; returns (ints, lcm)."""
-    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-             for v in vectors]
+    fracs = [[x if type(x) in (int, Fraction) else Fraction(x) for x in v] for v in vectors]
     lcm = math.lcm(*{x.denominator for v in fracs for x in v})
     return [tuple(x.numerator * (lcm // x.denominator) for x in v) for v in fracs], lcm
+
+
+def map_points(points: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[int]],
+               den: int) -> list[tuple[Fraction, ...]]:
+    """The exact images ``(<p, c_1>, ..., <p, c_k>) / den`` of rational
+    points ``p``, for integer columns ``c_j`` over one common denominator
+    ``den`` (the pair ``scale_to_int`` returns).  The points are scaled to
+    integers once as well, so each entry is one integer dot product."""
+    ints, lcm = scale_to_int(points)
+    den *= lcm
+    return [tuple(Fraction(_dot(p, c), den) for c in columns) for p in ints]
 
 
 def _scaled_inverse(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -209,13 +223,23 @@ def _pulling(face: int, k: int, candidates, memo: dict) -> list[tuple[int, ...]]
 class ExactHull:
     """Facets, vertices and exact volume of the convex hull of rational points.
 
-    The points are centred at their centroid, an interior point.  The facets
-    are the rows of ``halfspaces`` (pairs ``(a, b)`` meaning ``<a, x> <= b``,
-    redundant rows allowed) when an H-representation is known; otherwise
-    they are the vertices of the polar of the centred points, found by
-    double description.  A point is a vertex when the normals of the facets
-    through it have rank ``dim``; ``extreme=True`` says that every point is
-    one.  A row is kept when its incident vertices have rank ``dim``.
+    The points, and the rows of ``halfspaces``, are each scaled to integers
+    once by one common denominator; the integer points are sorted and
+    deduped (a positive scale keeps the lexicographic order of the
+    rationals, so point indices are those of the sorted rational points),
+    and ``vertex_points`` and ``facets`` build Fractions again only for
+    their outputs.
+
+    The points are centred at their centroid, an interior point.  The
+    facets are the rows of ``halfspaces`` (pairs ``(a, b)`` meaning
+    ``<a, x> <= b``, redundant rows allowed) when an H-representation is
+    known; otherwise they are the vertices of the polar of the centred
+    points, found by double description.  A point is a vertex when the
+    normals of the facets through it have rank ``dim``; ``extreme=True``
+    says that every point is one.  A row is kept when its incident vertices
+    have rank ``dim``; when the vertex set is closed under negation, the
+    rows ``(a, c)`` and ``(-a, c)`` meet it in negated sets, and one rank
+    check serves both.
 
     The certificate is always checked, and a failure raises
     ``AssertionError``: every point satisfies every row, and every kept
@@ -230,17 +254,20 @@ class ExactHull:
     def __init__(self, points: Sequence[Sequence[Fraction]],
                  halfspaces: Sequence[tuple[Sequence[Fraction], Fraction]] | None = None,
                  extreme: bool = False):
-        pts = sorted({tuple(Fraction(x) for x in p) for p in points})
-        if not pts:
+        # one common denominator: a positive scale keeps the lexicographic
+        # order, so the sorted integer points index as the sorted rationals
+        raw, lcm = scale_to_int(points)
+        raw = sorted(set(raw))
+        if not raw:
             raise ValueError("no points")
-        d = self.dim = len(pts[0])
-        self._frac_points = pts
-        ints, lcm = scale_to_int(pts)
-        n = len(ints)
+        d = self.dim = len(raw[0])
+        self._raw, self._lcm = raw, lcm
+        n = len(raw)
         # centred integer coordinates x = scale * p - shift
-        shift = tuple(sum(p[j] for p in ints) for j in range(d))
+        shift = tuple(map(sum, zip(*raw)))
+        ints = raw
         if any(shift):
-            ints = [tuple(n * x - s for x, s in zip(p, shift)) for p in ints]
+            ints = [tuple(n * x - s for x, s in zip(p, shift)) for p in raw]
         self._ints = ints
         self._scale = n * lcm if any(shift) else lcm
         rank = int_rank(ints)
@@ -250,14 +277,13 @@ class ExactHull:
         if halfspaces is None:
             nonzero = [p for p in ints if any(p)]
             polar = dd_vertices(nonzero, [1] * len(nonzero))
-            rows = [gcd_reduce(scale_to_int([y + (Fraction(1),)])[0][0]) for y in polar]
+            rows = [gcd_reduce(r) for r in scale_to_int([y + (1,) for y in polar])[0]]
         else:
-            rows = []
-            for a, b in halfspaces:
-                a = tuple(Fraction(x) for x in a)
-                rhs = self._scale * Fraction(b) - sum(x * s for x, s in zip(a, shift))
-                rows.append(gcd_reduce(scale_to_int([a + (rhs,)])[0][0]))
-            rows = sorted(set(rows))
+            # the rows (L a, L b) of one common denominator L; the centred
+            # offset of <a, x> <= b is L (scale b - <a, shift>)
+            scaled, _ = scale_to_int([tuple(a) + (b,) for a, b in halfspaces])
+            rows = sorted({gcd_reduce(r[:-1] + (self._scale * r[-1] - _dot(r[:-1], shift),))
+                           for r in scaled})
 
         tight = []
         for row in rows:
@@ -278,19 +304,25 @@ class ExactHull:
                 if int_rank([r[:-1] for r, m in zip(rows, tight) if m >> i & 1]) == d
             ]
         self._vertex_ids = vertex_ids
+        vset = {ints[i] for i in vertex_ids}
+        self._symmetric = all(tuple(-x for x in v) in vset for v in vset)
         vmask = sum(1 << i for i in vertex_ids)
         self._rows = []
         self._masks = []
+        # a vertex set closed under negation meets the rows (a, c) and
+        # (-a, c) in negated sets of equal rank: one check serves both
+        full: dict[tuple[int, ...], bool] = {}
         for row, m in zip(rows, tight):
             m &= vmask
-            if int_rank([ints[i] for i in _bits(m)]) == d:
+            twin = tuple(-x for x in row[:-1]) + row[-1:] if self._symmetric else None
+            full[row] = full[twin] if twin in full else \
+                int_rank([ints[i] for i in _bits(m)]) == d
+            if full[row]:
                 self._rows.append(row)
                 self._masks.append(m)
             elif halfspaces is None:
                 raise AssertionError(
                     "hull certificate failed: a facet has fewer than dim independent vertices")
-        vset = {ints[i] for i in vertex_ids}
-        self._symmetric = all(tuple(-x for x in v) in vset for v in vset)
         self._simplices = None
         self._volume = None
 
@@ -312,12 +344,13 @@ class ExactHull:
         out = []
         for row, m in zip(self._rows, self._masks):
             a = gcd_reduce(row[:-1])
-            v = self._frac_points[(m & -m).bit_length() - 1]
-            out.append((tuple(Fraction(x) for x in a), sum(x * y for x, y in zip(a, v))))
+            v = self._raw[(m & -m).bit_length() - 1]
+            out.append((tuple(map(Fraction, a)), Fraction(_dot(a, v), self._lcm)))
         return sorted(out)
 
     def vertex_points(self) -> list[tuple[Fraction, ...]]:
-        return [self._frac_points[i] for i in self._vertex_ids]
+        lcm = self._lcm
+        return [tuple(Fraction(x, lcm) for x in self._raw[i]) for i in self._vertex_ids]
 
     def volume(self) -> Fraction:
         if self._volume is None:
@@ -343,16 +376,14 @@ def dd_vertices(
     with the combinatorial adjacency test.  Raises ``ValueError`` if the
     polytope is unbounded or the system is rank deficient.
     """
-    arows = [tuple(Fraction(x) for x in row) for row in A]
-    brow = [Fraction(x) for x in b]
-    if not arows:
+    if len(A) == 0:
         raise ValueError("empty halfspace system")
-    d = len(arows[0])
-    scaled, _ = scale_to_int([row + (-bi,) for row, bi in zip(arows, brow)])
+    d = len(A[0])
+    scaled, _ = scale_to_int([tuple(row) + (bi,) for row, bi in zip(A, b)])
     rows = []
     seen = set()
     for r in scaled:
-        r = gcd_reduce(r)
+        r = gcd_reduce(r[:-1] + (-r[-1],))
         if r not in seen:
             seen.add(r)
             rows.append(r)

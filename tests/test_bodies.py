@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahlerlab import bodies as B
+from mahlerlab import exactgeom
 from mahlerlab import volume as V
 from mahlerlab.exactgeom import ExactHull
 
@@ -621,6 +622,93 @@ def test_describe_is_the_body_as_given(expr):
                 assert before["core"]["type"] == kind
                 V.mahler_product(K)
                 assert K.describe() == before
+
+
+# ---------------------------------------------------------------------------
+# the exact cuts and images against Fraction matrix products
+#
+# The cuts and ``linear_image`` map integer point lists (``map_points``) and
+# put them in the point-list format on integer keys; these are the
+# object-dtype and Fraction products, and the Fraction sort, they used before.
+
+
+def object_products(points, basis):
+    return [tuple(np.array(p, dtype=object) @ basis) for p in points]
+
+
+def reference_cut(body, u, kind):
+    """The core's point list and the squared scales of an exact cut."""
+    basis = B.orthogonal_complement_basis(np.array(B.rational_vector(u), dtype=object))
+    norms2 = (basis * basis).sum(axis=0)
+    if kind == "section":
+        body.halfspaces()
+        return object_products(body._normals, basis), tuple(norms2)
+    return object_products(body.vertices(), basis), tuple(1 / norms2)
+
+
+def reference_linear_image(body, M):
+    """The vertices M v and the normals a M^-1."""
+    n = body.dim
+    Minv = B.invert_rational_matrix(M)
+    return ([tuple(sum(M[i][k] * v[k] for k in range(n)) for i in range(n))
+             for v in body._vertices],
+            [tuple(sum(a[k] * Minv[k][i] for k in range(n)) for i in range(n))
+             for a in body._normals])
+
+
+def reference_canonical(points):
+    """The point-list format by hashing and sorting the Fraction tuples."""
+    return tuple(sorted(set(points)))
+
+
+def all_fractions(points):
+    return all(type(x) is Fraction for p in points for x in p)
+
+
+def check_cuts_and_image(body, M, u):
+    """The image's point lists and, on the image and on its rebuilds from
+    one representation, both cuts' core point lists and squared scales equal
+    the reference, Fraction for Fraction."""
+    n = body.dim
+    img = body.linear_image(M)
+    verts, normals = reference_linear_image(body, M)
+    assert img._vertices == reference_canonical(verts)
+    assert img._normals == reference_canonical(normals)
+    assert all_fractions(img._vertices) and all_fractions(img._normals)
+    basis = B.orthogonal_complement_basis(np.array(B.rational_vector(u), dtype=object))
+    for P in (img, B.PolytopeBody(n, vertices=img.vertices()),
+              B.PolytopeBody(n, halfspaces=img.halfspaces())):
+        for kind, cut in (("section", B.hyperplane_section),
+                          ("projection", B.hyperplane_projection)):
+            res = cut(P, u)
+            points, scales2 = reference_cut(P, u, kind)
+            core = res.core._normals if kind == "section" else res.core._vertices
+            assert core == reference_canonical(points) and all_fractions(core)
+            assert res.scales2 == scales2
+        # the map itself, point by point and in order
+        P.halfspaces()  # fills the normals when they were not given
+        for points in (P.vertices(), P._normals):
+            mapped = exactgeom.map_points(points, *exactgeom.scale_to_int(basis.T))
+            assert mapped == object_products(points, basis) and all_fractions(mapped)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tree=hanner_trees(2, 5), u=nonzero_fraction_vectors(5).filter(lambda v: any(v[:2])),
+       dens=st.lists(st.integers(1, 7), min_size=5, max_size=5), shift=st.integers(1, 4))
+def test_exact_cuts_and_images_match_the_fraction_products(tree, u, dens, shift):
+    body = B.hanner_body(B.hanner_tree_str(tree))
+    n = body.dim
+    # 2 I plus a shift permutation, row i over dens[i]: invertible
+    M = [[Fraction(2 * (i == j) + (j == (i + shift) % n), dens[i]) for j in range(n)]
+         for i in range(n)]
+    check_cuts_and_image(body, M, u[:n])
+
+
+def test_exact_cut_with_mixed_denominators_and_a_negative_entry():
+    body = B.hanner_body("X(S, L(S, S), S)")
+    M = [[Fraction(1, 2), 0, Fraction(-2, 3), 0], [1, 3, 0, 0],
+         [0, Fraction(5, 7), 1, 0], [0, 0, Fraction(1, 4), -1]]
+    check_cuts_and_image(body, M, (Fraction(-3, 2), Fraction(2, 5), 1, Fraction(7, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,24 @@ def test_log_records_the_body_as_given(tmp_path, capsys):
     assert {r["body_hash"] for r in records} == {cli.body_content_hash(given)}
 
 
+def test_failed_run_leaves_the_log_unchanged(tmp_path, capsys):
+    """A run that exits 1 (here a singular linear image) prints only its
+    error and appends nothing, as the module docstring says."""
+    log = tmp_path / "exp.jsonl"
+    code, _ = run_cli(capsys, "--log", str(log), "mahler", "--body", CUBE3)
+    assert code == 0
+    before = log.read_bytes()
+    singular = json.dumps({"type": "linimg", "body": {"type": "cube", "dim": 2},
+                           "matrix": [[1, 2], [2, 4]]})
+    for argv in (["mahler", "--body", singular], ["volume", "--body", singular]):
+        code = cli.main(["--log", str(log), *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert log.read_bytes() == before
+
+
 CUBE3 = '{"type":"cube","dim":3}'
 CROSS3_PRODUCT = '{"type":"product","body":{"type":"cross","dim":3}}'
 

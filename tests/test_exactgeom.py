@@ -453,3 +453,161 @@ def test_dd_dependent_leading_rows(lead):
     assert verts == sorted(tuple(Fraction(x) for x in p)
                            for p in itertools.product([-1, 1], repeat=3))
     assert verts == dd_vertices(A[len(lead):], b[len(lead):])
+
+
+# ---------------------------------------------------------------------------
+# the hull's integer canonical form against the Fraction one
+#
+# ``reference_hull`` is the kernel as it stood before it scaled each point
+# list and each H-list to integers once: it canonicalizes the points as
+# sorted, unique Fraction tuples, scales each given row on its own, checks
+# the rank of every row and reads facets and vertices off the Fraction
+# points.  It shares the double description, the rank, the pulling
+# triangulation and the determinants with the kernel, each of which is
+# checked against its own oracles above.
+
+
+def reference_scale(v):
+    """A rational vector times the lcm of its denominators."""
+    v = [Fraction(x) for x in v]
+    lcm = math.lcm(*(x.denominator for x in v))
+    return tuple(int(x * lcm) for x in v)
+
+
+def reference_hull(points, halfspaces=None, extreme=False):
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    d = len(pts[0])
+    lcm = math.lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(int(x * lcm) for x in p) for p in pts]
+    n = len(ints)
+    shift = tuple(sum(p[j] for p in ints) for j in range(d))
+    if any(shift):
+        ints = [tuple(n * x - s for x, s in zip(p, shift)) for p in ints]
+    scale = n * lcm if any(shift) else lcm
+    if int_rank(ints) < d:
+        raise DegenerateHullError("degenerate")
+    if halfspaces is None:
+        nonzero = [p for p in ints if any(p)]
+        rows = [exactgeom.gcd_reduce(reference_scale(y + (1,)))
+                for y in dd_vertices(nonzero, [1] * len(nonzero))]
+    else:
+        rows = []
+        for a, b in halfspaces:
+            a = tuple(Fraction(x) for x in a)
+            rhs = scale * Fraction(b) - sum(x * s for x, s in zip(a, shift))
+            rows.append(exactgeom.gcd_reduce(reference_scale(a + (rhs,))))
+        rows = sorted(set(rows))
+    tight = []
+    for a, rhs in ((r[:-1], r[-1]) for r in rows):
+        vals = [sum(x * y for x, y in zip(a, p)) for p in ints]
+        assert max(vals) <= rhs
+        tight.append(sum(1 << i for i, v in enumerate(vals) if v == rhs))
+    vertex_ids = list(range(n)) if extreme else [
+        i for i in range(n)
+        if int_rank([r[:-1] for r, m in zip(rows, tight) if m >> i & 1]) == d]
+    vmask = sum(1 << i for i in vertex_ids)
+    kept = [(r, m & vmask) for r, m in zip(rows, tight)
+            if int_rank([ints[i] for i in exactgeom._bits(m & vmask)]) == d]
+    vset = {ints[i] for i in vertex_ids}
+    symmetric = all(tuple(-x for x in v) in vset for v in vset)
+    masks = [m for _, m in kept]
+    memo: dict = {}
+    simplices = [s for r, m in kept
+                 if not symmetric or r[:-1] > tuple(-x for x in r[:-1])
+                 for s in exactgeom._pulling(m, d - 1, masks, memo)]
+    total = sum(abs(bareiss_det([ints[i] for i in s])) for s in simplices)
+    facets = []
+    for r, m in kept:
+        a = exactgeom.gcd_reduce(r[:-1])
+        v = pts[(m & -m).bit_length() - 1]
+        facets.append((tuple(Fraction(x) for x in a), sum(x * y for x, y in zip(a, v))))
+    return {"rows": [r for r, _ in kept], "masks": masks,
+            "vertex_points": [pts[i] for i in vertex_ids], "facets": sorted(facets),
+            "volume": Fraction(total * (2 if symmetric else 1), math.factorial(d) * scale**d),
+            "symmetric": symmetric}
+
+
+def hull_state(hull):
+    return {"rows": hull._rows, "masks": hull._masks, "vertex_points": hull.vertex_points(),
+            "facets": hull.facets(), "volume": hull.volume(), "symmetric": hull._symmetric}
+
+
+COORDINATES = st.one_of(st.integers(-4, 4),
+                        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def hull_inputs(draw):
+    """Rational point lists, int and Fraction entries mixed, symmetric about
+    a centroid or not, off the origin or not, with repeated points, in any
+    order; and how the rows are given: not at all, as facets times positive
+    rationals (offsets other than 1) with redundant rows, or as those rows
+    with the vertices alone and ``extreme=True``."""
+    d = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[COORDINATES] * d), min_size=d + 1, max_size=d + 5))
+    if draw(st.booleans()):
+        pts += [tuple(-x for x in p) for p in pts]
+    if draw(st.booleans()):
+        shift = draw(st.tuples(*[COORDINATES] * d))
+        pts = [tuple(x + s for x, s in zip(p, shift)) for p in pts]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    pts = draw(st.permutations(pts))
+    rows = draw(st.sampled_from(["points", "rows", "extreme"]))
+    factors = draw(st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+                            min_size=1, max_size=12))
+    return pts, rows, factors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hull_inputs())
+def test_hull_matches_the_fraction_reference(case):
+    points, rows, factors = case
+    try:
+        ref = reference_hull(points)
+    except DegenerateHullError:
+        with pytest.raises(DegenerateHullError):
+            ExactHull(points)
+        return
+    assert hull_state(ExactHull(points)) == ref
+    if rows == "points":
+        return
+    extreme = rows == "extreme"
+    if extreme:
+        points = ref["vertex_points"] + ref["vertex_points"][:2]
+    # every facet times a positive rational, a loosened copy of each, and a
+    # supporting hyperplane through one vertex only, out of sorted order
+    halfspaces = [(tuple(k * x for x in a), k * c)
+                  for (a, c), k in zip(ref["facets"], itertools.cycle(factors))]
+    halfspaces += [(a, c + 1) for a, c in ref["facets"]]
+    v = ref["vertex_points"][0]
+    through = [(a, c) for a, c in ref["facets"] if sum(x * y for x, y in zip(a, v)) == c]
+    halfspaces.append((tuple(sum(col) for col in zip(*(a for a, _ in through))),
+                       sum(c for _, c in through)))
+    halfspaces.sort(key=lambda row: hash(row) % 7)
+    ref_rows = reference_hull(points, halfspaces, extreme)
+    assert hull_state(ExactHull(points, halfspaces, extreme)) == ref_rows
+    assert ref_rows["facets"] == ref["facets"]
+    assert ref_rows["volume"] == ref["volume"]
+
+
+def test_pm_rank_sharing_needs_a_symmetric_vertex_set():
+    """A wedge: the unit square at z = -1 and four collinear points on an
+    edge at z = 1, centroid at z = 0.  The bottom facet -z <= 1 and its
+    opposite z <= 1 are a +- pair of rows in the centred integers, but the
+    vertex set is not closed under negation, and the opposite row touches
+    only the top edge: it needs its own rank check and is dropped."""
+    square = [(x, y, -1) for x in (0, 1) for y in (0, 1)]
+    edge = [(Fraction(k, 3), 0, 1) for k in range(4)]
+    points = square + edge
+    ref = reference_hull(points)
+    bottom = ((Fraction(0), Fraction(0), Fraction(-1)), Fraction(1))
+    assert bottom in ref["facets"] and len(ref["facets"]) == 5
+    halfspaces = ref["facets"] + [((0, 0, 1), 1)]
+    hull = ExactHull(points, halfspaces)
+    assert not hull._symmetric
+    # in the centred integers (8 points over the denominator 3) the bottom
+    # row is (0, 0, -1, 24) and the opposite row (0, 0, 1, 24): twins
+    assert (0, 0, -1, 24) in hull._rows and (0, 0, 1, 24) not in hull._rows
+    assert hull_state(hull) == reference_hull(points, halfspaces)
+    assert hull.facets() == ref["facets"]
+    assert hull.volume() == 1

@@ -17,7 +17,7 @@ SMALLEST = {
     "section_scan.py": ["--family", "cube", "--n", "2", "--trials", "1"],
 }
 # runs perfbench in two whole checkouts, pair after pair: a benchmark driver
-# with no small form
+# with no small form; its summary and its refusal are tested in-process below
 NOT_RUN = {"bench_pairs.py"}
 
 
@@ -48,22 +48,76 @@ def test_section_scan_refuses_an_empty_scan(trials):
     assert "Traceback" not in proc.stderr
 
 
-def test_bench_pairs_refuses_a_checkout_with_compiled_files(tmp_path, monkeypatch, capsys):
-    # compiled bytecode on one side only would make its import, and setup_s,
-    # look faster
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    base, change = tmp_path / "base", tmp_path / "change"
-    for root in (base, change):
-        (root / "src" / "mahlerlab" / "__pycache__").mkdir(parents=True)
-    (base / "src" / "mahlerlab" / "__pycache__" / "bodies.cpython-312.pyc").write_bytes(b"")
+    return bench_pairs
+
+
+def test_bench_pairs_refuses_a_checkout_with_compiled_files(tmp_path, monkeypatch, capsys):
+    # compiled bytecode on one side only would make its import, and setup_s,
+    # look faster
+    bench_pairs = load_bench_pairs()
 
     def run_once(*args):
         raise AssertionError("the benchmark ran")
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    with pytest.raises(SystemExit) as exit_info:
-        bench_pairs.main([str(base), str(change), "--workload", "exact", "--pairs", "1"])
-    assert exit_info.value.code == 2
-    assert "compiled files" in capsys.readouterr().err
+    for side in ("base", "change"):
+        roots = {name: tmp_path / side / name for name in ("base", "change")}
+        for root in roots.values():
+            (root / "src" / "mahlerlab" / "__pycache__").mkdir(parents=True)
+        (roots[side] / "src" / "mahlerlab" / "__pycache__" / "bodies.cpython-312.pyc") \
+            .write_bytes(b"")
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main([str(roots["base"]), str(roots["change"]), "--workload", "exact",
+                              "--pairs", "1"])
+        assert exit_info.value.code == 2
+        assert "compiled files" in capsys.readouterr().err
+
+
+def _runs(**metrics):
+    """One synthetic run per position of the value lists."""
+    count = len(next(iter(metrics.values())))
+    return [{"metrics": {name: values[i] for name, values in metrics.items()}}
+            for i in range(count)]
+
+
+def test_bench_pairs_quartiles():
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.quartiles([0.25]) == (0.25, 0.25, 0.25)
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([1.0, 2.0]) == (1.25, 1.5, 1.75)
+
+
+def test_bench_pairs_counts_wins_in_the_better_direction():
+    bench_pairs = load_bench_pairs()
+    base = _runs(wall_s=[1.0, 2.0, 3.0, 4.0], rate=[10.0, 10.0, 10.0, 10.0],
+                 other=[5.0, 5.0, 5.0, 5.0])
+    change = _runs(wall_s=[0.5, 2.5, 2.0, 4.0], rate=[11.0, 9.0, 12.0, 10.0],
+                   other=[4.0, 6.0, 4.0, 4.0])
+    rows = {r["name"]: r for r in bench_pairs.summarize(
+        base, change, {"wall_s": "lower", "rate": "higher"})}
+    assert list(rows) == ["wall_s", "rate", "other"]
+    # lower is better: pairs 0 and 2 win, a tie (pair 3) does not
+    assert rows["wall_s"]["wins"] == 2 and rows["wall_s"]["pairs"] == 4
+    # higher is better: pairs 0 and 2 win
+    assert rows["rate"]["wins"] == 2
+    # a metric BENCHMARK.json does not list counts as lower-is-better
+    assert rows["other"]["wins"] == 3
+    assert (rows["wall_s"]["base_q1"], rows["wall_s"]["base_median"],
+            rows["wall_s"]["base_q3"]) == bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0])
+    assert rows["wall_s"]["change_median"] == 2.25
+    # the directions come from BENCHMARK.json, and none from a tree without it
+    better = bench_pairs.better_directions(ROOT)
+    assert better["wall_s"] == "lower" and better["volume.mc_points_per_s"] == "higher"
+    assert bench_pairs.better_directions(SCRIPTS) == {}
+
+
+def test_bench_pairs_summarizes_a_single_pair():
+    bench_pairs = load_bench_pairs()
+    rows = bench_pairs.summarize(_runs(wall_s=[0.34]), _runs(wall_s=[0.25]), {})
+    assert rows == [{"name": "wall_s", "base_median": 0.34, "base_q1": 0.34, "base_q3": 0.34,
+                     "change_median": 0.25, "change_q1": 0.25, "change_q3": 0.25,
+                     "wins": 1, "pairs": 1}]
