@@ -37,9 +37,9 @@ import numpy as np
 
 from .exactgeom import (
     BodyError,
+    DegenerateHullError,
     ExactHull,
     dd_vertices,
-    int_rank,
     invert_rational_matrix,
     map_points,
     scale_to_int,
@@ -319,12 +319,19 @@ def pnorm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
 
 def coordinate_sum(planes: np.ndarray) -> np.ndarray:
     """Sum of the coordinate planes (d, ...), added in order from the first.
-    Below 8 terms this is the order np.add.reduce takes along a contiguous
-    last axis, so for d < 8 it gives the bytes of summing rows (..., d)."""
-    out = planes[0] + 0.0
-    for x in planes[1:]:
-        out += x
-    return out
+
+    NumPy reduces along an outer axis one whole plane at a time, so this is
+    the in-order sum whenever each plane holds more than one element (a
+    reduction over a single-element plane runs along a contiguous axis,
+    pairwise from 8 terms).  Below 8 terms the in-order sum is the order
+    np.add.reduce takes along a contiguous last axis, so for d < 8 it gives
+    the bytes of summing rows (..., d)."""
+    return np.add.reduce(planes, axis=0)
+
+
+def _as_rows(planes: np.ndarray) -> np.ndarray:
+    """Coordinate planes (d, ...) as a view of rows (..., d)."""
+    return planes.transpose((*range(1, planes.ndim), 0))
 
 
 class ConvexBody:
@@ -342,7 +349,15 @@ class ConvexBody:
         raise NotImplementedError
 
     def support_witness(self, u):
-        """Point(s) of the body attaining the support value in direction u."""
+        """Point(s) of the body attaining the support value in direction u,
+        rows (..., d) -> (..., d).
+
+        The values do not depend on the memory layout of u.  Rows that are a
+        view of coordinate planes, ``planes.reshape(d, -1).T``, give a
+        result whose transpose is C-contiguous planes again, so a caller
+        that holds planes reads the witnesses as ``w.T.reshape(planes.shape)``
+        and copies nothing.
+        """
         raise BodyError(f"{type(self).__name__} has no support witness")
 
     def polar(self) -> "ConvexBody":
@@ -459,13 +474,18 @@ class PolytopeBody(ConvexBody):
 
     @property
     def is_degenerate(self) -> bool:
+        """Whether the vertices span less than the full dimension, read off
+        the hull: it ranks its centred integer points and raises
+        ``DegenerateHullError`` when they are degenerate, so an exact volume
+        scales and ranks the vertex list once."""
         if self._vertices is None:
             return False  # full-dimensional by origin-interior halfspaces
         if self._degenerate is None:
-            ints, _ = scale_to_int(self._vertices)
-            base = ints[0]
-            diffs = [[p[j] - base[j] for j in range(self.dim)] for p in ints[1:]]
-            self._degenerate = int_rank(diffs) < self.dim
+            try:
+                self.hull()
+                self._degenerate = False
+            except DegenerateHullError:
+                self._degenerate = True
         return self._degenerate
 
     def volume_exact(self) -> Fraction:
@@ -476,15 +496,19 @@ class PolytopeBody(ConvexBody):
     # -- numerics
 
     def _floats(self, key: str) -> np.ndarray:
+        """The vertices ("V"), their coordinate planes ("VT") or the facet
+        normals ("A") in floats, cached."""
         if key not in self._float_cache:
-            if key == "V":
-                points = self.vertices()
+            if key == "VT":
+                out = np.ascontiguousarray(self._floats("V").T)
+            elif key == "V":
+                out = np.array([[float(x) for x in p] for p in self.vertices()])
             elif key == "A":
                 self.halfspaces()  # fills the normals when they were not given
-                points = self._normals
+                out = np.array([[float(x) for x in p] for p in self._normals])
             else:
                 raise KeyError(key)
-            self._float_cache[key] = np.array([[float(x) for x in p] for p in points])
+            self._float_cache[key] = out
         return self._float_cache[key]
 
     def gauge(self, x):
@@ -499,9 +523,12 @@ class PolytopeBody(ConvexBody):
         return np.max(u @ V.T, axis=-1)
 
     def support_witness(self, u):
+        """The first maximizing vertex (rows sorted lexicographically: ties
+        break low), taken from the vertex planes, so the result is a row
+        view of witness planes."""
         u = np.asarray(u, dtype=float)
-        V = self._floats("V")  # rows sorted lexicographically: ties break low
-        return V.take((u @ V.T).argmax(axis=-1), axis=0)
+        k = (u @ self._floats("V").T).argmax(axis=-1)
+        return _as_rows(self._floats("VT").take(k, axis=1))
 
     def polar(self) -> "PolytopeBody":
         """The two point lists swapped, in a copy without hull, degeneracy,
@@ -585,7 +612,9 @@ class LpBallBody(ConvexBody):
     def support_witness(self, u):
         u = np.asarray(u, dtype=float)
         a = np.abs(u)
-        nq = np.sum(a ** self.q, axis=-1, keepdims=True) ** (1.0 / self.q)
+        # summed along contiguous rows, as NumPy sums them (pairwise from 8
+        # terms), whatever the layout of u
+        nq = np.sum(np.ascontiguousarray(a ** self.q), axis=-1, keepdims=True) ** (1.0 / self.q)
         safe = np.where(nq > 0, nq, 1.0)
         w = np.sign(u) * (a / safe) ** (self.q - 1.0)
         return np.where(nq > 0, w, 0.0)
@@ -712,9 +741,12 @@ class ImageBody(ConvexBody):
         return self.child.support(u @ self.M)
 
     def support_witness(self, u):
+        """M times the child's witnesses, one product M @ (witness planes),
+        so the result is a row view of planes."""
         u = np.asarray(u, dtype=float)
         w = self.child.support_witness(u @ self.M)
-        return w @ self.M.T
+        planes = self.M @ w.reshape(-1, w.shape[-1]).T
+        return planes.T.reshape(w.shape[:-1] + (self.dim,))
 
     def polar(self) -> SliceBody:
         return SliceBody(self.child.polar(), self.M.T)
@@ -773,6 +805,12 @@ class DiagonalImageBody(ConvexBody):
         }
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> per row, summed as np.einsum sums C-ordered rows, whatever the
+    layout of a and b (einsum's order of addition follows the layout)."""
+    return np.einsum("...i,...i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
 class TwoBlockBody(ConvexBody):
     """A body in R^{2n} built from two bodies of R^n in complementary
     coordinate blocks: ``dual`` in the p-block (p_1..p_n), ``base`` in the
@@ -791,6 +829,11 @@ class TwoBlockBody(ConvexBody):
     def _split(self, x):
         x = np.asarray(x, dtype=float)
         return x[..., : self.n], x[..., self.n :]
+
+    def _witness_rows(self, rows_shape) -> np.ndarray:
+        """A zeroed witness buffer of coordinate planes (dim, ...), as its
+        row view (..., dim): the form ``support_witness`` returns."""
+        return _as_rows(np.zeros((self.dim,) + tuple(rows_shape)))
 
     def describe(self) -> dict:
         return {"type": self.kind, "body": self.base.describe(), "dual": self.dual.describe()}
@@ -812,7 +855,10 @@ class LagrangianProductBody(TwoBlockBody):
 
     def support_witness(self, u):
         up, uq = self._split(u)
-        return np.concatenate([self.dual.support_witness(up), self.base.support_witness(uq)], -1)
+        w = self._witness_rows(up.shape[:-1])
+        w[..., : self.n] = self.dual.support_witness(up)
+        w[..., self.n :] = self.base.support_witness(uq)
+        return w
 
     def polar(self) -> "L1SumBody":
         """The free sum conv(T° x 0, 0 x K°), of gauge g_T°(p) + g_K°(q)."""
@@ -839,9 +885,9 @@ class L1SumBody(TwoBlockBody):
         the other block."""
         up, uq = self._split(u)
         wp, wq = self.dual.support_witness(up), self.base.support_witness(uq)
-        hp, hq = np.einsum("...i,...i->...", up, wp), np.einsum("...i,...i->...", uq, wq)
+        hp, hq = _row_dot(up, wp), _row_dot(uq, wq)
         in_p = (hp >= hq)[..., None]
-        w = np.zeros(up.shape[:-1] + (self.dim,))
+        w = self._witness_rows(up.shape[:-1])
         np.copyto(w[..., : self.n], wp, where=in_p)
         np.copyto(w[..., self.n :], wq, where=~in_p)
         return w

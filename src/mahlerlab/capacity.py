@@ -115,9 +115,9 @@ def _evaluate(S: ConvexBody, z: np.ndarray, nxt: np.ndarray):
     batch of loops held as coordinate planes (d, B, m)."""
     zn = z.take(nxt, axis=-1)
     je = j_rotate(zn - z, axis=0)
-    # the witness takes and gives rows (B, m, d)
-    w = S.support_witness(np.ascontiguousarray(je.transpose(1, 2, 0)))
-    w = np.ascontiguousarray(w.transpose(2, 0, 1))
+    # the witness takes rows: a row view of the planes, whose result is the
+    # transpose of witness planes (the layout contract of support_witness)
+    w = S.support_witness(je.reshape(len(je), -1).T).T.reshape(je.shape)
     # h_S(Je) at the witness, summed over the edges
     length = np.add.reduce(coordinate_sum(je * w), axis=-1)
     action = polygon_action(z, zn)

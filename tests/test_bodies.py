@@ -171,6 +171,96 @@ def test_support_witness_attains_support():
         assert np.all(body.gauge(w) <= 1 + 1e-9)
 
 
+def reference_support_witness(body, u):
+    """Witnesses as computed on C-ordered rows throughout: the vertex rows
+    taken by index, an einsum per block, and the factor blocks joined."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if isinstance(body, B.PolytopeBody):
+        V = body._floats("V")
+        return V.take((u @ V.T).argmax(axis=-1), axis=0)
+    if isinstance(body, B.LpBallBody):
+        a = np.abs(u)
+        nq = np.sum(a ** body.q, axis=-1, keepdims=True) ** (1.0 / body.q)
+        safe = np.where(nq > 0, nq, 1.0)
+        return np.where(nq > 0, np.sign(u) * (a / safe) ** (body.q - 1.0), 0.0)
+    if isinstance(body, B.DiagonalImageBody):
+        return reference_support_witness(body.core, u * body.scales) * body.scales
+    if isinstance(body, B.ImageBody):
+        return reference_support_witness(body.child, u @ body.M) @ body.M.T
+    n = body.n
+    up, uq = u[..., :n], u[..., n:]
+    wp = reference_support_witness(body.dual, up)
+    wq = reference_support_witness(body.base, uq)
+    if isinstance(body, B.LagrangianProductBody):
+        return np.concatenate([wp, wq], -1)
+    in_p = (np.einsum("...i,...i->...", up, wp) >= np.einsum("...i,...i->...", uq, wq))[..., None]
+    return np.concatenate([np.where(in_p, wp, 0.0), np.where(in_p, 0.0, wq)], -1)
+
+
+def _layout_body(name):
+    cross3 = B.PolytopeBody.cross(3)
+    skew = np.array([[2.0, -1.0, 0.5], [0.0, 1.5, -2.0], [1.0, 0.0, 3.0]])
+    if name == "polytope":
+        return cross3
+    if name == "polytope-cube4":
+        return B.PolytopeBody.cube(4)
+    if name.startswith("lp"):
+        p, dim = name[2:].split("-")
+        return B.LpBallBody(float(p), int(dim))
+    if name == "diagonal":
+        return B.DiagonalImageBody(cross3, (Fraction(2), Fraction(1, 3), Fraction(5)))
+    if name == "image":
+        return B.ImageBody(cross3, skew)
+    if name == "product":
+        return B.lagrangian_product(cross3)
+    if name == "product-image-diagonal":
+        return B.LagrangianProductBody(B.ImageBody(cross3, skew),
+                                       _layout_body("diagonal"))
+    if name == "product-lp":
+        return B.lagrangian_product(B.LpBallBody(1.5, 2))
+    if name == "l1sum":
+        return B.lagrangian_product(cross3).polar()
+    if name == "l1sum-lp":
+        return B.lagrangian_product(B.LpBallBody(3.0, 4)).polar()
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", ["polytope", "polytope-cube4", "lp1.5-3", "lp2-4", "lp3-9",
+                                  "diagonal", "image", "product", "product-image-diagonal",
+                                  "product-lp", "l1sum", "l1sum-lp"])
+def test_support_witness_does_not_depend_on_layout(name):
+    """C-ordered rows and the row view of coordinate planes give the same
+    witness bytes, those of the row-wise reference; for the planes view the
+    witness's transpose is C-contiguous planes."""
+    body = _layout_body(name)
+    d = body.dim
+    rng = np.random.default_rng(len(name))
+    for starts, m in ((5, 12), (1, 4)):
+        rows = rng.normal(size=(starts, m, d)) * 2.0 ** rng.integers(-20, 21, size=(starts, m, d))
+        rows[:, ::3] = rng.integers(-1, 2, size=rows[:, ::3].shape)  # ties, and zero rows
+        want = reference_support_witness(body, rows).tobytes()
+        planes = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+        view = planes.reshape(d, -1).T
+        for u in (rows, rows.reshape(-1, d), np.moveaxis(planes, 0, -1), view):
+            w = body.support_witness(u)
+            assert w.shape == u.shape
+            assert w.tobytes() == want
+        assert w.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_row_dot_sums_as_einsum_on_c_rows(n):
+    # the free sum compares its blocks' support values, so their bytes must
+    # not follow the layout; einsum's order of addition does from n = 3
+    rng = np.random.default_rng(n)
+    a, b = (rng.normal(size=(40, 2 * n)) * 2.0 ** rng.integers(-30, 31, size=(40, 2 * n))
+            for _ in range(2))
+    want = np.einsum("...i,...i->...", a[:, :n], b[:, :n]).tobytes()
+    planes_a, planes_b = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
+    for x, y in ((a, b), (planes_a, planes_b), (a, planes_b)):
+        assert B._row_dot(x[:, :n], y[:, :n]).tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # polarity
 
@@ -454,6 +544,47 @@ def test_degenerate_section_flagged():
     body = B.PolytopeBody(2, vertices=[(1, 0), (-1, 0)], check_symmetry=False)
     assert body.is_degenerate
     assert body.volume_exact() == 0
+
+
+def reference_is_degenerate(body) -> bool:
+    """The rank of the vertex differences, over the integers."""
+    verts = body.vertices()
+    diffs = [tuple(x - y for x, y in zip(p, verts[0])) for p in verts[1:]]
+    return exactgeom.int_rank(exactgeom.scale_to_int(diffs)[0]) < body.dim
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_exact_volume_scales_the_vertex_list_once(dim, monkeypatch):
+    """Degeneracy is read off the hull: a V-body's exact volume scales its
+    vertex list to integers once, and is_degenerate and the volume are
+    those of the rank of the vertex differences and of the hull."""
+    rng = np.random.default_rng(dim)
+    calls = []
+    scale = exactgeom.scale_to_int
+
+    def counted(points):
+        calls.append(points)
+        return scale(points)
+
+    for trial in range(12):
+        # generators spanning the space, or fewer of them (degenerate)
+        rank = dim if trial % 3 else dim - 1
+        gens = rng.integers(-3, 4, size=(rank, dim))
+        pts = rng.integers(-2, 3, size=(4, rank)) @ gens
+        verts = [tuple(Fraction(int(x), 1 + trial % 2) for x in row) for row in pts]
+        verts += [tuple(-x for x in v) for v in verts]
+        if len(set(verts)) < 2:
+            continue
+        body = B.PolytopeBody(dim, vertices=verts)
+        monkeypatch.setattr(exactgeom, "scale_to_int", counted)
+        monkeypatch.setattr(B, "scale_to_int", counted)
+        calls.clear()
+        vol = body.volume_exact()
+        monkeypatch.undo()
+        assert sum(c is body.vertices() for c in calls) == 1
+        assert body.is_degenerate == reference_is_degenerate(body)
+        want = Fraction(0) if body.is_degenerate else ExactHull(body.vertices()).volume()
+        assert type(vol) is Fraction and vol == want
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 SMALLEST = {
     "capacity_calibration.py": ["--starts", "1", "--m", "4"],
+    "capacity_fingerprint.py": ["--m", "4", "--starts", "1", "--max-iters", "20"],
     "embedding_certificate.py": ["--nexp", "2", "--samples", "10"],
     "section_scan.py": ["--family", "cube", "--n", "2", "--trials", "1"],
 }
@@ -46,6 +47,26 @@ def test_section_scan_refuses_an_empty_scan(trials):
     assert proc.returncode == 2
     assert "--trials must be >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_capacity_fingerprint_compare_flags_any_difference(tmp_path):
+    proc = run_script("capacity_fingerprint.py", SMALLEST["capacity_fingerprint.py"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # B^4, the four fixed cases and every pool entry, each with a float hex,
+    # a loop digest and the counters
+    assert len(lines) > 5 and lines[0].startswith("full ball B4")
+    assert all(" 0x" in x and "iterations=" in x and "converged=" in x for x in lines)
+    again = run_script("capacity_fingerprint.py", SMALLEST["capacity_fingerprint.py"])
+    assert again.stdout == proc.stdout  # deterministic
+    a, b, short = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "short.txt"
+    a.write_text(proc.stdout)
+    b.write_text(proc.stdout.replace("iterations=20", "iterations=19", 1))
+    short.write_text("\n".join(lines[:-1]) + "\n")
+    assert run_script("capacity_fingerprint.py", ["--compare", str(a), str(a)]).returncode == 0
+    differ = run_script("capacity_fingerprint.py", ["--compare", str(a), str(b)])
+    assert differ.returncode == 1 and "iterations=19" in differ.stdout
+    assert run_script("capacity_fingerprint.py", ["--compare", str(a), str(short)]).returncode == 1
 
 
 def load_bench_pairs():

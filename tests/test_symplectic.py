@@ -90,13 +90,29 @@ def test_polygon_action_batch_equals_per_loop(rng):
     assert np.array_equal(SY.polygon_action(planes(loops.reshape(5, 1, 12, 4)))[:, 0], batch)
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+def reference_coordinate_sum(planes):
+    """The planes added one at a time from the first, as a loop."""
+    out = planes[0] + 0.0
+    for x in planes[1:]:
+        out += x
+    return out
+
+
+@pytest.mark.parametrize("d", [*range(1, 8), 8, 9, 16, 40])
 def test_coordinate_sum_matches_row_reduce(d, rng):
     # magnitudes from 2^-40 to 2^40 with both signs, where any other order of
     # addition changes the bytes; NumPy sums 8 or more terms pairwise
     rows = rng.normal(size=(3, 17, d)) * 2.0 ** rng.integers(-40, 41, size=(3, 17, d))
     rows[0, 0] = -0.0  # an all-zero sum is +0.0, as from np.add.reduce
-    assert SY.coordinate_sum(planes(rows)).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+    p = planes(rows)
+    assert SY.coordinate_sum(p).tobytes() == reference_coordinate_sum(p).tobytes()
+    if d < 8:
+        assert SY.coordinate_sum(p).tobytes() == np.add.reduce(rows, axis=-1).tobytes()
+    # a transposed and a strided view, the coordinate axis still outermost
+    for view in (p.transpose(0, 2, 1), p[:, ::2, 1::3]):
+        assert SY.coordinate_sum(view).tobytes() == reference_coordinate_sum(view).tobytes()
+    zeros = np.full_like(p, -0.0)
+    assert SY.coordinate_sum(zeros).tobytes() == reference_coordinate_sum(zeros).tobytes()
 
 
 def q_line(ell):
