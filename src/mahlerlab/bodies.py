@@ -2,8 +2,9 @@
 
 Representations:
 
-* ``PolytopeBody`` -- exact rational H- and/or V-representation; conversions
-  go through the double description method (H -> V, and V -> H on the polar
+* ``PolytopeBody`` -- exact rational H- and/or V-representation, each an
+  ``exactgeom`` point list of primitive integer pairs; conversions go
+  through the double description method (H -> V, and V -> H on the polar
   inside ``ExactHull``).  Polarity swaps the two representations exactly.
 * ``LpBallBody`` -- unit ball of an l_p norm, 1 < p < inf, in double
   precision.  p = 1 and p = inf are represented as exact cross/cube polytopes
@@ -39,10 +40,14 @@ from .exactgeom import (
     BodyError,
     DegenerateHullError,
     ExactHull,
+    Point,
     dd_vertices,
+    fractions,
     invert_rational_matrix,
     map_points,
+    point_list,
     scale_to_int,
+    sorted_points,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,38 +85,78 @@ def rational_vector(seq) -> tuple[Fraction, ...]:
     return tuple(parse_rational(x) for x in seq)
 
 
-def orthogonal_complement_basis(u) -> np.ndarray:
-    """Basis of u-perp as the columns of an (n, n-1) array.
+def orthogonal_complement_basis(u):
+    """Basis of u-perp: Gram-Schmidt on u and the coordinate vectors, each
+    e_j, the coordinate of largest |u_i| (first such index) left out and the
+    rest in increasing index order, less its projections on u and on the
+    columns before it.
 
-    Gram-Schmidt on u and the coordinate vectors: each e_j, the coordinate
-    of largest |u_i| (first such index) left out and the rest in increasing
-    index order, less its projections on u and on the columns before it.
-    Fractions (an object array) give exact orthogonal columns, not
-    normalized; floats give orthonormal columns, projecting on u/|u|, so u
-    need not be normalized.  A zero normal, a non-finite entry, or a |u|^2
-    that overflows or underflows raises BodyError.
+    Floats give orthonormal columns, the (n, n-1) array, projecting on
+    u/|u|, so u need not be normalized.  Exact entries (an object array of
+    Fractions or ints) give the exact orthogonal columns, not normalized, in
+    integers (``_integer_complement``): ``(columns, den, norms2)``, the
+    columns as integer tuples over one common denominator ``den`` and their
+    squared norms as Fractions.  A zero normal, a non-finite entry, or a
+    |u|^2 that overflows or underflows raises BodyError.
     """
     u = np.asarray(u)
-    exact = u.dtype == object
-    u = u if exact else u.astype(float)
+    if u.dtype == object:
+        return _integer_complement(u)
+    u = u.astype(float)
     with np.errstate(over="ignore"):
         uu = u @ u
     if not 0 < uu < np.inf:
         raise BodyError("normal must be finite, nonzero, and of finite norm")
     pivot = int(np.argmax(np.abs(u)))
-    if not exact:  # unit vectors, whose squared norms are taken as exactly 1
-        u, uu = u / np.sqrt(uu), 1.0
-    cols = []  # the columns so far, with their squared norms
+    u = u / np.sqrt(uu)  # a unit vector, whose squared norm is taken as exactly 1
+    cols = []
     for j in range(len(u)):
         if j == pivot:
             continue
-        v = np.eye(len(u), dtype=u.dtype)[j] - u[j] / uu * u
-        for b, bb in cols:
-            v = v - (v @ b) / bb * b
-        if not exact:
-            v = v / np.linalg.norm(v)
-        cols.append((v, v @ v if exact else 1.0))
-    return np.stack([v for v, _ in cols], axis=1)
+        v = np.eye(len(u), dtype=u.dtype)[j] - u[j] * u
+        for b in cols:
+            v = v - (v @ b) * b
+        cols.append(v / np.linalg.norm(v))
+    return np.stack(cols, axis=1)
+
+
+def _integer_complement(u) -> tuple[list[tuple[int, ...]], int, list[Fraction]]:
+    """The exact Gram-Schmidt of ``orthogonal_complement_basis`` in integers.
+
+    The previous columns b_k are orthogonal to u and to each other, so
+    column j is ``e_j - sum_k b_k[j] b_k / |b_k|^2`` over u and them, a sum
+    that does not change when a b_k is scaled.  So each is held as a
+    primitive integer vector C_k with N_k = |C_k|^2, and column j is
+    ``V / L`` with ``L = lcm(N_k)`` and ``V = L e_j - sum_k (L / N_k) C_k[j]
+    C_k``.  The last column's norm goes into no later column and is not
+    formed."""
+    X, _ = point_list([u])[0]  # u over the lcm of its denominators
+    if not any(X):
+        raise BodyError("normal must be finite, nonzero, and of finite norm")
+    n = len(X)
+    mags = [abs(x) for x in X]
+    pivot = mags.index(max(mags))
+    done = [(X, sum(x * x for x in X))]  # (C, |C|^2) for u and the columns so far
+    cols = []  # pairs (V, L) for the columns V / L
+    for j in range(n):
+        if j == pivot:
+            continue
+        lcm = math.lcm(*(N for _, N in done))
+        V = [0] * n
+        V[j] = lcm
+        for C, N in done:
+            f = lcm // N * C[j]
+            if f:
+                V = [v - f * c for v, c in zip(V, C)]
+        g = math.gcd(*V)
+        if len(cols) < n - 2:
+            C = [v // g for v in V]
+            done.append((C, sum(c * c for c in C)))
+        h = math.gcd(g, lcm)
+        cols.append(([v // h for v in V], lcm // h))
+    den = math.lcm(*(s for _, s in cols))
+    return ([tuple(v * (den // s) for v in V) for V, s in cols], den,
+            [Fraction(sum(v * v for v in V), s * s) for V, s in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -378,50 +423,65 @@ class ConvexBody:
 class PolytopeBody(ConvexBody):
     """Centrally symmetric rational polytope with origin in the interior.
 
-    Both representations are point lists in one canonical form, a sorted
-    tuple of ``Fraction`` tuples: the vertices, and the facet normals scaled
-    to offset 1, the ``a`` of ``{x : <a, x> <= 1}``.  The normals are the
+    Both representations are point lists (``exactgeom.point_list``: pairs
+    ``(X, s)`` of a primitive integer vector and its scale, unique and
+    sorted by rational value): the vertices, and the facet normals scaled to
+    offset 1, the ``a`` of ``{x : <a, x> <= 1}``.  The normals are the
     polar's vertices, so ``polar`` swaps the two lists (and their flags, the
     Hanner tree and which of them were given) and parses nothing.  A list
     not given is filled by the first conversion that needs it; ``describe``
-    presents the body as it was given.
+    presents the body as it was given.  ``vertices``, ``halfspaces`` and
+    ``extreme_vertices`` build Fractions, in the lists' order; the floats of
+    ``_floats`` divide each X by its s.
     """
 
     def __init__(self, dim, vertices=None, halfspaces=None, tree=None, tag=None,
-                 check_symmetry=True, vertices_extreme=False,
-                 halfspaces_irredundant=False):
+                 vertices_extreme=False, halfspaces_irredundant=False):
         if vertices is None and halfspaces is None:
             raise BodyError("polytope needs vertices or halfspaces")
-        self.dim = int(dim)
-        self._vertices = None
-        self._normals = None
-        self._vertices_extreme = bool(vertices_extreme)
-        self._normals_irredundant = bool(halfspaces_irredundant)
-        self._given = (vertices is not None, halfspaces is not None)
-        self._hull = None
-        self._degenerate = None
-        self.tree = tree
-        self.tag = tag
+        dim = int(dim)
+        vs = ns = None
         if vertices is not None:
-            vs = _canonical([rational_vector(v) for v in vertices])
-            if any(len(v) != self.dim for v in vs):
+            vs = point_list(rational_vector(v) for v in vertices)
+            if any(len(X) != dim for X, _ in vs):
                 raise BodyError("vertex dimension mismatch")
-            self._vertices = vs
-            if check_symmetry and not _closed_under_negation(vs):
+            if not _closed_under_negation(vs):
                 raise BodyError("vertex set not closed under negation")
         if halfspaces is not None:
             normals = []
             for a, b in halfspaces:
                 a = rational_vector(a)
                 b = parse_rational(b)
-                if len(a) != self.dim:
+                if len(a) != dim:
                     raise BodyError("halfspace dimension mismatch")
                 if b <= 0:
                     raise BodyError("halfspace offsets must be positive (origin interior)")
                 normals.append(a if b == 1 else tuple(x / b for x in a))
-            self._normals = _canonical(normals)
-            if check_symmetry and not _closed_under_negation(self._normals):
+            ns = point_list(normals)
+            if not _closed_under_negation(ns):
                 raise BodyError("halfspace set not symmetric")
+        self._set(dim, vs, ns, tree, tag, vertices_extreme, halfspaces_irredundant)
+
+    @classmethod
+    def _of_point_lists(cls, dim, vertices, normals, tree=None,
+                        vertices_extreme=False, normals_irredundant=False) -> "PolytopeBody":
+        """A body from point lists already in the format (either may be
+        None), closed under negation by construction: nothing is parsed."""
+        body = cls.__new__(cls)
+        body._set(dim, vertices, normals, tree, None, vertices_extreme, normals_irredundant)
+        return body
+
+    def _set(self, dim, vertices, normals, tree, tag, vertices_extreme, normals_irredundant):
+        self.dim = dim
+        self._vertices = vertices
+        self._normals = normals
+        self._vertices_extreme = bool(vertices_extreme)
+        self._normals_irredundant = bool(normals_irredundant)
+        self._given = (vertices is not None, normals is not None)
+        self._hull = None
+        self._degenerate = None
+        self.tree = tree
+        self.tag = tag
         self._float_cache: dict[str, np.ndarray] = {}
 
     # -- constructions
@@ -440,44 +500,62 @@ class PolytopeBody(ConvexBody):
 
     # -- exact representations
 
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _vertex_list(self) -> tuple[Point, ...]:
+        """The vertex point list; double description fills it from the
+        normals when it was not given."""
         if self._vertices is None:
-            self._vertices = tuple(dd_vertices(self._normals, [1] * len(self._normals)))
+            try:
+                self._vertices = dd_vertices(self._normals)
+            except DegenerateHullError as e:
+                raise BodyError(
+                    f"the polar of a flat body (its facet normals span rank {e.rank} < dim "
+                    f"{self.dim}) is unbounded and has no vertices; a volume or a Mahler "
+                    "product needs a full-dimensional body with a bounded polar") from e
             self._vertices_extreme = True
         return self._vertices
 
+    def _normal_list(self) -> tuple[Point, ...]:
+        """The normal point list; the hull's facets fill it when it was not
+        given."""
+        if self._normals is None:
+            try:
+                self._normals = self.hull().normals
+            except DegenerateHullError as e:
+                raise BodyError(
+                    f"flat body: its vertices span rank {e.rank} < dim {self.dim}, so it has "
+                    "no facets; sections, gauges and the polar's vertices need the facets of "
+                    "a full-dimensional body") from e
+            self._normals_irredundant = True
+        return self._normals
+
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return fractions(self._vertex_list())
+
     def hull(self) -> ExactHull:
         if self._hull is None:
-            verts = self.vertices()  # first: DD here marks the vertices extreme
-            rows = None if self._normals is None else [(a, 1) for a in self._normals]
-            self._hull = ExactHull(verts, rows, extreme=self._vertices_extreme)
+            verts = self._vertex_list()  # first: DD here marks the vertices extreme
+            self._hull = ExactHull(verts, self._normals, extreme=self._vertices_extreme)
         return self._hull
 
     def extreme_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         """The actual vertex set (stored points that are not extreme, e.g.
         from projecting a vertex list, are dropped)."""
-        verts = self.vertices()
-        if self._vertices_extreme:
-            return verts
-        if self.is_degenerate:
-            return verts
-        return tuple(self.hull().vertex_points())
+        verts = self._vertex_list()
+        if not self._vertices_extreme and not self.is_degenerate:
+            verts = self.hull().vertices
+        return fractions(verts)
 
     def halfspaces(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
         """The facet rows ``(a, 1)``; normals not given are read off the hull."""
-        if self._normals is None:
-            self._normals = _canonical([tuple(x / c for x in a)
-                                        for a, c in self.hull().facets()])
-            self._normals_irredundant = True
         one = Fraction(1)
-        return tuple((a, one) for a in self._normals)
+        return tuple((a, one) for a in fractions(self._normal_list()))
 
     @property
     def is_degenerate(self) -> bool:
         """Whether the vertices span less than the full dimension, read off
-        the hull: it ranks its centred integer points and raises
-        ``DegenerateHullError`` when they are degenerate, so an exact volume
-        scales and ranks the vertex list once."""
+        the hull: it ranks its integer points and raises
+        ``DegenerateHullError`` when they are flat, so an exact volume ranks
+        the vertex list once."""
         if self._vertices is None:
             return False  # full-dimensional by origin-interior halfspaces
         if self._degenerate is None:
@@ -497,15 +575,14 @@ class PolytopeBody(ConvexBody):
 
     def _floats(self, key: str) -> np.ndarray:
         """The vertices ("V"), their coordinate planes ("VT") or the facet
-        normals ("A") in floats, cached."""
+        normals ("A") in floats, cached.  Each entry is ``x / s``, Python's
+        correctly rounded int division, which is ``float(Fraction(x, s))``."""
         if key not in self._float_cache:
             if key == "VT":
                 out = np.ascontiguousarray(self._floats("V").T)
-            elif key == "V":
-                out = np.array([[float(x) for x in p] for p in self.vertices()])
-            elif key == "A":
-                self.halfspaces()  # fills the normals when they were not given
-                out = np.array([[float(x) for x in p] for p in self._normals])
+            elif key in ("V", "A"):
+                points = self._vertex_list() if key == "V" else self._normal_list()
+                out = np.array([[x / s for x in X] for X, s in points])
             else:
                 raise KeyError(key)
             self._float_cache[key] = out
@@ -534,7 +611,7 @@ class PolytopeBody(ConvexBody):
         """The two point lists swapped, in a copy without hull, degeneracy,
         tag or float caches."""
         if self._normals is None and self._hull is not None:
-            self.halfspaces()  # a hull already built knows the facets
+            self._normal_list()  # a hull already built knows the facets
         polar = copy.copy(self)
         polar._vertices, polar._normals = self._normals, self._vertices
         polar._vertices_extreme = self._normals_irredundant
@@ -553,13 +630,12 @@ class PolytopeBody(ConvexBody):
         Minv = invert_rational_matrix(M)  # raises on singular
         verts = rows = None
         if self._vertices is not None:  # v -> Mv: the rows of M as columns
-            verts = map_points(self._vertices, *scale_to_int(M))
+            verts = sorted_points(map_points(self._vertices, *scale_to_int(M)))
         if self._normals is not None:  # a -> a M^-1
-            rows = [(a, 1) for a in map_points(self._normals, *scale_to_int(list(zip(*Minv))))]
-        return PolytopeBody(self.dim, vertices=verts, halfspaces=rows,
-                            check_symmetry=False,
-                            vertices_extreme=self._vertices_extreme,
-                            halfspaces_irredundant=self._normals_irredundant)
+            rows = sorted_points(map_points(self._normals, *scale_to_int(list(zip(*Minv)))))
+        return PolytopeBody._of_point_lists(self.dim, verts, rows,
+                                            vertices_extreme=self._vertices_extreme,
+                                            normals_irredundant=self._normals_irredundant)
 
     def describe(self) -> dict:
         if self.tag:
@@ -569,27 +645,18 @@ class PolytopeBody(ConvexBody):
         if self._given[0]:
             return {
                 "type": "vpoly",
-                "vertices": [[format_rational(x) for x in v] for v in self._vertices],
+                "vertices": [[format_rational(x) for x in v] for v in fractions(self._vertices)],
             }
         return {
             "type": "hpoly",
-            "A": [[format_rational(x) for x in a] for a in self._normals],
+            "A": [[format_rational(x) for x in a] for a in fractions(self._normals)],
             "b": ["1"] * len(self._normals),
         }
 
 
-def _canonical(points: list[tuple[Fraction, ...]]) -> tuple[tuple[Fraction, ...], ...]:
-    """The point-list format: sorted and unique, ordered and deduped on the
-    points scaled to integers by one common denominator (a positive scale
-    keeps the lexicographic order of the rationals)."""
-    ints, _ = scale_to_int(points)
-    unique = dict(zip(ints, points))
-    return tuple(unique[k] for k in sorted(unique))
-
-
 def _closed_under_negation(points) -> bool:
     pset = set(points)
-    return all(tuple(-x for x in p) in pset for p in points)
+    return all((tuple(-x for x in X), s) in pset for X, s in points)
 
 
 class LpBallBody(ConvexBody):
@@ -979,7 +1046,7 @@ def hanner_body(expr: str) -> PolytopeBody:
         its parts' vertices and the union of their padded normals; L, the
         polar of X, the same with the two lists swapped."""
         if t == "S":
-            segment = [(Fraction(1),), (Fraction(-1),)]
+            segment = [(1,), (-1,)]
             return segment, segment, 1
         op, children = t
         parts = [build(c) for c in children]
@@ -992,16 +1059,17 @@ def hanner_body(expr: str) -> PolytopeBody:
         padded = []
         off = 0
         for _, points, d in parts:
-            pre = (Fraction(0),) * off
-            post = (Fraction(0),) * (total - off - d)
+            pre = (0,) * off
+            post = (0,) * (total - off - d)
             padded += [pre + a + post for a in points]
             off += d
         return (products, padded, total) if op == "X" else (padded, products, total)
 
+    # every vertex and normal is a sign vector padded with zeros: scale 1
     verts, normals, total = build(tree)
-    return PolytopeBody(total, vertices=verts, halfspaces=[(a, 1) for a in normals],
-                        tree=hanner_tree_str(tree), check_symmetry=False,
-                        vertices_extreme=True, halfspaces_irredundant=True)
+    return PolytopeBody._of_point_lists(
+        total, sorted_points((v, 1) for v in verts), sorted_points((a, 1) for a in normals),
+        tree=hanner_tree_str(tree), vertices_extreme=True, normals_irredundant=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +1094,9 @@ def _open_cut(name: str, body: ConvexBody, u):
     """The checks that open both cuts, and their l_p shortcut.  The normal
     is exact when ``body`` is a rational polytope and every entry parses as
     a rational, else floats.  Returns its ``orthogonal_complement_basis``
-    and, when the cut of an l_p ball is the l_p ball of one dimension less
-    (a coordinate normal, or p = 2), that ball; else None."""
+    (an array of orthonormal columns, or the exact ``(columns, den,
+    norms2)``) and, when the cut of an l_p ball is the l_p ball of one
+    dimension less (a coordinate normal, or p = 2), that ball; else None."""
     if body.dim < 2:
         raise BodyError(f"{name} needs dim >= 2")
     exact = isinstance(body, PolytopeBody)
@@ -1045,30 +1114,22 @@ def _open_cut(name: str, body: ConvexBody, u):
     return basis, None
 
 
-def _integer_frame(basis: np.ndarray) -> tuple[list[tuple[int, ...]], int, list[Fraction]]:
-    """The columns of an exact basis scaled to integers over one common
-    denominator, that denominator, and the columns' squared norms."""
-    cols, den = scale_to_int(basis.T)
-    return cols, den, [Fraction(sum(x * x for x in c), den * den) for c in cols]
-
-
 def hyperplane_section(body: ConvexBody, u) -> ConvexBody:
     """body ∩ u^perp in an orthonormal frame of u^perp.
 
-    Rational polytopes return an exact core scaled per-axis (the frame is the
-    normalized rational Gram-Schmidt basis); functional bodies restrict their
-    gauge to the subspace.
+    Rational polytopes return an exact core scaled per-axis: the core's
+    normals are the body's normals mapped by the integer columns of the
+    rational Gram-Schmidt basis, and the scales are the columns' squared
+    norms; functional bodies restrict their gauge to the subspace.
     """
     basis, ball = _open_cut("hyperplane_section", body, u)
     if ball is not None:
         return ball
-    if basis.dtype != object:
+    if isinstance(basis, np.ndarray):
         return SliceBody(body, basis)
-    cols, den, norms2 = _integer_frame(basis)
-    body.halfspaces()  # fills the normals when they were not given
-    A = [(a, 1) for a in map_points(body._normals, cols, den)]
-    core = PolytopeBody(body.dim - 1, halfspaces=A, check_symmetry=False)
-    return DiagonalImageBody(core, norms2)
+    cols, den, norms2 = basis
+    normals = sorted_points(map_points(body._normal_list(), cols, den))
+    return DiagonalImageBody(PolytopeBody._of_point_lists(body.dim - 1, None, normals), norms2)
 
 
 def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
@@ -1076,12 +1137,12 @@ def hyperplane_projection(body: ConvexBody, u) -> ConvexBody:
     basis, ball = _open_cut("hyperplane_projection", body, u)
     if ball is not None:
         return ball
-    if basis.dtype != object:
+    if isinstance(basis, np.ndarray):
         return ImageBody(body, basis.T)
-    cols, den, norms2 = _integer_frame(basis)
-    core = PolytopeBody(body.dim - 1, vertices=map_points(body.vertices(), cols, den),
-                        check_symmetry=False)
-    return DiagonalImageBody(core, [1 / s for s in norms2])
+    cols, den, norms2 = basis
+    verts = sorted_points(map_points(body._vertex_list(), cols, den))
+    return DiagonalImageBody(PolytopeBody._of_point_lists(body.dim - 1, verts, None),
+                             [1 / s for s in norms2])
 
 
 def lagrangian_product(body: ConvexBody) -> LagrangianProductBody:

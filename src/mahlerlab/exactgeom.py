@@ -1,11 +1,16 @@
-"""Exact rational polytope machinery.
+"""Exact rational polytope machinery, in integers from input to output.
 
-Everything here works over the rationals.  Input coordinates are
-`fractions.Fraction` (or ints); each point list and each H-list is scaled to
-integers once, by one common denominator (``scale_to_int``), so that
+Every point, and every facet normal at offset 1, is a pair ``(X, s)``: an
+integer vector X and an integer scale s > 0 with gcd(X, s) = 1, for the
+rational point X / s.  Equal rationals give equal pairs, so sets and dicts
+dedupe points as they are.  A *point list* is a tuple of such pairs, unique
+and sorted by rational value (``point_list`` from rationals,
+``sorted_points`` from pairs).  The kernels read and write point lists, so
 predicates reduce to signs of integer dot products, ranks and determinants
-(no floating point anywhere), and Fractions are built again only for the
-outputs.
+of the X rows (a row times a positive scale keeps its rank), with no
+floating point and no Fraction arithmetic.  Fractions are built only for
+outputs (``fractions``): ``ExactHull.vertex_points``, ``facets`` and
+``volume``, and the body-level outputs on top of them.
 
 Provides:
 
@@ -16,21 +21,23 @@ Provides:
   ``[M | I]``; the double description takes its first independent rows
   from the pivot columns of the transpose and its starting rays from the
   same inverse.
-* ``ExactHull`` -- the one V <-> H and volume kernel.  With the points
-  centred at their centroid, the facets are the vertices of the polar (double
-  description) unless an H-representation is passed in; vertices, redundant
-  rows and an always-on certificate follow from vertex-facet incidence.  The
-  exact volume cones from the centroid over a pulling triangulation of the
-  facets, built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact
-  volume computation for polytopes: a practical study*, 2000).  When the
-  vertex set is symmetric about its centroid, the two rows of a +- facet
-  pair share one rank check.
+* ``ExactHull`` -- the one V <-> H and volume kernel, for a point list
+  closed under negation that spans the space (so the origin is interior).
+  The facets are the vertices of the polar (double description) unless
+  normals are passed in; vertices, redundant normals and an always-on
+  certificate follow from vertex-facet incidence, ``<A, X> == t s`` for the
+  normal ``(A, t)`` and the point ``(X, s)``.  The exact volume cones from
+  the origin over a pulling triangulation of one facet of each +- pair,
+  built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact volume
+  computation for polytopes: a practical study*, 2000): the sum of
+  ``|det X_sigma| / (d! prod s_sigma)``, doubled.
 * ``map_points`` -- the exact image of a point list under integer columns
   over a common denominator: one integer dot product per entry.
-* ``dd_vertices`` -- vertex enumeration for a bounded H-polytope
-  ``{x : Ax <= b}`` by the double description method on the homogenization
-  cone, each ray's incidence bitmask carried from step to step (Fukuda and
-  Prodon, *Double description method revisited*, 1996).
+* ``dd_vertices`` -- vertex enumeration for the bounded polytope
+  ``{x : <a, x> <= 1}`` of a list of normals, by the double description
+  method on the homogenization cone, each ray's incidence bitmask carried
+  from step to step (Fukuda and Prodon, *Double description method
+  revisited*, 1996); its primitive integer rays ``(X, t)`` are the vertices.
 """
 from __future__ import annotations
 
@@ -129,21 +136,62 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
 
 
 def scale_to_int(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
-    """Scale rational vectors by a common denominator; returns (ints, lcm)."""
+    """Scale the rows of a rational matrix by one common denominator;
+    returns (ints, lcm)."""
     fracs = [[x if type(x) in (int, Fraction) else Fraction(x) for x in v] for v in vectors]
     lcm = math.lcm(*{x.denominator for v in fracs for x in v})
     return [tuple(x.numerator * (lcm // x.denominator) for x in v) for v in fracs], lcm
 
 
-def map_points(points: Sequence[Sequence[Fraction]], columns: Sequence[Sequence[int]],
-               den: int) -> list[tuple[Fraction, ...]]:
-    """The exact images ``(<p, c_1>, ..., <p, c_k>) / den`` of rational
-    points ``p``, for integer columns ``c_j`` over one common denominator
-    ``den`` (the pair ``scale_to_int`` returns).  The points are scaled to
-    integers once as well, so each entry is one integer dot product."""
-    ints, lcm = scale_to_int(points)
-    den *= lcm
-    return [tuple(Fraction(_dot(p, c), den) for c in columns) for p in ints]
+# ---------------------------------------------------------------------------
+# point lists: primitive integer vectors with their own scales
+
+Point = tuple[tuple[int, ...], int]
+
+
+def _primitive(X: Sequence[int], s: int) -> Point:
+    """The pair of the rational point X / s, s > 0."""
+    g = math.gcd(s, *X)
+    if g == 1:
+        return tuple(X), s
+    return tuple(x // g for x in X), s // g
+
+
+def sorted_points(pairs) -> tuple[Point, ...]:
+    """Pairs as a point list: unique, and sorted by rational value.  Under one
+    scale the order of the X is that of the rationals; under several, the X
+    are compared over the common denominator."""
+    unique = set(pairs)
+    scales = {s for _, s in unique}
+    if len(scales) <= 1:
+        return tuple(sorted(unique))
+    lcm = math.lcm(*scales)
+    return tuple(sorted(unique, key=lambda p: tuple(x * (lcm // p[1]) for x in p[0])))
+
+
+def point_list(points) -> tuple[Point, ...]:
+    """Rational points (ints or Fractions) as a point list.  A point's scale
+    is the lcm of its denominators, which makes its pair primitive."""
+    pairs = []
+    for p in points:
+        p = [x if type(x) in (int, Fraction) else Fraction(x) for x in p]
+        s = math.lcm(*(x.denominator for x in p))
+        pairs.append((tuple(x.numerator * (s // x.denominator) for x in p), s))
+    return sorted_points(pairs)
+
+
+def fractions(points: Sequence[Point]) -> tuple[tuple[Fraction, ...], ...]:
+    """The points of a point list as Fraction tuples, in its order."""
+    return tuple(tuple(Fraction(x, s) for x in X) for X, s in points)
+
+
+def map_points(points: Sequence[Point], columns: Sequence[Sequence[int]],
+               den: int) -> list[Point]:
+    """The images ``(<X, c_1>, ..., <X, c_k>) / (s den)`` of the points
+    ``(X, s)`` under integer columns ``c_j`` over one common denominator
+    ``den > 0`` (the pair ``scale_to_int`` returns): one integer dot product
+    per entry.  The pairs are primitive and in the order of the points."""
+    return [_primitive([_dot(X, c) for c in columns], s * den) for X, s in points]
 
 
 def _scaled_inverse(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -176,6 +224,10 @@ def invert_rational_matrix(M: Sequence[Sequence[Fraction]]) -> list[list[Fractio
 
 class DegenerateHullError(ValueError):
     """Input points do not span the ambient dimension."""
+
+    def __init__(self, rank: int, dim: int):
+        super().__init__(f"points span rank {rank} < dim {dim}")
+        self.rank = rank
 
 
 def _bits(mask: int) -> list[int]:
@@ -221,79 +273,59 @@ def _pulling(face: int, k: int, candidates, memo: dict) -> list[tuple[int, ...]]
 
 
 class ExactHull:
-    """Facets, vertices and exact volume of the convex hull of rational points.
+    """Facets, vertices and exact volume of the convex hull of a point list.
 
-    The points, and the rows of ``halfspaces``, are each scaled to integers
-    once by one common denominator; the integer points are sorted and
-    deduped (a positive scale keeps the lexicographic order of the
-    rationals, so point indices are those of the sorted rational points),
-    and ``vertex_points`` and ``facets`` build Fractions again only for
-    their outputs.
-
-    The points are centred at their centroid, an interior point.  The
-    facets are the rows of ``halfspaces`` (pairs ``(a, b)`` meaning
-    ``<a, x> <= b``, redundant rows allowed) when an H-representation is
-    known; otherwise they are the vertices of the polar of the centred
-    points, found by double description.  A point is a vertex when the
-    normals of the facets through it have rank ``dim``; ``extreme=True``
-    says that every point is one.  A row is kept when its incident vertices
-    have rank ``dim``; when the vertex set is closed under negation, the
-    rows ``(a, c)`` and ``(-a, c)`` meet it in negated sets, and one rank
-    check serves both.
+    ``points`` is a point list (pairs ``(X, s)`` for X / s, unique and
+    sorted by rational value) closed under negation and spanning the space,
+    so the origin is interior; any other input raises ``ValueError``
+    (``DegenerateHullError`` when the points are flat).  Point indices are
+    positions in the list.  ``normals``, when the facets are known, is a
+    point list of normals at offset 1, the ``(A, t)`` of ``<A, x> <= t``,
+    redundant ones allowed; otherwise the normals are the vertices of the
+    polar, found by double description on the nonzero points.  A point is a
+    vertex when the normals of the facets through it have rank ``dim``;
+    ``extreme=True`` says that every point is one.  A normal is kept when
+    its incident vertices have rank ``dim``; the normals ``(A, t)`` and
+    ``(-A, t)`` meet the vertex set in negated sets, and one rank check
+    serves both.
 
     The certificate is always checked, and a failure raises
-    ``AssertionError``: every point satisfies every row, and every kept
-    facet passes through ``dim`` linearly independent centred vertices.
+    ``AssertionError``: every point satisfies every normal, and every kept
+    facet passes through ``dim`` linearly independent vertices.
 
-    ``volume`` cones from the centroid over a pulling triangulation of the
-    facets (``facet_simplices``, tuples of point indices).  When the
-    vertices are symmetric about the centroid it takes one facet of each
-    +- pair and doubles the sum.
+    ``points``, ``vertices`` and ``normals`` hold the input, the vertices
+    and the kept normals as point lists; ``vertex_points`` and ``facets``
+    are the last two as Fractions.  ``volume`` cones from the origin over a pulling
+    triangulation of one facet of each +- pair (``facet_simplices``, tuples
+    of point indices) and doubles the sum.
     """
 
-    def __init__(self, points: Sequence[Sequence[Fraction]],
-                 halfspaces: Sequence[tuple[Sequence[Fraction], Fraction]] | None = None,
+    def __init__(self, points: Sequence[Point], normals: Sequence[Point] | None = None,
                  extreme: bool = False):
-        # one common denominator: a positive scale keeps the lexicographic
-        # order, so the sorted integer points index as the sorted rationals
-        raw, lcm = scale_to_int(points)
-        raw = sorted(set(raw))
-        if not raw:
+        if not points:
             raise ValueError("no points")
-        d = self.dim = len(raw[0])
-        self._raw, self._lcm = raw, lcm
-        n = len(raw)
-        # centred integer coordinates x = scale * p - shift
-        shift = tuple(map(sum, zip(*raw)))
-        ints = raw
-        if any(shift):
-            ints = [tuple(n * x - s for x, s in zip(p, shift)) for p in raw]
-        self._ints = ints
-        self._scale = n * lcm if any(shift) else lcm
+        pset = set(points)
+        if any((tuple(-x for x in X), s) not in pset for X, s in points):
+            raise ValueError("hull needs a point set closed under negation")
+        d = self.dim = len(points[0][0])
+        ints = [X for X, _ in points]
         rank = int_rank(ints)
         if rank < d:
-            raise DegenerateHullError(f"points span affine rank {rank} < dim {d}")
+            raise DegenerateHullError(rank, d)
+        self.points = points
+        known = normals is not None
+        if not known:
+            normals = dd_vertices([p for p in points if any(p[0])])
 
-        if halfspaces is None:
-            nonzero = [p for p in ints if any(p)]
-            polar = dd_vertices(nonzero, [1] * len(nonzero))
-            rows = [gcd_reduce(r) for r in scale_to_int([y + (1,) for y in polar])[0]]
-        else:
-            # the rows (L a, L b) of one common denominator L; the centred
-            # offset of <a, x> <= b is L (scale b - <a, shift>)
-            scaled, _ = scale_to_int([tuple(a) + (b,) for a, b in halfspaces])
-            rows = sorted({gcd_reduce(r[:-1] + (self._scale * r[-1] - _dot(r[:-1], shift),))
-                           for r in scaled})
-
+        n = len(points)
         tight = []
-        for row in rows:
-            a, rhs = row[:-1], row[-1]
+        for A, t in normals:
             mask = 0
-            for i, p in enumerate(ints):
-                v = _dot(a, p)
-                if v > rhs:
-                    raise AssertionError("hull certificate failed: a point violates a facet")
-                if v == rhs:
+            for i, (X, s) in enumerate(points):
+                v = _dot(A, X)
+                if v >= t * s:
+                    if v > t * s:
+                        raise AssertionError("hull certificate failed: a point violates a facet")
                     mask |= 1 << i
             tight.append(mask)
         if extreme:
@@ -301,65 +333,72 @@ class ExactHull:
         else:
             vertex_ids = [
                 i for i in range(n)
-                if int_rank([r[:-1] for r, m in zip(rows, tight) if m >> i & 1]) == d
+                if int_rank([A for (A, _), m in zip(normals, tight) if m >> i & 1]) == d
             ]
-        self._vertex_ids = vertex_ids
-        vset = {ints[i] for i in vertex_ids}
-        self._symmetric = all(tuple(-x for x in v) in vset for v in vset)
+        self.vertices = tuple(points[i] for i in vertex_ids)
         vmask = sum(1 << i for i in vertex_ids)
-        self._rows = []
+        kept = []
         self._masks = []
-        # a vertex set closed under negation meets the rows (a, c) and
-        # (-a, c) in negated sets of equal rank: one check serves both
-        full: dict[tuple[int, ...], bool] = {}
-        for row, m in zip(rows, tight):
+        # the vertex set is closed under negation, so it meets the normals
+        # (A, t) and (-A, t) in negated sets of equal rank: one check serves both
+        full: dict[Point, bool] = {}
+        for row, m in zip(normals, tight):
             m &= vmask
-            twin = tuple(-x for x in row[:-1]) + row[-1:] if self._symmetric else None
+            twin = (tuple(-x for x in row[0]), row[1])
             full[row] = full[twin] if twin in full else \
                 int_rank([ints[i] for i in _bits(m)]) == d
             if full[row]:
-                self._rows.append(row)
+                kept.append(row)
                 self._masks.append(m)
-            elif halfspaces is None:
+            elif not known:
                 raise AssertionError(
                     "hull certificate failed: a facet has fewer than dim independent vertices")
+        self.normals = tuple(kept)
         self._simplices = None
         self._volume = None
 
     @property
     def facet_simplices(self) -> list[tuple[int, ...]]:
+        """The simplices of one facet of each +- pair: the facets whose
+        normal's first nonzero entry is positive."""
         if self._simplices is None:
             memo: dict = {}
             self._simplices = [
                 simplex
-                for row, m in zip(self._rows, self._masks)
-                if not self._symmetric or row[:-1] > tuple(-x for x in row[:-1])
+                for (A, _), m in zip(self.normals, self._masks)
+                if A > tuple(-x for x in A)
                 for simplex in _pulling(m, self.dim - 1, self._masks, memo)
             ]
         return self._simplices
 
     def facets(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """Supporting hyperplanes ``<a, x> <= c`` in the input coordinates,
-        with ``a`` a primitive integer vector."""
-        out = []
-        for row, m in zip(self._rows, self._masks):
-            a = gcd_reduce(row[:-1])
-            v = self._raw[(m & -m).bit_length() - 1]
-            out.append((tuple(map(Fraction, a)), Fraction(_dot(a, v), self._lcm)))
-        return sorted(out)
+        """Supporting hyperplanes ``<a, x> <= c``, ``a`` a primitive integer
+        vector, sorted: the normal ``(A, t)`` over ``g = gcd(A)`` is
+        ``a = A / g`` and ``c = t / g``."""
+        rows = []
+        for A, t in self.normals:
+            g = math.gcd(*A)
+            rows.append((tuple(x // g for x in A), t, g))
+        rows.sort()  # facets of one polytope have distinct normals a
+        return [(tuple(map(Fraction, a)), Fraction(t, g)) for a, t, g in rows]
 
     def vertex_points(self) -> list[tuple[Fraction, ...]]:
-        lcm = self._lcm
-        return [tuple(Fraction(x, lcm) for x in self._raw[i]) for i in self._vertex_ids]
+        return list(fractions(self.vertices))
 
     def volume(self) -> Fraction:
+        """``2 sum |det X_sigma| / (d! prod s_sigma)`` over the simplices,
+        summed in integers per denominator ``prod s_sigma`` and put over
+        their lcm once."""
         if self._volume is None:
-            pts = self._ints
-            total = sum(abs(bareiss_det([pts[i] for i in s])) for s in self.facet_simplices)
-            if self._symmetric:
-                total *= 2
-            d = self.dim
-            self._volume = Fraction(total, math.factorial(d) * self._scale**d)
+            pts = self.points
+            sums: dict[int, int] = {}
+            for simplex in self.facet_simplices:
+                det = abs(bareiss_det([pts[i][0] for i in simplex]))
+                den = math.prod(pts[i][1] for i in simplex)
+                sums[den] = sums.get(den, 0) + det
+            lcm = math.lcm(*sums)
+            total = sum(v * (lcm // k) for k, v in sums.items())
+            self._volume = Fraction(2 * total, math.factorial(self.dim) * lcm)
         return self._volume
 
 
@@ -367,30 +406,28 @@ class ExactHull:
 # double description (vertex enumeration from halfspaces)
 
 
-def dd_vertices(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> list[tuple[Fraction, ...]]:
-    """Vertices of the bounded polytope ``{x : Ax <= b}``.
+def dd_vertices(normals: Sequence[Point]) -> tuple[Point, ...]:
+    """Vertices of the bounded polytope ``{x : <a, x> <= 1 for a in normals}``
+    as a point list, for a point list of normals ``(A, t)`` (``a = A / t``).
 
-    Double description on the homogenization cone ``{(x, t) : Ax - tb <= 0}``
-    with the combinatorial adjacency test.  Raises ``ValueError`` if the
-    polytope is unbounded or the system is rank deficient.
+    Double description on the homogenization cone ``{(x, w) : <A, x> - t w
+    <= 0}`` with the combinatorial adjacency test.  Each row ``(A, -t)`` is
+    primitive as it is, and each ray is kept primitive, so a ray ``(X, w)``
+    with ``w > 0`` is the vertex's pair.  Raises ``DegenerateHullError``
+    when the normals are flat (the body is unbounded, the polar of a flat
+    body) and ``ValueError`` when the body is otherwise unbounded.
     """
-    if len(A) == 0:
+    if len(normals) == 0:
         raise ValueError("empty halfspace system")
-    d = len(A[0])
-    scaled, _ = scale_to_int([tuple(row) + (bi,) for row, bi in zip(A, b)])
-    rows = []
-    seen = set()
-    for r in scaled:
-        r = gcd_reduce(r[:-1] + (-r[-1],))
-        if r not in seen:
-            seen.add(r)
-            rows.append(r)
+    d = len(normals[0][0])
+    rows = [A + (-t,) for A, t in normals]
     D = d + 1
     # the first D independent rows: the pivot columns of the transpose
     init = _eliminate(list(zip(*rows)))[1]
     if len(init) < D:
+        rank = int_rank([A for A, _ in normals])
+        if rank < d:
+            raise DegenerateHullError(rank, d)
         raise ValueError("halfspace system is rank deficient (unbounded body?)")
     order = init + sorted(set(range(len(rows))) - set(init))
     # the cone {y : My <= 0} has the rays r_j with M r_j = -|det M| e_j, the
@@ -437,14 +474,9 @@ def dd_vertices(
         rays = [rays[i] for i in keep_idx] + new_rays
         masks = [masks[i] | (bit if vals[i] == 0 else 0) for i in keep_idx] + new_masks
 
-    verts = []
-    seen_v: set[tuple[Fraction, ...]] = set()
+    verts = set()
     for r in rays:
-        t = r[-1]
-        if t <= 0:
+        if r[-1] <= 0:
             raise ValueError("polytope is unbounded (recession ray found)")
-        v = tuple(Fraction(x, t) for x in r[:-1])
-        if v not in seen_v:
-            seen_v.add(v)
-            verts.append(v)
-    return sorted(verts)
+        verts.add((r[:-1], r[-1]))
+    return sorted_points(verts)

@@ -34,11 +34,11 @@ def support_by_vertex_scan(vertices, u) -> float:
 def shadow_area_oracle(body: B.PolytopeBody, u) -> float:
     """Projection (shadow) area of a 3-polytope: half the sum over facets of
     facet area times |cos| of the angle to the projection direction."""
-    from mahlerlab.exactgeom import ExactHull
+    from mahlerlab.exactgeom import ExactHull, point_list
 
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
-    hull = ExactHull(body.vertices())
+    hull = ExactHull(point_list(body.vertices()))
     verts = [np.array([float(x) for x in v]) for v in body.vertices()]
     total = 0.0
     for a, c in hull.facets():
@@ -127,6 +127,25 @@ def random_symmetric_hpolytope(rng, dim, pairs) -> B.PolytopeBody:
             halfspaces.append((e, Fraction(1)))
             halfspaces.append((tuple(-x for x in e), Fraction(1)))
         return B.PolytopeBody(dim, halfspaces=halfspaces)
+
+
+def rational_sphere(count, seed=2024):
+    """``2 count`` points on the unit sphere of R^3: ``count`` inverse
+    stereographic images ``(2a, 2b, a^2 + b^2 - 1) / (a^2 + b^2 + 1)`` of
+    rationals a and b (numerator in [-400, 400], denominator in [1, 97],
+    drawn for a and then for b), none the negative of another, and their
+    negatives."""
+    rng = np.random.default_rng(seed)
+    pts: set = set()
+    while len(pts) < count:
+        a, b = (Fraction(int(rng.integers(-400, 401)), int(rng.integers(1, 98)))
+                for _ in range(2))
+        q = a * a + b * b + 1
+        p = (2 * a / q, 2 * b / q, (a * a + b * b - 1) / q)
+        if p not in pts and tuple(-x for x in p) not in pts:
+            pts.add(p)
+    pts = sorted(pts)
+    return pts + [tuple(-x for x in p) for p in pts]
 
 
 # ---------------------------------------------------------------------------

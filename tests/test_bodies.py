@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mahlerlab import bodies as B
 from mahlerlab import exactgeom
 from mahlerlab import volume as V
-from mahlerlab.exactgeom import ExactHull
+from mahlerlab.exactgeom import ExactHull, fractions, point_list
 
 from conftest import (
     hanner_counts,
@@ -70,7 +70,7 @@ def test_parse_hanner_expression():
     body = B.parse_body({"type": "hanner", "expr": "X(S, L(S, S))"})
     assert body.dim == 3
     # oracle: independently computed hull of the vertex set
-    hull = ExactHull(body.vertices())
+    hull = ExactHull(point_list(body.vertices()))
     assert len(hull.vertex_points()) == 8
     assert len(hull.facets()) == 6
     assert (len(body.extreme_vertices()), len(body.hull().facets())) == (8, 6)
@@ -504,14 +504,15 @@ def test_float_frame_is_the_reference_frame_bytes(case):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 6).flatmap(nonzero_fraction_vectors))
 def test_rational_basis_is_the_reference_basis(u):
-    M = B.orthogonal_complement_basis(np.array(u, dtype=object))
-    assert M.shape == (len(u), len(u) - 1)
-    cols = [tuple(M[:, k]) for k in range(M.shape[1])]
-    assert cols == reference_rational_basis(u)
-    assert all(isinstance(x, Fraction) for x in M.flat)
-    assert all(sum(x * y for x, y in zip(c, u)) == 0 for c in cols)
+    cols, den, norms2 = B.orthogonal_complement_basis(np.array(u, dtype=object))
+    assert len(cols) == len(u) - 1 and den > 0
+    assert all(type(x) is int for c in cols for x in c)
+    fracs = [tuple(Fraction(x, den) for x in c) for c in cols]
+    assert fracs == reference_rational_basis(u)
+    assert norms2 == [sum(x * x for x in c) for c in fracs]
+    assert all(sum(x * y for x, y in zip(c, u)) == 0 for c in fracs)
     assert all(sum(x * y for x, y in zip(a, b)) == 0
-               for i, a in enumerate(cols) for b in cols[i + 1:])
+               for i, a in enumerate(fracs) for b in fracs[i + 1:])
 
 
 def test_slicing_duality_polytopes():
@@ -541,7 +542,7 @@ def test_slicing_duality_functional():
 
 def test_degenerate_section_flagged():
     # a deliberately lower-dimensional vertex set is reported degenerate
-    body = B.PolytopeBody(2, vertices=[(1, 0), (-1, 0)], check_symmetry=False)
+    body = B.PolytopeBody(2, vertices=[(1, 0), (-1, 0)])
     assert body.is_degenerate
     assert body.volume_exact() == 0
 
@@ -555,16 +556,18 @@ def reference_is_degenerate(body) -> bool:
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_exact_volume_scales_the_vertex_list_once(dim, monkeypatch):
-    """Degeneracy is read off the hull: a V-body's exact volume scales its
-    vertex list to integers once, and is_degenerate and the volume are
-    those of the rank of the vertex differences and of the hull."""
+    """Degeneracy is read off the hull: a V-body's vertex list is put in the
+    point-list format once, when the body is built, and its exact volume
+    converts nothing; is_degenerate and the volume are those of the rank of
+    the vertex differences and of the hull."""
     rng = np.random.default_rng(dim)
     calls = []
-    scale = exactgeom.scale_to_int
 
-    def counted(points):
-        calls.append(points)
-        return scale(points)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
     for trial in range(12):
         # generators spanning the space, or fewer of them (degenerate)
@@ -575,15 +578,19 @@ def test_exact_volume_scales_the_vertex_list_once(dim, monkeypatch):
         verts += [tuple(-x for x in v) for v in verts]
         if len(set(verts)) < 2:
             continue
+        for name in ("point_list", "scale_to_int", "fractions"):
+            monkeypatch.setattr(exactgeom, name, counted(name, getattr(exactgeom, name)))
+            monkeypatch.setattr(B, name, counted(name, getattr(B, name)))
+        calls.clear()
         body = B.PolytopeBody(dim, vertices=verts)
-        monkeypatch.setattr(exactgeom, "scale_to_int", counted)
-        monkeypatch.setattr(B, "scale_to_int", counted)
+        assert calls == ["point_list"]
         calls.clear()
         vol = body.volume_exact()
         monkeypatch.undo()
-        assert sum(c is body.vertices() for c in calls) == 1
+        assert calls == []
         assert body.is_degenerate == reference_is_degenerate(body)
-        want = Fraction(0) if body.is_degenerate else ExactHull(body.vertices()).volume()
+        want = Fraction(0) if body.is_degenerate \
+            else ExactHull(point_list(body.vertices())).volume()
         assert type(vol) is Fraction and vol == want
 
 
@@ -606,7 +613,7 @@ def test_hanner_counts_match_hull_up_to_six_leaves():
             expr = random_hanner_expr(leaves, rng)
             body = B.hanner_body(expr)
             v_pred, f_pred = hanner_counts(expr)
-            hull = ExactHull(body.vertices())
+            hull = ExactHull(point_list(body.vertices()))
             assert len(hull.vertex_points()) == v_pred
             assert len(hull.facets()) == f_pred
 
@@ -721,7 +728,7 @@ def test_polar_swaps_the_two_point_lists(tree, kind, u, shift):
     assert Q.vertices() == tuple(a for a, _ in P.halfspaces())
     assert Q.halfspaces() == tuple((v, 1) for v in P.vertices())
     if kind == "vonly":
-        hull = ExactHull(P.vertices())
+        hull = ExactHull(point_list(P.vertices()))
         assert tuple(a for a, _ in P.halfspaces()) == tuple(
             sorted(tuple(x / c for x in a) for a, c in hull.facets()))
     # a body whose hull is built gives the polar the normals read off it
@@ -730,7 +737,7 @@ def test_polar_swaps_the_two_point_lists(tree, kind, u, shift):
     with _parse_calls() as calls:
         R_polar = R.polar()
     assert calls == []
-    assert R_polar._vertices == Q.vertices()
+    assert R_polar._vertices == Q._vertices and R_polar.vertices() == Q.vertices()
     assert (R_polar._normals_irredundant, R_polar._vertices_extreme) == \
         (R._vertices_extreme, R._normals_irredundant)
 
@@ -767,13 +774,18 @@ def object_products(points, basis):
     return [tuple(np.array(p, dtype=object) @ basis) for p in points]
 
 
+def reference_basis(u):
+    """The rational Gram-Schmidt basis of u-perp as an object array of
+    columns."""
+    return np.array(reference_rational_basis(list(B.rational_vector(u))), dtype=object).T
+
+
 def reference_cut(body, u, kind):
     """The core's point list and the squared scales of an exact cut."""
-    basis = B.orthogonal_complement_basis(np.array(B.rational_vector(u), dtype=object))
+    basis = reference_basis(u)
     norms2 = (basis * basis).sum(axis=0)
     if kind == "section":
-        body.halfspaces()
-        return object_products(body._normals, basis), tuple(norms2)
+        return object_products([a for a, _ in body.halfspaces()], basis), tuple(norms2)
     return object_products(body.vertices(), basis), tuple(1 / norms2)
 
 
@@ -782,9 +794,9 @@ def reference_linear_image(body, M):
     n = body.dim
     Minv = B.invert_rational_matrix(M)
     return ([tuple(sum(M[i][k] * v[k] for k in range(n)) for i in range(n))
-             for v in body._vertices],
+             for v in body.vertices()],
             [tuple(sum(a[k] * Minv[k][i] for k in range(n)) for i in range(n))
-             for a in body._normals])
+             for a, _ in body.halfspaces()])
 
 
 def reference_canonical(points):
@@ -796,31 +808,42 @@ def all_fractions(points):
     return all(type(x) is Fraction for p in points for x in p)
 
 
+def primitive_pairs(points):
+    return all(s > 0 and math.gcd(s, *X) == 1 for X, s in points)
+
+
 def check_cuts_and_image(body, M, u):
     """The image's point lists and, on the image and on its rebuilds from
     one representation, both cuts' core point lists and squared scales equal
-    the reference, Fraction for Fraction."""
+    the reference, Fraction for Fraction, and every stored pair is
+    primitive."""
     n = body.dim
     img = body.linear_image(M)
     verts, normals = reference_linear_image(body, M)
-    assert img._vertices == reference_canonical(verts)
-    assert img._normals == reference_canonical(normals)
-    assert all_fractions(img._vertices) and all_fractions(img._normals)
-    basis = B.orthogonal_complement_basis(np.array(B.rational_vector(u), dtype=object))
+    assert img.vertices() == reference_canonical(verts)
+    assert tuple(a for a, _ in img.halfspaces()) == reference_canonical(normals)
+    assert all_fractions(img.vertices()) and all_fractions(a for a, _ in img.halfspaces())
+    assert primitive_pairs(img._vertices) and primitive_pairs(img._normals)
+    cols, den, _ = B.orthogonal_complement_basis(np.array(B.rational_vector(u), dtype=object))
+    basis = reference_basis(u)
     for P in (img, B.PolytopeBody(n, vertices=img.vertices()),
               B.PolytopeBody(n, halfspaces=img.halfspaces())):
         for kind, cut in (("section", B.hyperplane_section),
                           ("projection", B.hyperplane_projection)):
             res = cut(P, u)
             points, scales2 = reference_cut(P, u, kind)
-            core = res.core._normals if kind == "section" else res.core._vertices
+            core = tuple(a for a, _ in res.core.halfspaces()) if kind == "section" \
+                else res.core.vertices()
             assert core == reference_canonical(points) and all_fractions(core)
+            stored = res.core._normals if kind == "section" else res.core._vertices
+            assert primitive_pairs(stored)
             assert res.scales2 == scales2
         # the map itself, point by point and in order
         P.halfspaces()  # fills the normals when they were not given
-        for points in (P.vertices(), P._normals):
-            mapped = exactgeom.map_points(points, *exactgeom.scale_to_int(basis.T))
-            assert mapped == object_products(points, basis) and all_fractions(mapped)
+        for pairs in (P._vertices, P._normals):
+            mapped = fractions(exactgeom.map_points(pairs, cols, den))
+            assert list(mapped) == object_products(fractions(pairs), basis)
+            assert all_fractions(mapped)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

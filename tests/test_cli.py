@@ -91,6 +91,30 @@ def test_mahler_of_product_beyond_dimension_eight(capsys):
     assert out["vol_polar"]["method"] == "exact" and out["vol_polar"]["exact"] == "32/945"
 
 
+FLAT_SQUARE = '{"type":"vpoly","vertices":[[1,0,0],[-1,0,0],[0,1,0],[0,-1,0]]}'
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["section", "--body", FLAT_SQUARE, "--normal", "0,0,1"], "no facets"),
+    (["section", "--body", FLAT_SQUARE, "--normal", "1,0,0"], "no facets"),
+    (["mahler", "--body", FLAT_SQUARE], "polar of a flat body"),
+    (["volume", "--body", '{"type":"polar","body":%s}' % FLAT_SQUARE], "polar of a flat body"),
+], ids=["section-flat-normal", "section-in-plane-normal", "mahler", "volume-of-polar"])
+def test_flat_vpolytope_errors_say_the_body_is_flat(capsys, argv, why):
+    """A square in R^3 spans rank 2: every operation that needs its facets or
+    its polar's vertices exits 1 saying so, not with a message about
+    halfspaces the user never gave."""
+    code = cli.main(["--no-log", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "flat body" in err and "rank 2 < dim 3" in err and why in err
+    assert "Traceback" not in err and "rank deficient" not in err
+    # its own volume and its projections are fine: they need no facets
+    if argv[0] == "mahler":
+        code, out = run_cli(capsys, "--no-log", "volume", "--body", FLAT_SQUARE)
+        assert code == 0 and out["exact"] == "0"
+
+
 def test_l1sum_block_mismatch_exit_one(capsys):
     code = cli.main(["--no-log", "volume", "--body",
                      '{"type":"l1sum","body":{"type":"cube","dim":2},"dual":{"type":"cross","dim":3}}'])

@@ -14,8 +14,26 @@ from mahlerlab.exactgeom import (
     ExactHull,
     bareiss_det,
     dd_vertices,
+    fractions,
     int_rank,
+    point_list,
 )
+
+
+def hull_of(points, normals=None, extreme=False):
+    """The kernel on rational points, and on rational normals at offset 1."""
+    return ExactHull(point_list(points), None if normals is None else point_list(normals),
+                     extreme)
+
+
+def unit_normals(rows):
+    """The normals a / b of rows (a, b), b > 0."""
+    return [tuple(Fraction(x) / b for x in a) for a, b in rows]
+
+
+def dd_of(A, b):
+    """``dd_vertices`` of the rows <a, x> <= b, b > 0, as Fraction points."""
+    return list(fractions(dd_vertices(point_list(unit_normals(zip(A, b))))))
 
 
 def test_bareiss_matches_numpy():
@@ -38,11 +56,11 @@ def test_int_rank():
 
 
 def test_cube_and_cross_hulls():
-    cube = ExactHull(list(itertools.product([-1, 1], repeat=3)))
+    cube = hull_of(list(itertools.product([-1, 1], repeat=3)))
     assert cube.volume() == 8
     assert len(cube.facets()) == 6
     assert len(cube.vertex_points()) == 8
-    cross = ExactHull(
+    cross = hull_of(
         [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (1, -1)]
     )
     assert cross.volume() == Fraction(4, 3)
@@ -52,15 +70,15 @@ def test_cube_and_cross_hulls():
 
 def test_hull_ignores_interior_and_boundary_points():
     pts = list(itertools.product([-1, 1], repeat=2))
-    pts += [(0, 0), (1, 0), (0, 1)]  # interior and edge midpoints
-    hull = ExactHull(pts)
+    pts += [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]  # interior and edge midpoints
+    hull = hull_of(pts)
     assert hull.volume() == 4
     assert len(hull.vertex_points()) == 4
 
 
 def test_degenerate_input_raises():
     with pytest.raises(DegenerateHullError):
-        ExactHull([(0, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 2, 0)])
+        hull_of([(0, 0, 0), (1, 1, 0), (-1, -1, 0), (2, 2, 0), (-2, -2, 0)])
 
 
 def test_hull_volume_against_qhull_random():
@@ -71,7 +89,7 @@ def test_hull_volume_against_qhull_random():
         P = rng.integers(-5, 6, size=(n, d))
         P = np.vstack([P, -P])
         try:
-            eh = ExactHull([tuple(int(x) for x in row) for row in P])
+            eh = hull_of([tuple(int(x) for x in row) for row in P])
         except DegenerateHullError:
             continue
         qh = QHull(P.astype(float))
@@ -85,17 +103,17 @@ def test_hull_rational_coordinates():
         (Fraction(0), Fraction(1, 3)),
         (Fraction(0), Fraction(-1, 3)),
     ]
-    hull = ExactHull(pts)
+    hull = hull_of(pts)
     assert hull.volume() == Fraction(1, 3)
 
 
 def test_dd_cube_cross():
     A = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
-    verts = dd_vertices(A, [1] * 6)
+    verts = dd_of(A, [1] * 6)
     assert len(verts) == 8
     assert all(all(abs(x) == 1 for x in v) for v in verts)
     A2 = [list(s) for s in itertools.product([-1, 1], repeat=3)]
-    verts2 = dd_vertices(A2, [1] * 8)
+    verts2 = dd_of(A2, [1] * 8)
     assert sorted(verts2) == sorted(
         tuple(Fraction(s if i == j else 0) for i in range(3))
         for j in range(3)
@@ -117,7 +135,7 @@ def test_dd_vertices_satisfy_constraints_tightly():
             e[i] = 1
             A += [e[:], [-x for x in e]]
         b = [1] * len(A)
-        verts = dd_vertices(A, b)
+        verts = dd_of(A, b)
         Af = np.array(A, dtype=float)
         for v in verts:
             vf = np.array([float(x) for x in v])
@@ -129,8 +147,8 @@ def test_dd_vertices_satisfy_constraints_tightly():
 
 
 def test_dd_unbounded_rejected():
-    with pytest.raises(ValueError):
-        dd_vertices([[1, 0], [-1, 0]], [1, 1])  # a slab
+    with pytest.raises(DegenerateHullError, match="rank 1 < dim 2"):
+        dd_of([[1, 0], [-1, 0]], [1, 1])  # a slab: its normals are flat
 
 
 def test_dd_hull_roundtrip_random():
@@ -140,7 +158,7 @@ def test_dd_hull_roundtrip_random():
         P = rng.integers(-4, 5, size=(d + 3, d))
         P = np.vstack([P, -P])
         try:
-            hull = ExactHull([tuple(int(x) for x in r) for r in P])
+            hull = hull_of([tuple(int(x) for x in r) for r in P])
         except DegenerateHullError:
             continue
         facets = hull.facets()
@@ -148,7 +166,7 @@ def test_dd_hull_roundtrip_random():
         b = [c for _, c in facets]
         if any(c <= 0 for c in b):
             continue  # origin not interior; roundtrip needs b > 0
-        verts = set(dd_vertices(A, b))
+        verts = set(dd_of(A, b))
         assert verts == set(hull.vertex_points())
 
 
@@ -164,7 +182,7 @@ def test_hull_2d_volume_matches_qhull(pts):
     sym = pts + [(-x, -y) for x, y in pts]
     arr = np.array(sym, dtype=float)
     try:
-        eh = ExactHull(sym)
+        eh = hull_of(sym)
     except DegenerateHullError:
         return
     qh = QHull(arr)
@@ -184,19 +202,19 @@ def _cube_rows(n):
 def test_certificate_rejects_tightened_facet(n):
     pts = list(itertools.product([-1, 1], repeat=n))
     rows = _cube_rows(n)
-    assert ExactHull(pts, rows, extreme=True).volume() == 2**n
+    assert hull_of(pts, unit_normals(rows), extreme=True).volume() == 2**n
     for k in (0, len(rows) - 1):
         tightened = list(rows)
         tightened[k] = (rows[k][0], Fraction(1, 2))
         with pytest.raises(AssertionError, match="certificate"):
-            ExactHull(pts, tightened, extreme=True)
+            hull_of(pts, unit_normals(tightened), extreme=True)
         with pytest.raises(AssertionError, match="certificate"):
-            ExactHull(pts, tightened)
+            hull_of(pts, unit_normals(tightened))
 
 
 def test_cube6_from_points_alone():
     pts = list(itertools.product([-1, 1], repeat=6))
-    hull = ExactHull(pts)
+    hull = hull_of(pts)
     assert hull.volume() == 64
     assert hull.facets() == sorted(
         (tuple(Fraction(x) for x in a), Fraction(1)) for a, _ in _cube_rows(6))
@@ -211,7 +229,7 @@ def test_known_halfspaces_skip_double_description(monkeypatch):
 
     monkeypatch.setattr(exactgeom, "dd_vertices", no_dd)
     pts = list(itertools.product([-1, 1], repeat=4))
-    hull = ExactHull(pts, _cube_rows(4), extreme=True)
+    hull = hull_of(pts, unit_normals(_cube_rows(4)), extreme=True)
     assert hull.volume() == 16
     assert len(hull.facets()) == 8
 
@@ -226,7 +244,7 @@ def test_halfspaces_and_points_alone_agree(rng):
         P = np.vstack([P, -P, np.zeros((1, d), dtype=int)])
         pts = [tuple(Fraction(int(x)) for x in row) for row in P]
         try:
-            ref = ExactHull(pts)
+            ref = hull_of(pts)
         except DegenerateHullError:
             continue
         rows = list(ref.facets())
@@ -236,7 +254,7 @@ def test_halfspaces_and_points_alone_agree(rng):
         through = [(a, c) for a, c in ref.facets() if sum(x * y for x, y in zip(a, v)) == c]
         rows.append((tuple(sum(col) for col in zip(*(a for a, _ in through))),
                      sum(c for _, c in through)))
-        hull = ExactHull(pts, rows)
+        hull = hull_of(pts, unit_normals(rows))
         assert hull.facets() == ref.facets()
         assert hull.vertex_points() == ref.vertex_points()
         assert hull.volume() == ref.volume()
@@ -246,23 +264,30 @@ def test_halfspaces_and_points_alone_agree(rng):
 
 
 def test_hull_off_centre_and_asymmetric():
-    """Points whose centroid is not the origin, symmetric about it or not."""
+    """Points whose centroid is not the origin, symmetric about it or not:
+    the general reference hull takes them, and the kernel, which serves
+    bodies symmetric about the origin, refuses them rather than give a
+    wrong volume."""
     shift = (Fraction(1, 3), Fraction(-2), Fraction(5, 7))
     cube = [tuple(x + s for x, s in zip(p, shift))
             for p in itertools.product([-1, 1], repeat=3)]
-    hull = ExactHull(cube)
-    assert hull.volume() == 8
-    assert len(hull.facets()) == 6
-    assert ExactHull(cube, [((1, 0, 0), Fraction(4, 3)), ((-1, 0, 0), Fraction(2, 3)),
-                            ((0, 1, 0), Fraction(-1)), ((0, -1, 0), Fraction(3)),
-                            ((0, 0, 1), Fraction(12, 7)), ((0, 0, -1), Fraction(2, 7))],
-                     extreme=True).volume() == 8
+    assert reference_hull(cube)["volume"] == 8
+    assert len(reference_hull(cube)["facets"]) == 6
+    assert reference_hull(cube, [((1, 0, 0), Fraction(4, 3)), ((-1, 0, 0), Fraction(2, 3)),
+                                 ((0, 1, 0), Fraction(-1)), ((0, -1, 0), Fraction(3)),
+                                 ((0, 0, 1), Fraction(12, 7)), ((0, 0, -1), Fraction(2, 7))],
+                          extreme=True)["volume"] == 8
+    with pytest.raises(ValueError, match="closed under negation"):
+        hull_of(cube)
     for d in range(1, 6):
         simplex = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(0,) * d]
-        hull = ExactHull(simplex + [tuple(Fraction(1, d + 1) for _ in range(d))])
-        assert hull.volume() == Fraction(1, math.factorial(d))
-        assert len(hull.vertex_points()) == d + 1
-        assert len(hull.facets()) == d + 1
+        points = simplex + [tuple(Fraction(1, d + 1) for _ in range(d))]
+        ref = reference_hull(points)
+        assert ref["volume"] == Fraction(1, math.factorial(d))
+        assert len(ref["vertex_points"]) == d + 1
+        assert len(ref["facets"]) == d + 1
+        with pytest.raises(ValueError, match="closed under negation"):
+            hull_of(points)
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +466,35 @@ def test_eliminate_one_by_one_and_singular(M):
 
 
 @pytest.mark.parametrize("lead", [
-    # x <= 1, y <= 1 and their sum x + y <= 2: dependent homogenized rows
-    [([1, 0, 0], 1), ([0, 1, 0], 1), ([1, 1, 0], 2)],
-    # the same row twice, and one a multiple of it
-    [([1, 0, 0], 1), ([1, 0, 0], 1), ([2, 0, 0], 2), ([0, 0, 1], 1)],
+    # -x <= 1, -y <= 1 and their sum -x - y <= 2: the normals sort to the
+    # front of the list, and their homogenized rows are dependent
+    [([-1, 0, 0], 1), ([0, -1, 0], 1), ([-1, -1, 0], 2)],
+    # the same row twice, and one a multiple of it: one normal
+    [([-1, 0, 0], 1), ([-1, 0, 0], 1), ([-2, 0, 0], 2), ([0, 0, -1], 1)],
 ])
 def test_dd_dependent_leading_rows(lead):
     A = [a for a, _ in lead] + [list(a) for a, _ in _cube_rows(3)]
     b = [c for _, c in lead] + [c for _, c in _cube_rows(3)]
-    verts = dd_vertices(A, b)
+    normals = point_list(unit_normals(zip(A, b)))
+    rows = [X + (-t,) for X, t in normals]
+    assert int_rank(rows[:3]) < 3 or len(normals) == 6
+    verts = dd_of(A, b)
     assert verts == sorted(tuple(Fraction(x) for x in p)
                            for p in itertools.product([-1, 1], repeat=3))
-    assert verts == dd_vertices(A[len(lead):], b[len(lead):])
+    assert verts == dd_of(A[len(lead):], b[len(lead):])
 
 
 # ---------------------------------------------------------------------------
 # the hull's integer canonical form against the Fraction one
 #
-# ``reference_hull`` is the kernel as it stood before it scaled each point
-# list and each H-list to integers once: it canonicalizes the points as
-# sorted, unique Fraction tuples, scales each given row on its own, checks
-# the rank of every row and reads facets and vertices off the Fraction
-# points.  It shares the double description, the rank, the pulling
-# triangulation and the determinants with the kernel, each of which is
-# checked against its own oracles above.
+# ``reference_hull`` is the general hull the kernel grew out of, kept here as
+# its oracle: it takes any rational points, symmetric or not, centred at
+# their centroid or not, canonicalizes them as sorted, unique Fraction
+# tuples, scales the point list by one common denominator and each given
+# row on its own, checks the rank of every row and reads facets and
+# vertices off the Fraction points.  It shares the double description, the
+# rank, the pulling triangulation and the determinants with the kernel,
+# each of which is checked against its own oracles above.
 
 
 def reference_scale(v):
@@ -485,11 +515,11 @@ def reference_hull(points, halfspaces=None, extreme=False):
         ints = [tuple(n * x - s for x, s in zip(p, shift)) for p in ints]
     scale = n * lcm if any(shift) else lcm
     if int_rank(ints) < d:
-        raise DegenerateHullError("degenerate")
+        raise DegenerateHullError(int_rank(ints), d)
     if halfspaces is None:
         nonzero = [p for p in ints if any(p)]
         rows = [exactgeom.gcd_reduce(reference_scale(y + (1,)))
-                for y in dd_vertices(nonzero, [1] * len(nonzero))]
+                for y in fractions(dd_vertices(point_list(nonzero)))]
     else:
         rows = []
         for a, b in halfspaces:
@@ -521,15 +551,19 @@ def reference_hull(points, halfspaces=None, extreme=False):
         a = exactgeom.gcd_reduce(r[:-1])
         v = pts[(m & -m).bit_length() - 1]
         facets.append((tuple(Fraction(x) for x in a), sum(x * y for x, y in zip(a, v))))
-    return {"rows": [r for r, _ in kept], "masks": masks,
+    return {"masks": sorted(masks),
             "vertex_points": [pts[i] for i in vertex_ids], "facets": sorted(facets),
-            "volume": Fraction(total * (2 if symmetric else 1), math.factorial(d) * scale**d),
-            "symmetric": symmetric}
+            "volume": Fraction(total * (2 if symmetric else 1), math.factorial(d) * scale**d)}
 
 
 def hull_state(hull):
-    return {"rows": hull._rows, "masks": hull._masks, "vertex_points": hull.vertex_points(),
-            "facets": hull.facets(), "volume": hull.volume(), "symmetric": hull._symmetric}
+    return {"masks": sorted(hull._masks), "vertex_points": hull.vertex_points(),
+            "facets": hull.facets(), "volume": hull.volume()}
+
+
+def closed_under_negation(points):
+    pset = {tuple(Fraction(x) for x in p) for p in points}
+    return all(tuple(-x for x in p) in pset for p in pset)
 
 
 COORDINATES = st.one_of(st.integers(-4, 4),
@@ -561,14 +595,20 @@ def hull_inputs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(hull_inputs())
 def test_hull_matches_the_fraction_reference(case):
+    """On point sets closed under negation the kernel is the reference hull;
+    any other set it refuses."""
     points, rows, factors = case
+    if not closed_under_negation(points):
+        with pytest.raises(ValueError, match="closed under negation"):
+            hull_of(points)
+        return
     try:
         ref = reference_hull(points)
     except DegenerateHullError:
         with pytest.raises(DegenerateHullError):
-            ExactHull(points)
+            hull_of(points)
         return
-    assert hull_state(ExactHull(points)) == ref
+    assert hull_state(hull_of(points)) == ref
     if rows == "points":
         return
     extreme = rows == "extreme"
@@ -585,7 +625,7 @@ def test_hull_matches_the_fraction_reference(case):
                        sum(c for _, c in through)))
     halfspaces.sort(key=lambda row: hash(row) % 7)
     ref_rows = reference_hull(points, halfspaces, extreme)
-    assert hull_state(ExactHull(points, halfspaces, extreme)) == ref_rows
+    assert hull_state(hull_of(points, unit_normals(halfspaces), extreme)) == ref_rows
     assert ref_rows["facets"] == ref["facets"]
     assert ref_rows["volume"] == ref["volume"]
 
@@ -595,7 +635,9 @@ def test_pm_rank_sharing_needs_a_symmetric_vertex_set():
     edge at z = 1, centroid at z = 0.  The bottom facet -z <= 1 and its
     opposite z <= 1 are a +- pair of rows in the centred integers, but the
     vertex set is not closed under negation, and the opposite row touches
-    only the top edge: it needs its own rank check and is dropped."""
+    only the top edge: the reference hull gives it its own rank check and
+    drops it.  The kernel shares one rank check between the rows of every
+    +- pair, so it refuses the set."""
     square = [(x, y, -1) for x in (0, 1) for y in (0, 1)]
     edge = [(Fraction(k, 3), 0, 1) for k in range(4)]
     points = square + edge
@@ -603,11 +645,91 @@ def test_pm_rank_sharing_needs_a_symmetric_vertex_set():
     bottom = ((Fraction(0), Fraction(0), Fraction(-1)), Fraction(1))
     assert bottom in ref["facets"] and len(ref["facets"]) == 5
     halfspaces = ref["facets"] + [((0, 0, 1), 1)]
-    hull = ExactHull(points, halfspaces)
-    assert not hull._symmetric
-    # in the centred integers (8 points over the denominator 3) the bottom
-    # row is (0, 0, -1, 24) and the opposite row (0, 0, 1, 24): twins
-    assert (0, 0, -1, 24) in hull._rows and (0, 0, 1, 24) not in hull._rows
-    assert hull_state(hull) == reference_hull(points, halfspaces)
+    assert reference_hull(points, halfspaces) == ref
+    assert ref["volume"] == 1
+    with pytest.raises(ValueError, match="closed under negation"):
+        hull_of(points, unit_normals([(a, c) for a, c in halfspaces if c > 0]))
+
+
+# ---------------------------------------------------------------------------
+# point lists: one primitive pair per rational point
+
+
+def assert_primitive(points):
+    for X, s in points:
+        assert s > 0 and math.gcd(s, *X) == 1, (X, s)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+def written_otherwise(p, k):
+    """The point p with each entry written as the string of k num / k den."""
+    return tuple(f"{k * x.numerator}/{k * x.denominator}" for x in p)
+
+
+@st.composite
+def symmetric_point_sets(draw):
+    """Points closed under negation with denominators up to 10^6, one of
+    them written a second time in another form ("2/4" for 1/2), a point x
+    with 2x beside it on its ray, and sometimes the zero vector."""
+    d = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.tuples(*[RATIONALS] * d), min_size=d, max_size=d + 3))
+    gens.append(tuple(2 * x for x in gens[0]))
+    pts = gens + [tuple(-x for x in p) for p in gens]
+    pts.append(written_otherwise(gens[-2], draw(st.integers(2, 9))))
+    if draw(st.booleans()):
+        pts.append((0,) * d)
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(symmetric_point_sets())
+def test_point_lists_and_hull_against_the_reference(points):
+    """A point list holds one primitive pair per rational point, in the
+    order of the rationals; the hull's vertex_points, facets and volume are
+    the reference hull's, Fraction for Fraction; and the set without the
+    negative of one of its points is refused."""
+    values = sorted({tuple(Fraction(x) for x in p) for p in points})
+    plist = point_list(points)
+    assert_primitive(plist)
+    assert fractions(plist) == tuple(values)
+    try:
+        ref = reference_hull(points)
+    except DegenerateHullError:
+        with pytest.raises(DegenerateHullError):
+            ExactHull(plist)
+        return
+    hull = ExactHull(plist)
+    assert hull.vertex_points() == ref["vertex_points"]
     assert hull.facets() == ref["facets"]
-    assert hull.volume() == 1
+    assert hull.volume() == ref["volume"]
+    assert_primitive(hull.vertices)
+    assert_primitive(hull.normals)
+    assert all(type(x) is Fraction for p in hull.vertex_points() for x in p)
+    lone = next(p for p in values if any(p))
+    with pytest.raises(ValueError, match="closed under negation"):
+        ExactHull(point_list(p for p in values if p != tuple(-x for x in lone)))
+
+
+def test_hull_integers_stay_near_the_point_size():
+    """Each point keeps its own scale, so no integer the hulls of a rational
+    sphere polytope and of its polar store has more than 4 times the bits of
+    the largest entry of the vertex pairs.  One common denominator for the
+    normals would have thousands of bits."""
+    from mahlerlab import bodies as B
+    from conftest import rational_sphere
+
+    body = B.PolytopeBody(3, vertices=rational_sphere(32))
+    polar = body.polar()
+    assert len(body.vertices()) == 64
+    assert body.volume_exact() > 0 and polar.volume_exact() > 0
+
+    def bits(points):
+        return max(abs(x).bit_length() for X, s in points for x in X + (s,))
+
+    limit = 4 * bits(body._vertices)
+    for hull in (body.hull(), polar.hull()):
+        assert_primitive(hull.normals)
+        assert max(bits(hull.points), bits(hull.vertices), bits(hull.normals)) <= limit
+    assert math.lcm(*(s for _, s in polar._vertices)).bit_length() > 1000 > limit

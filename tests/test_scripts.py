@@ -15,6 +15,7 @@ SMALLEST = {
     "capacity_calibration.py": ["--starts", "1", "--m", "4"],
     "capacity_fingerprint.py": ["--m", "4", "--starts", "1", "--max-iters", "20"],
     "embedding_certificate.py": ["--nexp", "2", "--samples", "10"],
+    "exact_fingerprint.py": ["--quick"],
     "section_scan.py": ["--family", "cube", "--n", "2", "--trials", "1"],
 }
 # runs perfbench in two whole checkouts, pair after pair: a benchmark driver
@@ -67,6 +68,29 @@ def test_capacity_fingerprint_compare_flags_any_difference(tmp_path):
     differ = run_script("capacity_fingerprint.py", ["--compare", str(a), str(b)])
     assert differ.returncode == 1 and "iterations=19" in differ.stdout
     assert run_script("capacity_fingerprint.py", ["--compare", str(a), str(short)]).returncode == 1
+
+
+def test_exact_fingerprint_compare_flags_any_difference(tmp_path):
+    proc = run_script("exact_fingerprint.py", ["--quick"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # a body line and a polar line per case, with the volume, the lists and
+    # the float digests; a reduction bound's sides; the l_p section frames
+    assert lines[0].startswith("cube3 body vol=8 ") and lines[1].startswith("cube3 polar vol=4/3 ")
+    bodies = [x for x in lines if " vol=" in x]
+    assert bodies and all(" V=" in x and " F=" in x and " describe=" in x and " fA=" in x
+                          for x in bodies)
+    assert any(" lhs=" in x and " rhs=" in x for x in lines)
+    assert any("(" in x.split(" vol=")[1].split(" V=")[0] for x in bodies)  # an r sqrt(d)
+    assert sum(x.startswith("sampling ") for x in lines) == 18
+    again = run_script("exact_fingerprint.py", ["--quick"])
+    assert again.stdout == proc.stdout  # deterministic
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(proc.stdout)
+    b.write_text(proc.stdout.replace("vol=8 ", "vol=9 ", 1))
+    assert run_script("exact_fingerprint.py", ["--compare", str(a), str(a)]).returncode == 0
+    differ = run_script("exact_fingerprint.py", ["--compare", str(a), str(b)])
+    assert differ.returncode == 1 and "vol=9" in differ.stdout
 
 
 def load_bench_pairs():

@@ -230,9 +230,13 @@ def test_reduction_volume_basis_independence():
     K = B.PolytopeBody.cross(3)
     u = (Fraction(2), Fraction(-1), Fraction(3))
     perm = (2, 1, 0)
-    basis_a = [tuple(bv) for bv in B.orthogonal_complement_basis(np.array(u, dtype=object)).T]
+    def basis(v):
+        cols, den, _ = B.orthogonal_complement_basis(np.array(v, dtype=object))
+        return [tuple(Fraction(x, den) for x in c) for c in cols]
+
+    basis_a = basis(u)
     basis_b = []
-    for bv in B.orthogonal_complement_basis(np.array([u[i] for i in perm], dtype=object)).T:
+    for bv in basis([u[i] for i in perm]):
         back = [Fraction(0)] * 3
         for k, i in enumerate(perm):
             back[i] = bv[k]
@@ -243,10 +247,10 @@ def test_reduction_volume_basis_independence():
     for basis in (basis_a, basis_b):
         verts = [tuple(sum(bv[k] * v[k] for k in range(3)) for bv in basis)
                  for v in K.vertices()]
-        core_proj = B.PolytopeBody(2, vertices=verts, check_symmetry=False)
+        core_proj = B.PolytopeBody(2, vertices=verts)
         rows = [(tuple(sum(a[k] * bv[k] for k in range(3)) for bv in basis), b)
                 for a, b in K.polar().halfspaces()]
-        core_sec = B.PolytopeBody(2, halfspaces=rows, check_symmetry=False)
+        core_sec = B.PolytopeBody(2, halfspaces=rows)
         prods.append(core_proj.volume_exact() * core_sec.volume_exact())
     assert prods[0] == prods[1]
 
