@@ -10,14 +10,16 @@ sections and projections of cubes and Hanner polytopes by seeded rational
 normals, the integer linear images of cross3 of the `capacity` workload,
 reduction bounds, and the bodies of acceptance criteria 1-3 and 10 (cube
 and cross n = 1..6, 30 Hanner trees, 600 cube sections, 100 Hanner and 9
-cube reduction bounds).  For each body and then its polar it prints one
-line: the exact volume (a Fraction string, or `(r, d)` for r sqrt(d)), the
-vertex and facet lists (`vertices()`, `extreme_vertices()`, the `a` of
-`halfspaces()` and the hull's `facets()`, each sorted by value),
-`describe()`, and the SHA-256 of the float vertex and normal arrays
-(`_floats("V")`, `_floats("A")`).  A reduction bound adds its
-two exact sides.  Last come the SHA-256 of the float Gram-Schmidt frame of
-each l_p section the `sampling` workload draws at seeds 71..80.
+cube reduction bounds).  For each body it prints three lines: the body,
+its polar taken after the body's volume (`polar`), and the polar of a fresh
+copy taken before that copy's hull exists (`polar-first`).  Each holds the
+exact volume (a Fraction string, or `(r, d)` for r sqrt(d)), the vertex and
+facet lists (`vertices()`, `extreme_vertices()`, the `a` of `halfspaces()`
+and the hull's `facets()`, each sorted by value), `describe()`, and the
+SHA-256 of the float vertex and normal arrays (`_floats("V")`,
+`_floats("A")`).  A reduction bound adds its two exact sides.  Last come
+the SHA-256 of the float Gram-Schmidt frame of each l_p section the
+`sampling` workload draws at seeds 71..80.
 `--quick` keeps only the first of every kind of case.
 
 Two checkouts whose exact outputs are identical print the same lines;
@@ -86,9 +88,13 @@ def body_line(label: str, body) -> str:
             f"describe={desc} fV={float_digest(core, 'V')} fA={float_digest(core, 'A')}")
 
 
-def pair_lines(label: str, body) -> list[str]:
-    """The body, then its polar."""
-    return [body_line(f"{label} body", body), body_line(f"{label} polar", body.polar())]
+def pair_lines(label: str, make) -> list[str]:
+    """The body of ``make()``, then its polar taken after the body's volume,
+    as `mahler_product` takes it, then the polar of a second copy taken
+    before that copy's hull exists."""
+    body = make()
+    return [body_line(f"{label} body", body), body_line(f"{label} polar", body.polar()),
+            body_line(f"{label} polar-first", make().polar())]
 
 
 def cases(quick: bool):
@@ -158,7 +164,7 @@ def cases(quick: bool):
 def bound_lines(label: str, body, u) -> list[str]:
     rep = V.reduction_volume_bound(body, u)
     return [f"{label} lhs={rep.lhs_exact} rhs={rep.rhs_exact}",
-            *pair_lines(f"{label} projection", B.hyperplane_projection(body, u))]
+            *pair_lines(f"{label} projection", lambda: B.hyperplane_projection(body, u))]
 
 
 def sampling_lines(quick: bool) -> list[str]:
@@ -199,7 +205,7 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     for label, kind, make in cases(args.quick):
-        lines = pair_lines(label, make()) if kind == "body" else bound_lines(label, *make())
+        lines = pair_lines(label, make) if kind == "body" else bound_lines(label, *make())
         print("\n".join(lines), flush=True)
     print("\n".join(sampling_lines(args.quick)))
     return 0

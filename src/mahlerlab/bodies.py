@@ -2,10 +2,10 @@
 
 Representations:
 
-* ``PolytopeBody`` -- exact rational H- and/or V-representation, each an
-  ``exactgeom`` point list of primitive integer pairs; conversions go
-  through the double description method (H -> V, and V -> H on the polar
-  inside ``ExactHull``).  Polarity swaps the two representations exactly.
+* ``PolytopeBody`` -- exact rational vertex and facet-normal lists, each an
+  ``exactgeom`` point list; one double description fills the list not
+  given, in either direction, and ``ExactHull`` certifies the pair and
+  measures it.  Polarity swaps the two lists and a hull built on them.
 * ``LpBallBody`` -- unit ball of an l_p norm, 1 < p < inf, in double
   precision.  p = 1 and p = inf are represented as exact cross/cube polytopes
   instead (see ``parse_body``).
@@ -27,7 +27,6 @@ body, so values are safe to share across threads.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import re
@@ -427,18 +426,19 @@ class PolytopeBody(ConvexBody):
     ``(X, s)`` of a primitive integer vector and its scale, unique and
     sorted by rational value): the vertices, and the facet normals scaled to
     offset 1, the ``a`` of ``{x : <a, x> <= 1}``.  The normals are the
-    polar's vertices, so ``polar`` swaps the two lists (and their flags, the
-    Hanner tree and which of them were given) and parses nothing.  A list
-    not given is filled by the first conversion that needs it; ``describe``
-    presents the body as it was given.  ``vertices``, ``halfspaces`` and
+    polar's vertices, so ``dd_vertices`` of either list fills the other
+    when it was not given.  The hull drops points and normals of a given
+    list that are not vertices or facets; a filled list must pass whole.
+    ``polar`` swaps the two lists (and which were given, the Hanner tree and
+    a hull already built) and parses nothing; ``describe`` presents the
+    body as it was given.  ``vertices``, ``halfspaces`` and
     ``extreme_vertices`` build Fractions, in the lists' order; the floats of
     ``_floats`` divide each X by its s.
     """
 
-    def __init__(self, dim, vertices=None, halfspaces=None, tree=None, tag=None,
-                 vertices_extreme=False, halfspaces_irredundant=False):
-        if vertices is None and halfspaces is None:
-            raise BodyError("polytope needs vertices or halfspaces")
+    def __init__(self, dim, vertices=None, halfspaces=None):
+        if (vertices is None) == (halfspaces is None):
+            raise BodyError("a polytope takes vertices or halfspaces, exactly one of them")
         dim = int(dim)
         vs = ns = None
         if vertices is not None:
@@ -447,7 +447,7 @@ class PolytopeBody(ConvexBody):
                 raise BodyError("vertex dimension mismatch")
             if not _closed_under_negation(vs):
                 raise BodyError("vertex set not closed under negation")
-        if halfspaces is not None:
+        else:
             normals = []
             for a, b in halfspaces:
                 a = rational_vector(a)
@@ -460,28 +460,25 @@ class PolytopeBody(ConvexBody):
             ns = point_list(normals)
             if not _closed_under_negation(ns):
                 raise BodyError("halfspace set not symmetric")
-        self._set(dim, vs, ns, tree, tag, vertices_extreme, halfspaces_irredundant)
+        self._set(dim, vs, ns, None)
 
     @classmethod
-    def _of_point_lists(cls, dim, vertices, normals, tree=None,
-                        vertices_extreme=False, normals_irredundant=False) -> "PolytopeBody":
+    def _of_point_lists(cls, dim, vertices, normals, tree=None) -> "PolytopeBody":
         """A body from point lists already in the format (either may be
         None), closed under negation by construction: nothing is parsed."""
         body = cls.__new__(cls)
-        body._set(dim, vertices, normals, tree, None, vertices_extreme, normals_irredundant)
+        body._set(dim, vertices, normals, tree)
         return body
 
-    def _set(self, dim, vertices, normals, tree, tag, vertices_extreme, normals_irredundant):
+    def _set(self, dim, vertices, normals, tree):
         self.dim = dim
         self._vertices = vertices
         self._normals = normals
-        self._vertices_extreme = bool(vertices_extreme)
-        self._normals_irredundant = bool(normals_irredundant)
         self._given = (vertices is not None, normals is not None)
         self._hull = None
         self._degenerate = None
         self.tree = tree
-        self.tag = tag
+        self.tag = None
         self._float_cache: dict[str, np.ndarray] = {}
 
     # -- constructions
@@ -501,8 +498,8 @@ class PolytopeBody(ConvexBody):
     # -- exact representations
 
     def _vertex_list(self) -> tuple[Point, ...]:
-        """The vertex point list; double description fills it from the
-        normals when it was not given."""
+        """The vertex point list, filled from the normals when it was not
+        given."""
         if self._vertices is None:
             try:
                 self._vertices = dd_vertices(self._normals)
@@ -511,53 +508,56 @@ class PolytopeBody(ConvexBody):
                     f"the polar of a flat body (its facet normals span rank {e.rank} < dim "
                     f"{self.dim}) is unbounded and has no vertices; a volume or a Mahler "
                     "product needs a full-dimensional body with a bounded polar") from e
-            self._vertices_extreme = True
         return self._vertices
 
     def _normal_list(self) -> tuple[Point, ...]:
-        """The normal point list; the hull's facets fill it when it was not
+        """The normal point list, filled from the vertices when it was not
         given."""
         if self._normals is None:
             try:
-                self._normals = self.hull().normals
+                self._normals = dd_vertices(self._vertices)
             except DegenerateHullError as e:
                 raise BodyError(
                     f"flat body: its vertices span rank {e.rank} < dim {self.dim}, so it has "
                     "no facets; sections, gauges and the polar's vertices need the facets of "
                     "a full-dimensional body") from e
-            self._normals_irredundant = True
         return self._normals
 
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         return fractions(self._vertex_list())
 
     def hull(self) -> ExactHull:
+        """The hull of the two lists, which raises ``DegenerateHullError``
+        for a flat vertex list; a filled list must pass it whole."""
         if self._hull is None:
-            verts = self._vertex_list()  # first: DD here marks the vertices extreme
-            self._hull = ExactHull(verts, self._normals, extreme=self._vertices_extreme)
+            vertices = self._vertex_list()
+            if self._normals is None:
+                self._normals = dd_vertices(vertices)
+            hull = ExactHull(vertices, self._normals)
+            lost = len(hull.vertices) < len(vertices), len(hull.normals) < len(self._normals)
+            if any(lose and not given for lose, given in zip(lost, self._given)):
+                raise AssertionError(
+                    "hull certificate failed: a list filled by double description holds a "
+                    "point that is not a vertex or a normal that is not a facet")
+            self._hull = hull
         return self._hull
 
     def extreme_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The actual vertex set (stored points that are not extreme, e.g.
-        from projecting a vertex list, are dropped)."""
-        verts = self._vertex_list()
-        if not self._vertices_extreme and not self.is_degenerate:
-            verts = self.hull().vertices
-        return fractions(verts)
+        """The actual vertex set, read off the hull (stored points that are
+        not extreme, e.g. from projecting a vertex list, are dropped); a
+        flat body keeps its list."""
+        return fractions(self._vertex_list() if self.is_degenerate else self.hull().vertices)
 
     def halfspaces(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
-        """The facet rows ``(a, 1)``; normals not given are read off the hull."""
+        """The facet rows ``(a, 1)``, from the normal list (filled if not given)."""
         one = Fraction(1)
         return tuple((a, one) for a in fractions(self._normal_list()))
 
     @property
     def is_degenerate(self) -> bool:
         """Whether the vertices span less than the full dimension, read off
-        the hull: it ranks its integer points and raises
-        ``DegenerateHullError`` when they are flat, so an exact volume ranks
-        the vertex list once."""
-        if self._vertices is None:
-            return False  # full-dimensional by origin-interior halfspaces
+        the hull: the conversion to normals and the hull's rank check raise
+        ``DegenerateHullError`` when they are flat."""
         if self._degenerate is None:
             try:
                 self.hull()
@@ -567,9 +567,7 @@ class PolytopeBody(ConvexBody):
         return self._degenerate
 
     def volume_exact(self) -> Fraction:
-        if self.is_degenerate:
-            return Fraction(0)
-        return self.hull().volume()
+        return Fraction(0) if self.is_degenerate else self.hull().volume()
 
     # -- numerics
 
@@ -608,34 +606,23 @@ class PolytopeBody(ConvexBody):
         return _as_rows(self._floats("VT").take(k, axis=1))
 
     def polar(self) -> "PolytopeBody":
-        """The two point lists swapped, in a copy without hull, degeneracy,
-        tag or float caches."""
-        if self._normals is None and self._hull is not None:
-            self._normal_list()  # a hull already built knows the facets
-        polar = copy.copy(self)
-        polar._vertices, polar._normals = self._normals, self._vertices
-        polar._vertices_extreme = self._normals_irredundant
-        polar._normals_irredundant = self._vertices_extreme
+        """The two point lists swapped, in a copy without degeneracy, tag or
+        float caches; a hull already built goes over swapped."""
+        polar = PolytopeBody._of_point_lists(self.dim, self._normals, self._vertices,
+                                             dual_tree(self.tree) if self.tree else None)
         polar._given = self._given[::-1]
-        polar.tree = dual_tree(self.tree) if self.tree else None
-        polar.tag = None
-        polar._hull = polar._degenerate = None
-        polar._float_cache = {}
+        polar._hull = None if self._hull is None else self._hull.polar()
         return polar
 
     def linear_image(self, M: Sequence[Sequence[Fraction]]) -> "PolytopeBody":
         M = [rational_vector(row) for row in M]
-        if len(M) != self.dim or any(len(r) != self.dim for r in M):
-            raise BodyError("matrix shape mismatch")
         Minv = invert_rational_matrix(M)  # raises on singular
         verts = rows = None
         if self._vertices is not None:  # v -> Mv: the rows of M as columns
             verts = sorted_points(map_points(self._vertices, *scale_to_int(M)))
         if self._normals is not None:  # a -> a M^-1
             rows = sorted_points(map_points(self._normals, *scale_to_int(list(zip(*Minv)))))
-        return PolytopeBody._of_point_lists(self.dim, verts, rows,
-                                            vertices_extreme=self._vertices_extreme,
-                                            normals_irredundant=self._normals_irredundant)
+        return PolytopeBody._of_point_lists(self.dim, verts, rows)
 
     def describe(self) -> dict:
         if self.tag:
@@ -1069,7 +1056,7 @@ def hanner_body(expr: str) -> PolytopeBody:
     verts, normals, total = build(tree)
     return PolytopeBody._of_point_lists(
         total, sorted_points((v, 1) for v in verts), sorted_points((a, 1) for a in normals),
-        tree=hanner_tree_str(tree), vertices_extreme=True, normals_irredundant=True)
+        tree=hanner_tree_str(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -1077,16 +1064,26 @@ def hanner_body(expr: str) -> PolytopeBody:
 
 
 def linear_image(body: ConvexBody, M) -> ConvexBody:
-    if isinstance(body, PolytopeBody):
-        try:
-            Mr = [rational_vector(row) for row in M]
-            return body.linear_image(Mr)
-        except BodyError as e:
-            if "singular" in str(e):
-                raise
-    Mf = np.asarray(M, dtype=float)
-    if abs(np.linalg.det(Mf)) < 1e-12:
-        raise BodyError("singular matrix")
+    """The image of ``body`` under an invertible ``dim x dim`` matrix.  The
+    image is exact when ``body`` is a rational polytope and every entry
+    parses as a rational, as a cut's normal is; else it is an ``ImageBody``
+    in floats."""
+    shape = [len(row) for row in M]
+    if shape != [body.dim] * body.dim:
+        raise BodyError(f"linear image of a body of dimension {body.dim} needs a "
+                        f"{body.dim} x {body.dim} matrix, got rows of {shape} entries")
+    try:
+        Mr = [rational_vector(row) for row in M]
+    except BodyError:
+        Mr = None
+    if Mr is not None and isinstance(body, PolytopeBody):
+        return body.linear_image(Mr)
+    try:
+        Mf = np.array(M if Mr is None else Mr, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise BodyError(f"linear image matrix entries must be numbers: {e}") from e
+    if not (np.isfinite(Mf).all() and abs(np.linalg.det(Mf)) >= 1e-12):
+        raise BodyError("singular or non-finite matrix")
     return ImageBody(body, Mf)
 
 

@@ -21,23 +21,22 @@ Provides:
   ``[M | I]``; the double description takes its first independent rows
   from the pivot columns of the transpose and its starting rays from the
   same inverse.
-* ``ExactHull`` -- the one V <-> H and volume kernel, for a point list
-  closed under negation that spans the space (so the origin is interior).
-  The facets are the vertices of the polar (double description) unless
-  normals are passed in; vertices, redundant normals and an always-on
-  certificate follow from vertex-facet incidence, ``<A, X> == t s`` for the
-  normal ``(A, t)`` and the point ``(X, s)``.  The exact volume cones from
-  the origin over a pulling triangulation of one facet of each +- pair,
-  built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact volume
-  computation for polytopes: a practical study*, 2000): the sum of
+* ``dd_vertices`` -- the one conversion: the vertices of the bounded
+  polytope ``{x : <a, x> <= 1}`` of a list of normals, by the double
+  description method on the homogenization cone, each ray's incidence
+  bitmask carried from step to step (Fukuda and Prodon, *Double description
+  method revisited*, 1996); its primitive integer rays ``(X, t)`` are the
+  vertices.  Of a vertex list, the same call gives the facet normals.
+* ``ExactHull`` -- certificate and volume of a polytope given both lists,
+  each closed under negation: one incidence pass, ``<A, X> == t s`` for the
+  normal ``(A, t)`` and the point ``(X, s)``, one rank rule for vertices and
+  facets alike, and ``polar`` swapping the two sides.  The exact volume
+  cones from the origin over a pulling triangulation of one facet of each
+  +- pair, built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact
+  volume computation for polytopes: a practical study*, 2000): the sum of
   ``|det X_sigma| / (d! prod s_sigma)``, doubled.
 * ``map_points`` -- the exact image of a point list under integer columns
   over a common denominator: one integer dot product per entry.
-* ``dd_vertices`` -- vertex enumeration for the bounded polytope
-  ``{x : <a, x> <= 1}`` of a list of normals, by the double description
-  method on the homogenization cone, each ray's incidence bitmask carried
-  from step to step (Fukuda and Prodon, *Double description method
-  revisited*, 1996); its primitive integer rays ``(X, t)`` are the vertices.
 """
 from __future__ import annotations
 
@@ -62,12 +61,8 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 def gcd_reduce(v: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    if g in (0, 1):
-        return tuple(v)
-    return tuple(x // g for x in v)
+    g = math.gcd(*v)
+    return tuple(v) if g in (0, 1) else tuple(x // g for x in v)
 
 
 def _eliminate(rows: Iterable[Sequence[int]], jordan: bool = False,
@@ -219,7 +214,7 @@ def invert_rational_matrix(M: Sequence[Sequence[Fraction]]) -> list[list[Fractio
 
 
 # ---------------------------------------------------------------------------
-# V <-> H conversion and exact volume
+# incidence certificate and exact volume
 
 
 class DegenerateHullError(ValueError):
@@ -272,90 +267,95 @@ def _pulling(face: int, k: int, candidates, memo: dict) -> list[tuple[int, ...]]
     return out
 
 
+def _twins(points: Sequence[Point]) -> list[int]:
+    """The index of each point's negation; ``ValueError`` if one is missing."""
+    index = {p: i for i, p in enumerate(points)}
+    try:
+        return [index[tuple(-x for x in X), s] for X, s in points]
+    except KeyError:
+        raise ValueError("hull needs point lists closed under negation") from None
+
+
+def _full_rank(rows: Sequence[Point], masks: Sequence[int], twins: Sequence[int],
+               d: int) -> list[int]:
+    """The indices whose mask selects rows of rank d.  An index's twin
+    selects the negated rows, so one check serves both."""
+    full: list[bool | None] = [None] * len(masks)
+    for i, m in enumerate(masks):
+        if full[i] is None:
+            full[i] = full[twins[i]] = (
+                m.bit_count() >= d and int_rank([rows[j][0] for j in _bits(m)]) == d)
+    return [i for i, f in enumerate(full) if f]
+
+
 class ExactHull:
-    """Facets, vertices and exact volume of the convex hull of a point list.
+    """Vertices, facets and exact volume of a polytope given both lists.
 
-    ``points`` is a point list (pairs ``(X, s)`` for X / s, unique and
-    sorted by rational value) closed under negation and spanning the space,
-    so the origin is interior; any other input raises ``ValueError``
-    (``DegenerateHullError`` when the points are flat).  Point indices are
-    positions in the list.  ``normals``, when the facets are known, is a
-    point list of normals at offset 1, the ``(A, t)`` of ``<A, x> <= t``,
-    redundant ones allowed; otherwise the normals are the vertices of the
-    polar, found by double description on the nonzero points.  A point is a
-    vertex when the normals of the facets through it have rank ``dim``;
-    ``extreme=True`` says that every point is one.  A normal is kept when
-    its incident vertices have rank ``dim``; the normals ``(A, t)`` and
-    ``(-A, t)`` meet the vertex set in negated sets, and one rank check
-    serves both.
+    ``points`` and ``normals`` are point lists, each closed under negation:
+    the points, which must span the space (``DegenerateHullError``
+    otherwise), and the facet normals ``(A, t)`` of ``<A, x> <= t``.  Either
+    may hold points that are not vertices or normals that are not facets.
+    The hull converts nothing; it certifies and measures.
 
-    The certificate is always checked, and a failure raises
-    ``AssertionError``: every point satisfies every normal, and every kept
-    facet passes through ``dim`` linearly independent vertices.
+    One pass builds the incidence ``<A, X> == t s`` both ways, as bitmasks
+    of the tight points of each normal and the tight normals of each point;
+    a point outside a halfspace raises ``AssertionError``.  One rank rule
+    runs on both sides: a point is a vertex when its tight normals have
+    rank ``dim``, and a normal is a facet when its tight points do.  The
+    twins ``(X, s)`` and ``(-X, s)`` have opposite dot products and negated
+    tight sets, so one of each pair is dotted and ranked.  The incidence is
+    symmetric in the two lists, so ``polar`` swaps them.
 
-    ``points``, ``vertices`` and ``normals`` hold the input, the vertices
-    and the kept normals as point lists; ``vertex_points`` and ``facets``
-    are the last two as Fractions.  ``volume`` cones from the origin over a pulling
-    triangulation of one facet of each +- pair (``facet_simplices``, tuples
-    of point indices) and doubles the sum.
+    ``points`` and ``rows`` are the two lists as given, ``vertices`` and
+    ``normals`` the ones that pass, in order; ``vertex_points`` and
+    ``facets`` are the last two as Fractions.  ``volume`` cones from the
+    origin over a pulling triangulation of one facet of each +- pair
+    (``facet_simplices``, tuples of point indices) and doubles the sum.
     """
 
-    def __init__(self, points: Sequence[Point], normals: Sequence[Point] | None = None,
-                 extreme: bool = False):
-        if not points:
-            raise ValueError("no points")
-        pset = set(points)
-        if any((tuple(-x for x in X), s) not in pset for X, s in points):
-            raise ValueError("hull needs a point set closed under negation")
-        d = self.dim = len(points[0][0])
-        ints = [X for X, _ in points]
-        rank = int_rank(ints)
+    def __init__(self, points: Sequence[Point], normals: Sequence[Point]):
+        if not points or not normals:
+            raise ValueError("hull needs points and normals")
+        point_twins, normal_twins = _twins(points), _twins(normals)
+        d = len(points[0][0])
+        rank = int_rank([X for X, _ in points])
         if rank < d:
             raise DegenerateHullError(rank, d)
-        self.points = points
-        known = normals is not None
-        if not known:
-            normals = dd_vertices([p for p in points if any(p[0])])
-
-        n = len(points)
-        tight = []
-        for A, t in normals:
+        half = [(i, X, s, twin) for i, ((X, s), twin) in enumerate(zip(points, point_twins))
+                if i <= twin]
+        point_masks = [0] * len(points)
+        normal_masks = []
+        for j, (A, t) in enumerate(normals):
             mask = 0
-            for i, (X, s) in enumerate(points):
+            for i, X, s, twin in half:
                 v = _dot(A, X)
-                if v >= t * s:
-                    if v > t * s:
+                if abs(v) >= t * s:
+                    if abs(v) > t * s:
                         raise AssertionError("hull certificate failed: a point violates a facet")
-                    mask |= 1 << i
-            tight.append(mask)
-        if extreme:
-            vertex_ids = list(range(n))
-        else:
-            vertex_ids = [
-                i for i in range(n)
-                if int_rank([A for (A, _), m in zip(normals, tight) if m >> i & 1]) == d
-            ]
-        self.vertices = tuple(points[i] for i in vertex_ids)
-        vmask = sum(1 << i for i in vertex_ids)
-        kept = []
-        self._masks = []
-        # the vertex set is closed under negation, so it meets the normals
-        # (A, t) and (-A, t) in negated sets of equal rank: one check serves both
-        full: dict[Point, bool] = {}
-        for row, m in zip(normals, tight):
-            m &= vmask
-            twin = (tuple(-x for x in row[0]), row[1])
-            full[row] = full[twin] if twin in full else \
-                int_rank([ints[i] for i in _bits(m)]) == d
-            if full[row]:
-                kept.append(row)
-                self._masks.append(m)
-            elif not known:
-                raise AssertionError(
-                    "hull certificate failed: a facet has fewer than dim independent vertices")
-        self.normals = tuple(kept)
-        self._simplices = None
-        self._volume = None
+                    k = i if v > 0 else twin
+                    mask |= 1 << k
+                    point_masks[k] |= 1 << j
+            normal_masks.append(mask)
+        self._set(points, normals, (point_masks, normal_masks),
+                  (_full_rank(normals, point_masks, point_twins, d),
+                   _full_rank(points, normal_masks, normal_twins, d)))
+
+    def _set(self, points, rows, incidence, ids) -> None:
+        """The lists, incidence masks and passing indices, each as a pair
+        (points, normals); the triangulation's masks keep the vertices."""
+        self.dim = len(points[0][0])
+        self.points, self.rows, self._incidence, self._ids = points, rows, incidence, ids
+        self.vertices = tuple(points[i] for i in ids[0])
+        self.normals = tuple(rows[j] for j in ids[1])
+        vmask = sum(1 << i for i in ids[0])
+        self._masks = [incidence[1][j] & vmask for j in ids[1]]
+        self._simplices = self._volume = None
+
+    def polar(self) -> "ExactHull":
+        """The polar's hull: the lists, incidence and indices swapped."""
+        hull = ExactHull.__new__(ExactHull)
+        hull._set(self.rows, self.points, self._incidence[::-1], self._ids[::-1])
+        return hull
 
     @property
     def facet_simplices(self) -> list[tuple[int, ...]]:
@@ -413,14 +413,15 @@ def dd_vertices(normals: Sequence[Point]) -> tuple[Point, ...]:
     Double description on the homogenization cone ``{(x, w) : <A, x> - t w
     <= 0}`` with the combinatorial adjacency test.  Each row ``(A, -t)`` is
     primitive as it is, and each ray is kept primitive, so a ray ``(X, w)``
-    with ``w > 0`` is the vertex's pair.  Raises ``DegenerateHullError``
-    when the normals are flat (the body is unbounded, the polar of a flat
-    body) and ``ValueError`` when the body is otherwise unbounded.
+    with ``w > 0`` is the vertex's pair; a zero normal, the row ``0 <= 1``,
+    is skipped.  Raises ``DegenerateHullError`` when the normals are flat
+    (the body is unbounded, the polar of a flat body) and ``ValueError``
+    when the body is otherwise unbounded.
     """
     if len(normals) == 0:
         raise ValueError("empty halfspace system")
     d = len(normals[0][0])
-    rows = [A + (-t,) for A, t in normals]
+    rows = [A + (-t,) for A, t in normals if any(A)]
     D = d + 1
     # the first D independent rows: the pivot columns of the transpose
     init = _eliminate(list(zip(*rows)))[1]

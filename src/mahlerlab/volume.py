@@ -1,6 +1,6 @@
 """Volumes and volume products.
 
-Exact rational volumes for polytopes (a cone from the centroid over a
+Exact rational volumes for polytopes (a cone from the origin over a
 pulling triangulation of the facets, see ``exactgeom.ExactHull``), closed
 forms for l_p balls, and seeded hit-or-miss Monte Carlo for
 everything else.  Monte Carlo draws come from ``sampling``: a body's from

@@ -7,10 +7,18 @@ import pytest
 from hypothesis import strategies as st
 
 from mahlerlab import bodies as B
+from mahlerlab.exactgeom import ExactHull, dd_vertices, point_list
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def vertex_hull(vertices) -> ExactHull:
+    """The hull of a rational point set closed under negation, its normals
+    the vertices of the polar: ``dd_vertices`` of the nonzero points."""
+    points = point_list(vertices)
+    return ExactHull(points, dd_vertices([p for p in points if any(p[0])]))
 
 
 def shoelace_area(points) -> Fraction:
@@ -34,11 +42,9 @@ def support_by_vertex_scan(vertices, u) -> float:
 def shadow_area_oracle(body: B.PolytopeBody, u) -> float:
     """Projection (shadow) area of a 3-polytope: half the sum over facets of
     facet area times |cos| of the angle to the projection direction."""
-    from mahlerlab.exactgeom import ExactHull, point_list
-
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
-    hull = ExactHull(point_list(body.vertices()))
+    hull = vertex_hull(body.vertices())
     verts = [np.array([float(x) for x in v]) for v in body.vertices()]
     total = 0.0
     for a, c in hull.facets():

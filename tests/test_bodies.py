@@ -21,6 +21,7 @@ from conftest import (
     shadow_area_oracle,
     shoelace_area,
     support_by_vertex_scan,
+    vertex_hull,
 )
 
 
@@ -37,19 +38,14 @@ def test_parse_cube():
 def reference_cube(n):
     """The cube built directly, not as a Hanner product: its coordinate facet
     rows, and its sign vectors as vertices up to n = 10."""
-    rows = []
-    for i in range(n):
-        for s in (1, -1):
-            a = [Fraction(0)] * n
-            a[i] = Fraction(s)
-            rows.append((a, Fraction(1)))
+    normals = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
     verts = None
     if n <= 10:
-        verts = [tuple(Fraction(s) for s in t) for t in itertools.product([1, -1], repeat=n)]
-    return B.PolytopeBody(n, vertices=verts, halfspaces=rows,
-                          tree="X(" + ", ".join(["S"] * n) + ")" if n > 1 else "S",
-                          tag={"type": "cube", "dim": n},
-                          vertices_extreme=True, halfspaces_irredundant=True)
+        verts = point_list(itertools.product([1, -1], repeat=n))
+    body = B.PolytopeBody._of_point_lists(
+        n, verts, point_list(normals), tree="X(" + ", ".join(["S"] * n) + ")" if n > 1 else "S")
+    body.tag = {"type": "cube", "dim": n}
+    return body
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -62,15 +58,14 @@ def test_cube_is_the_reference_cube(n):
         assert body.halfspaces() == expect.halfspaces()
         assert body.tree == expect.tree
         assert body.describe() == {"type": tag, "dim": n}
-        assert (body._vertices_extreme, body._normals_irredundant) == \
-            (expect._vertices_extreme, expect._normals_irredundant)
+        assert body._given == expect._given == (True, True)
 
 
 def test_parse_hanner_expression():
     body = B.parse_body({"type": "hanner", "expr": "X(S, L(S, S))"})
     assert body.dim == 3
     # oracle: independently computed hull of the vertex set
-    hull = ExactHull(point_list(body.vertices()))
+    hull = vertex_hull(body.vertices())
     assert len(hull.vertex_points()) == 8
     assert len(hull.facets()) == 6
     assert (len(body.extreme_vertices()), len(body.hull().facets())) == (8, 6)
@@ -590,7 +585,7 @@ def test_exact_volume_scales_the_vertex_list_once(dim, monkeypatch):
         assert calls == []
         assert body.is_degenerate == reference_is_degenerate(body)
         want = Fraction(0) if body.is_degenerate \
-            else ExactHull(point_list(body.vertices())).volume()
+            else vertex_hull(body.vertices()).volume()
         assert type(vol) is Fraction and vol == want
 
 
@@ -613,7 +608,7 @@ def test_hanner_counts_match_hull_up_to_six_leaves():
             expr = random_hanner_expr(leaves, rng)
             body = B.hanner_body(expr)
             v_pred, f_pred = hanner_counts(expr)
-            hull = ExactHull(point_list(body.vertices()))
+            hull = vertex_hull(body.vertices())
             assert len(hull.vertex_points()) == v_pred
             assert len(hull.facets()) == f_pred
 
@@ -623,6 +618,31 @@ def test_hanner_polar_swaps_operations():
     pol = body.polar()
     assert pol.tree == "L(S, X(S, S))"
     assert (len(pol.extreme_vertices()), len(pol.hull().facets())) == (6, 8)
+
+
+def test_filled_lists_pass_whole_and_given_lists_are_filtered(monkeypatch):
+    """A list double description filled must pass the hull's rank rule
+    whole: the supporting rows (1/2, 1/2, 0) and its twin, which touch cube3
+    along an edge, slipped into its filled normals, or the facet centres
+    +-(1, 0, 0) into its filled vertices, raise AssertionError.  The same
+    rows in a given H-list are dropped by the hull, with volume 8."""
+    edge = point_list([(Fraction(1, 2), Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(-1, 2), 0)])
+    centres = point_list([(1, 0, 0), (-1, 0, 0)])
+    real = B.dd_vertices
+    cube_vertices = list(itertools.product([1, -1], repeat=3))
+    cube_rows = [(a, 1) for a, _ in B.PolytopeBody.cube(3).halfspaces()]
+    for extra, body in ((edge, lambda: B.PolytopeBody(3, vertices=cube_vertices)),
+                        (centres, lambda: B.PolytopeBody(3, halfspaces=cube_rows))):
+        monkeypatch.setattr(B, "dd_vertices",
+                            lambda points, extra=extra: exactgeom.sorted_points(real(points) + extra))
+        with pytest.raises(AssertionError, match="certificate"):
+            body().volume_exact()
+        monkeypatch.undo()
+    body = B.PolytopeBody(3, halfspaces=cube_rows + [(a, 1) for a in fractions(edge)])
+    assert body.volume_exact() == 8
+    assert len(body.halfspaces()) == 8 and len(body.hull().facets()) == 6
+    assert body.polar().volume_exact() == Fraction(4, 3)
+    assert len(body.polar().extreme_vertices()) == 6
 
 
 def test_halfspaces_are_stored_as_unit_offset_normals():
@@ -681,7 +701,7 @@ def _point_list_bodies(tree, kind, u, M):
 
 
 def _state(P):
-    return (P.vertices(), P.halfspaces(), P._vertices_extreme, P._normals_irredundant, P.tree)
+    return (P.vertices(), P.halfspaces(), P._given, P.tree)
 
 
 @contextlib.contextmanager
@@ -715,31 +735,33 @@ def test_polar_swaps_the_two_point_lists(tree, kind, u, shift):
     M = [[Fraction(2 * (i == j) + (j == (i + shift) % 6)) for j in range(6)]
          for i in range(6)]
     P = _point_list_bodies(tree, kind, u, M)
-    flags = (P._vertices_extreme, P._normals_irredundant)
     with _parse_calls() as calls:
         before = P.describe()
         Q = P.polar()
         PP = Q.polar()
     assert calls == []
-    assert (Q._normals_irredundant, Q._vertices_extreme) == flags
+    assert Q._given == P._given[::-1]
     assert PP.describe() == before
     assert _state(PP) == _state(P)
     assert P.describe() == before
     assert Q.vertices() == tuple(a for a, _ in P.halfspaces())
     assert Q.halfspaces() == tuple((v, 1) for v in P.vertices())
     if kind == "vonly":
-        hull = ExactHull(point_list(P.vertices()))
+        hull = vertex_hull(P.vertices())
         assert tuple(a for a, _ in P.halfspaces()) == tuple(
             sorted(tuple(x / c for x in a) for a, c in hull.facets()))
-    # a body whose hull is built gives the polar the normals read off it
+    # a body whose hull is built gives the polar its hull swapped, which is
+    # the hull the polar would build
     R = _point_list_bodies(tree, kind, u, M)
     R.hull()
     with _parse_calls() as calls:
         R_polar = R.polar()
     assert calls == []
     assert R_polar._vertices == Q._vertices and R_polar.vertices() == Q.vertices()
-    assert (R_polar._normals_irredundant, R_polar._vertices_extreme) == \
-        (R._vertices_extreme, R._normals_irredundant)
+    fresh = ExactHull(R_polar._vertex_list(), R_polar._normal_list())
+    assert R_polar._hull is not None and R_polar.hull() is R_polar._hull
+    assert (R_polar.hull().vertices, R_polar.hull().normals) == (fresh.vertices, fresh.normals)
+    assert R_polar.volume_exact() == fresh.volume() == Q.volume_exact()
 
 
 @pytest.mark.parametrize("expr", ["X(S, L(S, S))", "L(S, X(S, S), S)", "X(L(S, S), L(S, S))"])

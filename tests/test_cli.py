@@ -453,6 +453,49 @@ def test_wrong_typed_body_field_exit_one(capsys, body, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    ('{"type":"linimg","body":{"type":"cube","dim":3},"matrix":[[1,0,0],[0,1,0]]}',
+     "dimension 3 needs a 3 x 3 matrix, got rows of [3, 3] entries"),
+    ('{"type":"linimg","body":{"type":"lp_ball","p":3,"dim":3},"matrix":[[1,0,0],[0,1,0]]}',
+     "dimension 3 needs a 3 x 3 matrix, got rows of [3, 3] entries"),
+    ('{"type":"linimg","body":{"type":"cube","dim":2},"matrix":[[1,0,0],[0,1,0]]}',
+     "dimension 2 needs a 2 x 2 matrix, got rows of [3, 3] entries"),
+    ('{"type":"linimg","body":{"type":"cube","dim":2},"matrix":[[1,"x"],[0,1]]}',
+     "matrix entries must be numbers: could not convert string to float: 'x'"),
+    ('{"type":"linimg","body":{"type":"lp_ball","p":3,"dim":2},"matrix":[[1,"x"],[0,1]]}',
+     "matrix entries must be numbers"),
+    ('{"type":"linimg","body":{"type":"cube","dim":2},"matrix":[[0.5,1],[1,2]]}',
+     "singular or non-finite matrix"),
+    ('{"type":"linimg","body":{"type":"cube","dim":2},"matrix":[["1/2",1],[1,2]]}',
+     "singular matrix"),
+    ('{"type":"linimg","body":{"type":"lp_ball","p":3,"dim":2},"matrix":[["1/2",1],[1,2]]}',
+     "singular or non-finite matrix"),
+    ('{"type":"linimg","body":{"type":"lp_ball","p":3,"dim":2},"matrix":[["inf",0],[0,1]]}',
+     "singular or non-finite matrix"),
+], ids=["cube-2x3", "lp-2x3", "cube-too-wide", "cube-x", "lp-x", "cube-float-singular",
+        "cube-rational-singular", "lp-rational-singular", "lp-inf"])
+def test_bad_linear_image_matrix_exit_one(capsys, body, message):
+    """The matrix's shape is checked against the body's dimension for
+    every body, and an entry that is not a number says so."""
+    code = cli.main(["--no-log", "volume", "--body", body])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_linear_image_takes_rational_strings_for_every_body(capsys):
+    """Entries that parse as rationals give the exact image of a polytope
+    and the float image of an l_p ball, as a cut's normal does."""
+    for body, exact in (('{"type":"cube","dim":2}', True),
+                        ('{"type":"lp_ball","p":3,"dim":2}', False)):
+        image = B.parse_body('{"type":"linimg","body":%s,"matrix":[["1/2",0],[0,2]]}' % body)
+        assert isinstance(image, B.PolytopeBody) == exact
+        if exact:
+            assert image.volume_exact() == 4
+        else:
+            assert image.M.tolist() == [[0.5, 0.0], [0.0, 2.0]]
+
+
 @pytest.mark.parametrize("expr, message", [
     ("X(" * 1200 + "S, S" + ")" * 1200, "at least two operands"),
     ("X(S, " * 1200 + "S" + ")" * 1200, "1201 leaves"),

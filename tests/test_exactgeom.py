@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull as QHull
 
+from mahlerlab import bodies as B
 from mahlerlab import exactgeom
 from mahlerlab.exactgeom import (
     DegenerateHullError,
@@ -20,10 +21,13 @@ from mahlerlab.exactgeom import (
 )
 
 
-def hull_of(points, normals=None, extreme=False):
-    """The kernel on rational points, and on rational normals at offset 1."""
-    return ExactHull(point_list(points), None if normals is None else point_list(normals),
-                     extreme)
+def hull_of(points, normals=None):
+    """The kernel on rational points and rational normals at offset 1; with
+    no normals, the hull of a body given the points, whose normals double
+    description finds (and which refuses a set not closed under negation)."""
+    if normals is None:
+        return B.PolytopeBody(len(points[0]), vertices=points).hull()
+    return ExactHull(point_list(points), point_list(normals))
 
 
 def unit_normals(rows):
@@ -202,12 +206,12 @@ def _cube_rows(n):
 def test_certificate_rejects_tightened_facet(n):
     pts = list(itertools.product([-1, 1], repeat=n))
     rows = _cube_rows(n)
-    assert hull_of(pts, unit_normals(rows), extreme=True).volume() == 2**n
+    assert hull_of(pts, unit_normals(rows)).volume() == 2**n
     for k in (0, len(rows) - 1):
+        # a row and its twin k ^ 1 (the normal lists are closed under negation)
         tightened = list(rows)
-        tightened[k] = (rows[k][0], Fraction(1, 2))
-        with pytest.raises(AssertionError, match="certificate"):
-            hull_of(pts, unit_normals(tightened), extreme=True)
+        for j in (k, k ^ 1):
+            tightened[j] = (rows[j][0], Fraction(1, 2))
         with pytest.raises(AssertionError, match="certificate"):
             hull_of(pts, unit_normals(tightened))
 
@@ -224,14 +228,19 @@ def test_cube6_from_points_alone():
 
 
 def test_known_halfspaces_skip_double_description(monkeypatch):
+    """The hull converts nothing, and a body given both lists (a Hanner
+    body) runs no double description for its volume or its polar's."""
     def no_dd(*args, **kwargs):
         raise AssertionError("double description called")
 
     monkeypatch.setattr(exactgeom, "dd_vertices", no_dd)
+    monkeypatch.setattr(B, "dd_vertices", no_dd)
     pts = list(itertools.product([-1, 1], repeat=4))
-    hull = hull_of(pts, unit_normals(_cube_rows(4)), extreme=True)
+    hull = hull_of(pts, unit_normals(_cube_rows(4)))
     assert hull.volume() == 16
     assert len(hull.facets()) == 8
+    body = B.hanner_body("X(S, L(S, S), S)")
+    assert body.volume_exact() * body.polar().volume_exact() == Fraction(4**4, 24)
 
 
 def test_halfspaces_and_points_alone_agree(rng):
@@ -252,8 +261,9 @@ def test_halfspaces_and_points_alone_agree(rng):
         # the sum of the facets through a vertex touches the polytope there only
         v = ref.vertex_points()[0]
         through = [(a, c) for a, c in ref.facets() if sum(x * y for x, y in zip(a, v)) == c]
-        rows.append((tuple(sum(col) for col in zip(*(a for a, _ in through))),
-                     sum(c for _, c in through)))
+        a = tuple(sum(col) for col in zip(*(a for a, _ in through)))
+        c = sum(c for _, c in through)
+        rows += [(a, c), (tuple(-x for x in a), c)]  # and its twin, through -v
         hull = hull_of(pts, unit_normals(rows))
         assert hull.facets() == ref.facets()
         assert hull.vertex_points() == ref.vertex_points()
@@ -275,8 +285,8 @@ def test_hull_off_centre_and_asymmetric():
     assert len(reference_hull(cube)["facets"]) == 6
     assert reference_hull(cube, [((1, 0, 0), Fraction(4, 3)), ((-1, 0, 0), Fraction(2, 3)),
                                  ((0, 1, 0), Fraction(-1)), ((0, -1, 0), Fraction(3)),
-                                 ((0, 0, 1), Fraction(12, 7)), ((0, 0, -1), Fraction(2, 7))],
-                          extreme=True)["volume"] == 8
+                                 ((0, 0, 1), Fraction(12, 7)), ((0, 0, -1), Fraction(2, 7))]
+                          )["volume"] == 8
     with pytest.raises(ValueError, match="closed under negation"):
         hull_of(cube)
     for d in range(1, 6):
@@ -504,7 +514,7 @@ def reference_scale(v):
     return tuple(int(x * lcm) for x in v)
 
 
-def reference_hull(points, halfspaces=None, extreme=False):
+def reference_hull(points, halfspaces=None):
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
     d = len(pts[0])
     lcm = math.lcm(*(x.denominator for p in pts for x in p))
@@ -532,9 +542,8 @@ def reference_hull(points, halfspaces=None, extreme=False):
         vals = [sum(x * y for x, y in zip(a, p)) for p in ints]
         assert max(vals) <= rhs
         tight.append(sum(1 << i for i, v in enumerate(vals) if v == rhs))
-    vertex_ids = list(range(n)) if extreme else [
-        i for i in range(n)
-        if int_rank([r[:-1] for r, m in zip(rows, tight) if m >> i & 1]) == d]
+    vertex_ids = [i for i in range(n)
+                  if int_rank([r[:-1] for r, m in zip(rows, tight) if m >> i & 1]) == d]
     vmask = sum(1 << i for i in vertex_ids)
     kept = [(r, m & vmask) for r, m in zip(rows, tight)
             if int_rank([ints[i] for i in exactgeom._bits(m & vmask)]) == d]
@@ -576,7 +585,7 @@ def hull_inputs(draw):
     a centroid or not, off the origin or not, with repeated points, in any
     order; and how the rows are given: not at all, as facets times positive
     rationals (offsets other than 1) with redundant rows, or as those rows
-    with the vertices alone and ``extreme=True``."""
+    with the vertices alone for the points."""
     d = draw(st.integers(2, 4))
     pts = draw(st.lists(st.tuples(*[COORDINATES] * d), min_size=d + 1, max_size=d + 5))
     if draw(st.booleans()):
@@ -586,7 +595,7 @@ def hull_inputs(draw):
         pts = [tuple(x + s for x, s in zip(p, shift)) for p in pts]
     pts += draw(st.lists(st.sampled_from(pts), max_size=3))
     pts = draw(st.permutations(pts))
-    rows = draw(st.sampled_from(["points", "rows", "extreme"]))
+    rows = draw(st.sampled_from(["points", "rows", "vertices"]))
     factors = draw(st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
                             min_size=1, max_size=12))
     return pts, rows, factors
@@ -611,21 +620,22 @@ def test_hull_matches_the_fraction_reference(case):
     assert hull_state(hull_of(points)) == ref
     if rows == "points":
         return
-    extreme = rows == "extreme"
-    if extreme:
+    if rows == "vertices":
         points = ref["vertex_points"] + ref["vertex_points"][:2]
     # every facet times a positive rational, a loosened copy of each, and a
-    # supporting hyperplane through one vertex only, out of sorted order
+    # supporting hyperplane through one vertex only with its twin, out of
+    # sorted order
     halfspaces = [(tuple(k * x for x in a), k * c)
                   for (a, c), k in zip(ref["facets"], itertools.cycle(factors))]
     halfspaces += [(a, c + 1) for a, c in ref["facets"]]
     v = ref["vertex_points"][0]
     through = [(a, c) for a, c in ref["facets"] if sum(x * y for x, y in zip(a, v)) == c]
-    halfspaces.append((tuple(sum(col) for col in zip(*(a for a, _ in through))),
-                       sum(c for _, c in through)))
+    a = tuple(sum(col) for col in zip(*(a for a, _ in through)))
+    c = sum(c for _, c in through)
+    halfspaces += [(a, c), (tuple(-x for x in a), c)]  # and its twin, through -v
     halfspaces.sort(key=lambda row: hash(row) % 7)
-    ref_rows = reference_hull(points, halfspaces, extreme)
-    assert hull_state(hull_of(points, unit_normals(halfspaces), extreme)) == ref_rows
+    ref_rows = reference_hull(points, halfspaces)
+    assert hull_state(hull_of(points, unit_normals(halfspaces))) == ref_rows
     assert ref_rows["facets"] == ref["facets"]
     assert ref_rows["volume"] == ref["volume"]
 
@@ -698,9 +708,10 @@ def test_point_lists_and_hull_against_the_reference(points):
         ref = reference_hull(points)
     except DegenerateHullError:
         with pytest.raises(DegenerateHullError):
-            ExactHull(plist)
+            hull_of(points)
         return
-    hull = ExactHull(plist)
+    hull = hull_of(points)
+    assert hull.points == plist
     assert hull.vertex_points() == ref["vertex_points"]
     assert hull.facets() == ref["facets"]
     assert hull.volume() == ref["volume"]
@@ -708,8 +719,38 @@ def test_point_lists_and_hull_against_the_reference(points):
     assert_primitive(hull.normals)
     assert all(type(x) is Fraction for p in hull.vertex_points() for x in p)
     lone = next(p for p in values if any(p))
+    asymmetric = [p for p in values if p != tuple(-x for x in lone)]
     with pytest.raises(ValueError, match="closed under negation"):
-        ExactHull(point_list(p for p in values if p != tuple(-x for x in lone)))
+        hull_of(asymmetric)
+    with pytest.raises(ValueError, match="closed under negation"):
+        ExactHull(point_list(asymmetric), hull.normals)
+    with pytest.raises(ValueError, match="closed under negation"):
+        ExactHull(plist, hull.normals[1:])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(symmetric_point_sets())
+def test_swapped_hull_is_the_hull_of_the_polar(points):
+    """``polar`` swaps the two lists, their incidence and their rank tests:
+    a hull built afresh on the swapped lists has the same vertices, normals,
+    facet masks, facets, triangulation and volume, which are those of the
+    reference hull of the polar's vertices; swapped twice, it is the hull
+    again."""
+    try:
+        hull = hull_of(points)
+    except DegenerateHullError:
+        return
+    polar = hull.polar()
+    fresh = ExactHull(hull.rows, hull.points)
+    for name in ("points", "rows", "vertices", "normals", "_masks", "facet_simplices"):
+        assert getattr(polar, name) == getattr(fresh, name), name
+    assert (polar.facets(), polar.volume()) == (fresh.facets(), fresh.volume())
+    ref = reference_hull(fractions(hull.normals))
+    assert (polar.vertex_points(), polar.facets(), polar.volume()) == \
+        (ref["vertex_points"], ref["facets"], ref["volume"])
+    again = polar.polar()
+    assert (again.vertices, again.normals, again._masks) == (hull.vertices, hull.normals, hull._masks)
+    assert again.volume() == hull.volume()
 
 
 def test_hull_integers_stay_near_the_point_size():

@@ -93,6 +93,23 @@ def test_exact_fingerprint_compare_flags_any_difference(tmp_path):
     assert differ.returncode == 1 and "vol=9" in differ.stdout
 
 
+def test_exact_fingerprint_prints_both_polar_routes_alike():
+    """Each body line is followed by its polar taken after the body's
+    volume and by the polar of a fresh copy taken before its hull exists,
+    and the two polar lines agree past their labels: volume, lists,
+    description and float digests."""
+    proc = run_script("exact_fingerprint.py", ["--quick"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    bodies = [i for i, x in enumerate(lines) if " body vol=" in x]
+    assert bodies
+    for i in bodies:
+        label = lines[i].split(" body vol=")[0]
+        after, before = lines[i + 1], lines[i + 2]
+        assert after.startswith(f"{label} polar vol=")
+        assert before == after.replace(f"{label} polar vol=", f"{label} polar-first vol=", 1)
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)

@@ -183,6 +183,30 @@ def test_product_runs_one_double_description(monkeypatch, make):
     assert rep.exact_product >= V.mahler_bound(3)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: B.hanner_body("X(S, L(S, S), S)"),
+    lambda: B.hyperplane_section(B.PolytopeBody.cube(4), (1, 2, -1, 3)),
+    lambda: B.hyperplane_projection(B.hanner_body("L(S, X(S, S), S)"), (1, 2, -1, 3)),
+], ids=["hanner", "cube-section", "projection"])
+def test_product_builds_one_hull(monkeypatch, make):
+    """The polar takes the body's hull with its two sides swapped, so a
+    Mahler product builds one hull."""
+    from mahlerlab import exactgeom
+
+    calls = []
+    real = exactgeom.ExactHull.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(exactgeom.ExactHull, "__init__", counting)
+    body = make()
+    rep = V.mahler_product(body)
+    assert len(calls) == 1
+    assert rep.exact_product >= V.mahler_bound(body.dim)
+
+
 def test_reduction_bound_cube_axis_equality():
     rep = V.reduction_volume_bound(B.PolytopeBody.cube(3), (0, 0, 1))
     assert rep.lhs_exact == 8 and rep.rhs_exact == 8 and rep.equality
