@@ -176,7 +176,9 @@ def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
                     iters: int = 48, level: float | None = None) -> np.ndarray:
     """min_t child.gauge(x0 + t * direction) for a batch of base points.
 
-    ``x0`` has shape (..., dim).  The function of t is convex, so golden
+    ``x0`` has shape (..., dim), rows as ``gauge`` takes them; the search
+    holds them as coordinate planes and hands ``child.gauge`` a row view of
+    the planes of each probe.  The function of t is convex, so golden
     section on a bracket derived from homogeneity is reliable: for a
     symmetric body |t*| <= 2 gauge(x0) / gauge(direction).
 
@@ -190,24 +192,27 @@ def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
     trajectory of an unsettled row does not change.
     """
     x0 = np.asarray(x0, dtype=float)
+    direction = np.asarray(direction, dtype=float)
     single = x0.ndim == 1
-    pts = np.atleast_2d(x0)
-    g0 = np.asarray(child.gauge(pts), dtype=float)
+    pts = _planes(np.atleast_2d(x0))
+    g0 = np.asarray(child.gauge(_as_rows(pts)), dtype=float)
     gd = float(child.gauge(direction))
     if gd <= 0:
         raise BodyError("unbounded fiber: direction has zero gauge")
     T = 2.0 * g0 / gd + 1e-9
     lo, hi = -T, T
+    u = direction.reshape((-1,) + (1,) * (pts.ndim - 1))  # a column against the planes
 
     def f(t):
-        return np.asarray(child.gauge(pts + t[..., None] * direction), dtype=float)
+        return np.asarray(child.gauge(_as_rows(pts + u * t)), dtype=float)
 
     m1 = hi - GOLDEN * (hi - lo)
     m2 = lo + GOLDEN * (hi - lo)
     f1, f2 = f(m1), f(m2)
     if level is not None:
         shape = g0.shape
-        pts = pts.reshape(-1, pts.shape[-1])
+        pts = pts.reshape(len(pts), -1)
+        u = u.reshape(-1, 1)
         g0, lo, hi, m1, m2, f1, f2 = (a.reshape(-1) for a in (g0, lo, hi, m1, m2, f1, f2))
         flo, fhi = f(lo), f(hi)
         out = np.empty_like(g0)
@@ -220,8 +225,9 @@ def fiber_min_gauge(child: "ConvexBody", x0: np.ndarray, direction: np.ndarray,
             if done.any():
                 out[rows[done]] = best[done]
                 keep = np.flatnonzero(~done)
-                rows, pts, g0, lo, hi, m1, m2, f1, f2, flo, fhi = (
-                    a[keep] for a in (rows, pts, g0, lo, hi, m1, m2, f1, f2, flo, fhi))
+                rows, g0, lo, hi, m1, m2, f1, f2, flo, fhi = (
+                    a[keep] for a in (rows, g0, lo, hi, m1, m2, f1, f2, flo, fhi))
+                pts = pts[:, keep]
                 if not keep.size:
                     break
         take1 = f1 <= f2
@@ -252,13 +258,15 @@ def _certify_lp_fibers(ball: "LpBallBody", x0: np.ndarray, u: np.ndarray, t: np.
     settles for min_t ||x0 + t u||_r, r = ball.p and u a unit vector: two
     masks, (hit, miss).  A row in neither is left to golden section.
 
-    A probe y = x0 + t u is a hit when ball.gauge(y) <= level, the test
-    golden section applies (the gauge summed over coordinates in order,
-    which for n < 8 gives ball.gauge's bytes).  With s = sign(y)|y|^(r-1)
-    and w = s - <s,u> u, so that w is orthogonal to u, Hölder's inequality
-    gives ||x0 + t'u||_r >= <x0, w> / ||w||_{r*} for every t'; the probe is
-    a miss when that bound clears level * (1 + MISS_MARGIN), the margin of
-    ``_convex_floor``, and is finite.  The first probe is at ``t`` (the
+    ``x0`` is rows (rows, n); a row view of coordinate planes, as
+    ``ImageBody.contains_batch`` passes, is read without a copy.  A probe
+    y = x0 + t u is a hit when ball.gauge(y) <= level, the test golden
+    section applies (``row_sum`` gives the gauge's bytes, and the same
+    side of the level where the power sum underflows or overflows).  With
+    s = sign(y)|y|^(r-1) and w = s - <s,u> u, so that w is orthogonal to
+    u, Hölder's inequality gives ||x0 + t'u||_r >= <x0, w> / ||w||_{r*}
+    for every t'; the probe is a miss when that bound clears level * (1 +
+    MISS_MARGIN), the margin of ``_convex_floor``, and is finite.  The first probe is at ``t`` (the
     Euclidean foot); up to CERTIFY_STEPS more close in on the root of
     phi(t) = <u, s>, which is nondecreasing and vanishes at the fiber's
     minimizer: a Newton step while the root is bracketed from one side
@@ -284,7 +292,7 @@ def _certify_lp_fibers(ball: "LpBallBody", x0: np.ndarray, u: np.ndarray, t: np.
             phi = u @ s
             w = s - u[:, None] * phi
             bound = coordinate_sum(x * w) / coordinate_sum(abs_power(w, ball.q)) ** (1.0 / ball.q)
-            settled_hit = coordinate_sum(pw) ** (1.0 / r) <= level
+            settled_hit = row_sum(pw) ** (1.0 / r) <= level
             settled_miss = (bound > level * (1.0 + MISS_MARGIN)) & (bound < np.inf)
             hit[rows[settled_hit]] = True
             miss[rows[settled_miss]] = True
@@ -357,10 +365,6 @@ def abs_power(x: np.ndarray, p: float) -> np.ndarray:
     return a**p
 
 
-def pnorm(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
-    return np.sum(abs_power(x, p), axis=axis) ** (1.0 / p)
-
-
 def coordinate_sum(planes: np.ndarray) -> np.ndarray:
     """Sum of the coordinate planes (d, ...), added in order from the first.
 
@@ -373,20 +377,97 @@ def coordinate_sum(planes: np.ndarray) -> np.ndarray:
     return np.add.reduce(planes, axis=0)
 
 
+def row_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum of the coordinate planes (d, ...) in the order NumPy sums a
+    contiguous row of d terms, so the bytes are those of summing rows at
+    every d.  Below 8 terms that is the in-order sum (``coordinate_sum``);
+    up to 128 terms, eight running sums r_k over the planes 8j + k, joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the planes
+    past the last multiple of 8 in order; past 128 terms, the same for two
+    halves, the first a multiple of 8 (NumPy's pairwise summation)."""
+    d = len(planes)
+    if d < 8:
+        return coordinate_sum(planes)
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return row_sum(planes[:half]) + row_sum(planes[half:])
+    full = d - d % 8
+    r = coordinate_sum(planes[:full].reshape((full // 8, 8) + planes.shape[1:]))
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for plane in planes[full:]:
+        out = out + plane
+    return out
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _lp_norm(planes: np.ndarray, p: float, power=abs_power) -> np.ndarray:
+    """||x||_p of each point of coordinate planes (d, ...):
+    ``row_sum(power(x, p)) ** (1/p)``, with ``power`` abs_power, or np.power
+    on planes that are already |x|.
+
+    A nonzero point whose power sum falls below the smallest normal float
+    (its |x_i|^p underflow), or a finite one whose sum overflows, is
+    divided by its largest |x_i| first and the norm scaled back; every
+    other point keeps the bytes of the plain sum."""
+    s = row_sum(power(planes, p))
+    out = s ** (1.0 / p)
+    redo = (s < _TINY) | (s == np.inf)
+    if redo.any():
+        out = np.array(out)
+        flat = planes.reshape(len(planes), -1)
+        rows = np.flatnonzero(redo)
+        big = np.maximum.reduce(np.abs(flat[:, rows]), axis=0)
+        ok = (big > 0) & (big < np.inf)
+        rows, big = rows[ok], big[ok]
+        out.reshape(-1)[rows] = row_sum(power(flat[:, rows] / big, p)) ** (1.0 / p) * big
+        out = out[()]
+    return out
+
+
+def _planes(x: np.ndarray) -> np.ndarray:
+    """Rows (..., d) as C-contiguous coordinate planes (d, ...).  A row view
+    of such planes is read as it is, and so is a single point (d,); other
+    rows are copied."""
+    return np.ascontiguousarray(x.transpose((x.ndim - 1, *range(x.ndim - 1))))
+
+
 def _as_rows(planes: np.ndarray) -> np.ndarray:
     """Coordinate planes (d, ...) as a view of rows (..., d)."""
     return planes.transpose((*range(1, planes.ndim), 0))
+
+
+def _product(M: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The planes of the rows x @ M.T, as one product M @ planes, which
+    rounds each entry as the row product does when M has two or more rows.
+    A single point (d,) keeps its one-row product."""
+    if planes.ndim == 1:
+        return planes @ M.T
+    out = M @ planes.reshape(len(planes), -1)
+    return out.reshape((len(M),) + planes.shape[1:])
 
 
 class ConvexBody:
     dim: int
 
     def contains_batch(self, x) -> np.ndarray:
-        """Vectorized membership; bodies may override with a cheaper test
-        than a full gauge evaluation."""
+        """Vectorized membership, rows (..., d) -> (...), under the layout
+        contract of ``gauge``; bodies may override with a cheaper test than
+        a full gauge evaluation."""
         return np.asarray(self.gauge(x)) <= 1.0 + MEMBERSHIP_TOL
 
     def gauge(self, x):
+        """The gauge of each row, (..., d) -> (...).
+
+        Bodies compute on coordinate planes (d, ...): sums and maxima run
+        over planes and linear maps are one product ``M @ planes``.  Rows
+        that are a view of C-contiguous planes, ``planes.T`` (as
+        ``volume.mc_volume`` passes them), are read without a copy; other
+        rows are copied into planes once.  The values do not depend on the
+        layout of x, and are the bytes of the same sums and products taken
+        on C-ordered rows.
+        """
         raise NotImplementedError
 
     def support(self, u):
@@ -587,15 +668,12 @@ class PolytopeBody(ConvexBody):
         return self._float_cache[key]
 
     def gauge(self, x):
-        x = np.asarray(x, dtype=float)
-        A = self._floats("A")
-        vals = x @ A.T
-        return np.max(vals, axis=-1)
+        planes = _planes(np.asarray(x, dtype=float))
+        return np.maximum.reduce(_product(self._floats("A"), planes), axis=0)
 
     def support(self, u):
-        u = np.asarray(u, dtype=float)
-        V = self._floats("V")
-        return np.max(u @ V.T, axis=-1)
+        planes = _planes(np.asarray(u, dtype=float))
+        return np.maximum.reduce(_product(self._floats("V"), planes), axis=0)
 
     def support_witness(self, u):
         """The first maximizing vertex (rows sorted lexicographically: ties
@@ -658,20 +736,20 @@ class LpBallBody(ConvexBody):
         self.q = p / (p - 1.0)
 
     def gauge(self, x):
-        return pnorm(np.asarray(x, dtype=float), self.p)
+        return _lp_norm(_planes(np.asarray(x, dtype=float)), self.p)
 
     def support(self, u):
-        return pnorm(np.asarray(u, dtype=float), self.q)
+        return _lp_norm(_planes(np.asarray(u, dtype=float)), self.q)
 
     def support_witness(self, u):
-        u = np.asarray(u, dtype=float)
-        a = np.abs(u)
-        # summed along contiguous rows, as NumPy sums them (pairwise from 8
-        # terms), whatever the layout of u
-        nq = np.sum(np.ascontiguousarray(a ** self.q), axis=-1, keepdims=True) ** (1.0 / self.q)
+        """sign(u) (|u| / ||u||_q)^(q-1), formed on the planes of u, so the
+        result is a row view of planes."""
+        planes = _planes(np.asarray(u, dtype=float))
+        a = np.abs(planes)
+        nq = _lp_norm(a, self.q, np.power)
         safe = np.where(nq > 0, nq, 1.0)
-        w = np.sign(u) * (a / safe) ** (self.q - 1.0)
-        return np.where(nq > 0, w, 0.0)
+        w = np.sign(planes) * (a / safe) ** (self.q - 1.0)
+        return _as_rows(np.where(nq > 0, w, 0.0))
 
     def polar(self) -> "LpBallBody":
         return LpBallBody(self.q, self.dim)
@@ -689,8 +767,8 @@ class SliceBody(ConvexBody):
         self.dim = self.basis.shape[1]
 
     def gauge(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.child.gauge(x @ self.basis.T)
+        planes = _planes(np.asarray(x, dtype=float))
+        return self.child.gauge(_as_rows(_product(self.basis, planes)))
 
     def support(self, u):
         return self.polar().gauge(u)
@@ -736,11 +814,11 @@ class ImageBody(ConvexBody):
             self._inv = np.linalg.inv(self.M)
 
     def gauge(self, x):
-        x = np.asarray(x, dtype=float)
+        planes = _planes(np.asarray(x, dtype=float))
         if self._kernel is None:
-            return self.child.gauge(x @ self._inv.T)
-        x0 = x @ self._pinv.T
-        return fiber_min_gauge(self.child, x0, self._kernel)
+            return self.child.gauge(_as_rows(_product(self._inv, planes)))
+        return fiber_min_gauge(self.child, _as_rows(_product(self._pinv, planes)),
+                               self._kernel)
 
     def contains_batch(self, x) -> np.ndarray:
         """Membership, min_t child.gauge(x0 + t u) <= 1 + MEMBERSHIP_TOL on
@@ -760,33 +838,41 @@ class ImageBody(ConvexBody):
         point is a hit exactly when the full search makes it one, except
         when its fiber minimum lies below the level by less than that
         search's resolution, where a certificate hit is the truer answer.
+
+        The base points x0, the foot and the bounds are coordinate planes;
+        the certificate and the search read row views of the planes of the
+        points they take.
         """
         x = np.asarray(x, dtype=float)
         level = 1.0 + MEMBERSHIP_TOL
         if self._kernel is None:
             return np.asarray(self.gauge(x)) <= level
         if not isinstance(self.child, LpBallBody):
-            vals = fiber_min_gauge(self.child, x @ self._pinv.T, self._kernel, level=level)
+            x0 = _product(self._pinv, _planes(x))
+            vals = fiber_min_gauge(self.child, _as_rows(x0), self._kernel, level=level)
             return np.asarray(vals) <= level
         single = x.ndim == 1
-        pts = np.atleast_2d(x)
         p = self.child.p
         n = self.child.dim
-        x0 = pts @ self._pinv.T
+        x0 = self._pinv @ _planes(np.atleast_2d(x))  # planes (n, rows)
         u = self._kernel
-        t2 = -(x0 @ u)
-        x2 = x0 + t2[:, None] * u
-        upper = np.asarray(self.child.gauge(x2), dtype=float)
-        d2 = np.linalg.norm(x2, axis=-1)
+        # the foot is a matrix-vector product on rows: no product on planes
+        # rounds as it does
+        t2 = -(np.ascontiguousarray(x0.T) @ u)
+        x2 = x0 + u[:, None] * t2
+        upper = np.asarray(self.child.gauge(_as_rows(x2)), dtype=float)
+        d2 = np.sqrt(row_sum(x2 * x2))
         lower = d2 * (n ** (1.0 / p - 0.5)) if p > 2.0 else d2
         out = upper <= level
         ambiguous = np.flatnonzero((~out) & (lower <= level))
         if ambiguous.size:
-            hit, miss = _certify_lp_fibers(self.child, x0[ambiguous], u, t2[ambiguous], level)
+            hit, miss = _certify_lp_fibers(self.child, _as_rows(x0[:, ambiguous]), u,
+                                           t2[ambiguous], level)
             out[ambiguous[hit]] = True
             rest = ambiguous[~(hit | miss)]
             if rest.size:
-                vals = fiber_min_gauge(self.child, x0[rest], u, iters=28, level=level)
+                vals = fiber_min_gauge(self.child, _as_rows(x0[:, rest]), u, iters=28,
+                                       level=level)
                 out[rest] = vals <= level
         return out[0:1].reshape(()) if single else out
 

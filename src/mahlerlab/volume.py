@@ -29,10 +29,15 @@ from .bodies import (
 )
 
 MC_BLOCK = 1 << 16
-# rows per membership test: keeps the test's temporaries (a few arrays of
-# rows x facets or rows x fiber steps) small enough to be reused from the
-# heap instead of being mapped and unmapped for every call
-MC_ROWS = 1 << 13
+# rows per membership test, passed as a row view of the chunk's coordinate
+# planes.  Each chunk whose fiber tests leave rows to golden section runs a
+# search of its own, whose cost is mostly per call, so fewer chunks cost
+# less, while the test's temporaries (coordinates x rows, facets x rows)
+# grow with the chunk.  On the 36 l_p section products of the sampling
+# benchmark at seeds 71 and 72 (2-vCPU Xeon, one BLAS thread, best of 8),
+# chunks of 2^13, 2^14, 2^15 and 2^16 rows took 676, 569, 563 and 639 ms,
+# and 2^15 was slower than 2^14 on the n = 4 sections
+MC_ROWS = 1 << 14
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 POLAR_STREAM = 1
 
@@ -161,9 +166,12 @@ def mc_volume(body: ConvexBody, samples: int, seed: int, *, stream: int = 0) -> 
     box_vol = float(np.prod(2.0 * half))
     hits = 0
     for rng, m in sampling.blocks(seed, stream, samples, MC_BLOCK):
-        pts = rng.uniform(-1.0, 1.0, size=(m, body.dim)) * half
+        draw = rng.uniform(-1.0, 1.0, size=(m, body.dim))
         for lo in range(0, m, MC_ROWS):
-            hits += int(np.count_nonzero(body.contains_batch(pts[lo:lo + MC_ROWS])))
+            # the chunk scaled to the box into coordinate planes, in one pass,
+            # and tested as their row view
+            planes = np.multiply(draw[lo:lo + MC_ROWS].T, half[:, None], order="C")
+            hits += int(np.count_nonzero(body.contains_batch(planes.T)))
     phat = hits / samples
     value = phat * box_vol
     ci = Z95 * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples) * box_vol

@@ -1022,6 +1022,265 @@ def test_fiber_min_with_level_decides_like_the_full_search(child, iters, seed, l
 
 
 # ---------------------------------------------------------------------------
+# the layout of gauges and membership: row-layout oracles
+
+
+def reference_gauge(body, x):
+    """The gauge as computed on C-ordered rows throughout: row products
+    x @ M.T, sums and maxima along rows, and the fiber search on rows."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if isinstance(body, B.PolytopeBody):
+        return np.max(x @ body._floats("A").T, axis=-1)
+    if isinstance(body, B.LpBallBody):
+        return np.sum(B.abs_power(x, body.p), axis=-1) ** (1.0 / body.p)
+    if isinstance(body, B.SliceBody):
+        return reference_gauge(body.child, x @ body.basis.T)
+    if isinstance(body, B.ImageBody):
+        if body._kernel is None:
+            return reference_gauge(body.child, x @ body._inv.T)
+        return reference_fiber_min_gauge(body.child, x @ body._pinv.T, body._kernel)
+    if isinstance(body, B.DiagonalImageBody):
+        return reference_gauge(body.core, x / body.scales)
+    n = body.n
+    gp, gq = reference_gauge(body.dual, x[..., :n]), reference_gauge(body.base, x[..., n:])
+    return np.maximum(gp, gq) if isinstance(body, B.LagrangianProductBody) else gp + gq
+
+
+def reference_support(body, u):
+    """The support function on C-ordered rows, for the bodies whose
+    bounding box the layout tests read."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if isinstance(body, B.PolytopeBody):
+        return np.max(u @ body._floats("V").T, axis=-1)
+    if isinstance(body, B.LpBallBody):
+        return np.sum(B.abs_power(u, body.q), axis=-1) ** (1.0 / body.q)
+    if isinstance(body, B.SliceBody):
+        return reference_gauge(body.polar(), u)
+    if isinstance(body, B.ImageBody):
+        return reference_support(body.child, u @ body.M)
+    if isinstance(body, B.DiagonalImageBody):
+        return reference_support(body.core, u * body.scales)
+    n = body.n
+    sp, sq = reference_support(body.dual, u[..., :n]), reference_support(body.base, u[..., n:])
+    return sp + sq if isinstance(body, B.LagrangianProductBody) else np.maximum(sp, sq)
+
+
+def reference_bounding_halfwidths(body):
+    """One support per axis, except an l_p section's one batched polar gauge."""
+    eye = np.eye(body.dim)
+    if isinstance(body, B.SliceBody) and isinstance(body.child, B.LpBallBody):
+        return reference_gauge(body.polar(), eye)
+    return np.array([float(reference_support(body, e)) for e in eye])
+
+
+def reference_fiber_min_gauge(child, x0, direction, iters=48, level=None):
+    """``fiber_min_gauge`` on C-ordered rows, each probe x0 + t * direction
+    a row array."""
+    x0 = np.asarray(x0, dtype=float)
+    single = x0.ndim == 1
+    pts = np.atleast_2d(x0)
+    g0 = np.asarray(reference_gauge(child, pts), dtype=float)
+    gd = float(reference_gauge(child, direction))
+    T = 2.0 * g0 / gd + 1e-9
+    lo, hi = -T, T
+
+    def f(t):
+        return np.asarray(reference_gauge(child, pts + t[..., None] * direction), dtype=float)
+
+    m1 = hi - B.GOLDEN * (hi - lo)
+    m2 = lo + B.GOLDEN * (hi - lo)
+    f1, f2 = f(m1), f(m2)
+    if level is not None:
+        shape = g0.shape
+        pts = pts.reshape(-1, pts.shape[-1])
+        g0, lo, hi, m1, m2, f1, f2 = (a.reshape(-1) for a in (g0, lo, hi, m1, m2, f1, f2))
+        flo, fhi = f(lo), f(hi)
+        out = np.empty_like(g0)
+        rows = np.arange(len(g0))
+    for step in range(iters):
+        if level is not None and step % B.SETTLE_EVERY == 0:
+            best = np.minimum(np.minimum(f1, f2), g0)
+            floor = B._convex_floor(lo, m1, m2, hi, flo, f1, f2, fhi)
+            done = (best <= level) | ((floor > level * (1.0 + B.MISS_MARGIN)) & (floor < np.inf))
+            if done.any():
+                out[rows[done]] = best[done]
+                keep = np.flatnonzero(~done)
+                rows, pts, g0, lo, hi, m1, m2, f1, f2, flo, fhi = (
+                    a[keep] for a in (rows, pts, g0, lo, hi, m1, m2, f1, f2, flo, fhi))
+                if not keep.size:
+                    break
+        take1 = f1 <= f2
+        if level is not None:
+            fhi = np.where(take1, f2, fhi)
+            flo = np.where(take1, flo, f1)
+        hi = np.where(take1, m2, hi)
+        lo = np.where(take1, lo, m1)
+        cand1 = hi - B.GOLDEN * (hi - lo)
+        cand2 = lo + B.GOLDEN * (hi - lo)
+        fresh = np.where(take1, cand1, cand2)
+        fe = f(fresh)
+        old_m1, old_f1 = m1, f1
+        m1 = np.where(take1, cand1, m2)
+        f1 = np.where(take1, fe, f2)
+        m2 = np.where(take1, old_m1, cand2)
+        f2 = np.where(take1, old_f1, fe)
+    vals = np.minimum(np.minimum(f1, f2), g0)
+    if level is not None:
+        out[rows] = vals
+        vals = out.reshape(shape)
+    return float(vals[0]) if single else vals
+
+
+def reference_contains_batch(body, x):
+    """Membership on C-ordered rows: the gauge test, or for a corank-1
+    image the fiber search with a level, after the l_2 sandwich and the
+    certificate when the child is an l_p ball."""
+    x = np.ascontiguousarray(x, dtype=float)
+    level = 1.0 + B.MEMBERSHIP_TOL
+    if not isinstance(body, B.ImageBody) or body._kernel is None:
+        return np.asarray(reference_gauge(body, x)) <= level
+    u = body._kernel
+    if not isinstance(body.child, B.LpBallBody):
+        return np.asarray(reference_fiber_min_gauge(body.child, x @ body._pinv.T, u,
+                                                    level=level)) <= level
+    single = x.ndim == 1
+    p, n = body.child.p, body.child.dim
+    x0 = np.atleast_2d(x) @ body._pinv.T
+    t2 = -(x0 @ u)
+    x2 = x0 + t2[:, None] * u
+    upper = reference_gauge(body.child, x2)
+    d2 = np.linalg.norm(x2, axis=-1)
+    lower = d2 * (n ** (1.0 / p - 0.5)) if p > 2.0 else d2
+    out = upper <= level
+    ambiguous = np.flatnonzero((~out) & (lower <= level))
+    if ambiguous.size:
+        hit, miss = B._certify_lp_fibers(body.child, x0[ambiguous], u, t2[ambiguous], level)
+        out[ambiguous[hit]] = True
+        rest = ambiguous[~(hit | miss)]
+        if rest.size:
+            vals = reference_fiber_min_gauge(body.child, x0[rest], u, iters=28, level=level)
+            out[rest] = vals <= level
+    return out[0:1].reshape(()) if single else out
+
+
+LAYOUT_PS = (1.2, 1.5, 2.0, 3.0, 6.0, 21.0)
+
+
+def _layout_bodies(d, rng):
+    """(label, body) of dimension d: l_p balls, polytopes, sections and
+    projections of l_p balls and of polytopes by float normals, square
+    images, a per-axis scaled section, and for even d products and free
+    sums."""
+    out = [(f"lp{p}", B.LpBallBody(p, d)) for p in LAYOUT_PS]
+    out += [("cube", B.PolytopeBody.cube(d)), ("cross", B.PolytopeBody.cross(d))]
+    u = _unit(rng.normal(size=d + 1))
+    for p in (1.5, 6.0):
+        out += [(f"section lp{p}", B.hyperplane_section(B.LpBallBody(p, d + 1), u)),
+                (f"projection lp{p}", B.hyperplane_projection(B.LpBallBody(p, d + 1), u))]
+    out += [("section cube", B.hyperplane_section(B.PolytopeBody.cube(d + 1), u)),
+            ("projection cross", B.hyperplane_projection(B.PolytopeBody.cross(d + 1), u)),
+            ("image lp3", B.ImageBody(B.LpBallBody(3.0, d),
+                                      np.eye(d) + 0.3 * rng.normal(size=(d, d)))),
+            ("scaled section", B.hyperplane_section(B.PolytopeBody.cube(d + 1),
+                                                   [Fraction(k + 1, 2) for k in range(d + 1)]))]
+    if d % 2 == 0:
+        h = d // 2
+        out += [("product lp1.5", B.lagrangian_product(B.LpBallBody(1.5, h))),
+                ("product cross", B.lagrangian_product(B.PolytopeBody.cross(h))),
+                ("l1sum lp3", B.lagrangian_product(B.LpBallBody(3.0, h)).polar()),
+                ("l1sum cross", B.lagrangian_product(B.PolytopeBody.cross(h)).polar())]
+    return out
+
+
+def _layouts(X):
+    """C-ordered rows X (rows, d), the row view of their planes, and a row
+    view of a strided chunk of wider planes."""
+    planes = np.ascontiguousarray(X.T)
+    wide = np.zeros((X.shape[1], 3 * len(X) + 1))
+    wide[:, len(X) + 1:2 * len(X) + 1] = planes
+    return {"rows": X, "planes": planes.T, "strided": wide[:, len(X) + 1:2 * len(X) + 1].T}
+
+
+def _layout_points(rng, rows, d):
+    X = rng.uniform(-1.1, 1.1, size=(rows, d))
+    X[::5] *= 2.0 ** rng.integers(-40, 3, size=(len(X[::5]), 1))
+    X[0] = 0.0
+    return X
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_gauges_and_membership_do_not_depend_on_layout(d):
+    """Every layout of rows, a single point and batches of 1, 2, 7 and 8192
+    rows give the gauge and membership bytes of the row-layout oracles, at
+    every dimension (from 8 coordinates too: ``row_sum`` adds in NumPy's
+    pairwise order)."""
+    rng = np.random.default_rng(d)
+    for label, body in _layout_bodies(d, rng):
+        fiber = isinstance(body, B.ImageBody) and body._kernel is not None
+        for rows in (1, 2, 7) if fiber and d > 4 else (1, 2, 7, 8192):
+            X = _layout_points(rng, rows, d)
+            want_g = reference_gauge(body, X).tobytes() if rows < 8192 or not fiber else None
+            want_in = reference_contains_batch(body, X)
+            for name, x in _layouts(X).items():
+                if want_g is not None:
+                    assert body.gauge(x).tobytes() == want_g, (label, rows, name)
+                got = body.contains_batch(x)
+                assert got.dtype == bool and np.array_equal(got, want_in), (label, rows, name)
+            for x in X[:2]:
+                assert np.asarray(body.gauge(x)).tobytes() == \
+                    np.asarray(reference_gauge(body, x)).tobytes(), label
+                assert body.contains_batch(x) == reference_contains_batch(body, x), label
+        assert body.bounding_halfwidths().tobytes() == \
+            reference_bounding_halfwidths(body).tobytes(), label
+
+
+@pytest.mark.parametrize("d", [3, 8, 9, 17, 129, 300])
+def test_row_sum_adds_as_numpy_sums_rows(d):
+    rng = np.random.default_rng(d)
+    for rows in (1, 2, 7, 100):
+        X = rng.normal(size=(rows, d)) * 2.0 ** rng.integers(-30, 31, size=(rows, d))
+        want = np.add.reduce(X, axis=-1).tobytes()
+        planes = np.ascontiguousarray(X.T)
+        assert B.row_sum(planes).tobytes() == want
+        assert B.row_sum(planes.reshape(d, rows, 1))[:, 0].tobytes() == want
+    assert B.row_sum(X[0]).tobytes() == np.sum(X[0]).tobytes()
+
+
+def test_power_sums_that_underflow_or_overflow_are_rescaled():
+    assert B.LpBallBody(1000.0, 2).gauge([0.1, 0.1]) == pytest.approx(0.1 * 2.0 ** 1e-3, rel=1e-15)
+    q = 1.001 / 0.001
+    assert B.LpBallBody(1.001, 2).support([0.1, 0.1]) == pytest.approx(
+        0.1 * 2.0 ** (1.0 / q), rel=1e-15)
+    ball = B.LpBallBody(1.01, 2)
+    w = ball.support_witness([[1e-4, 3e-5]])
+    assert w[0, 0] == 1.0 and w[0, 1] == pytest.approx(0.3 ** (ball.q - 1.0), rel=1e-12)
+    # a zero row stays zero, and an infinite row infinite
+    assert B.LpBallBody(6.0, 3).gauge(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    assert B.LpBallBody(6.0, 2).gauge([np.inf, 1.0]) == np.inf
+    assert B.LpBallBody(6.0, 2).gauge([1e300, -1e300]) == pytest.approx(1e300 * 2 ** (1 / 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.001, 1e4), d=st.integers(1, 10), data=st.data())
+def test_lp_norm_matches_high_precision_reference(p, d, data):
+    mpmath = pytest.importorskip("mpmath")
+    exps = data.draw(st.lists(st.floats(-300, 300), min_size=d, max_size=d))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=d, max_size=d))
+    x = np.array([s * 10.0 ** e for s, e in zip(signs, exps)])
+    with mpmath.workdps(60):
+        want = mpmath.fsum(abs(mpmath.mpf(v)) ** p for v in x) ** (1 / mpmath.mpf(p))
+        want = float(want)
+    ball = B.LpBallBody(p, d)
+    # the root s ** (1/p) takes a rounded exponent, which costs up to
+    # |ln s| ulps: about 710 at the ends of the float range
+    assert ball.gauge(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+    # a row rescaled or not beside another keeps the bytes it has alone
+    other = np.full(d, 0.5)
+    both = ball.gauge(np.stack([x, other]))
+    assert both.tobytes() == np.r_[ball.gauge(x[None]), ball.gauge(other[None])].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the l_p membership certificate
 
 CERT_RS = [1.05, 1.2, 1.5, 3.0, 6.0, 21.0]

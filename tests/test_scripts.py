@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,6 +17,7 @@ SMALLEST = {
     "capacity_fingerprint.py": ["--m", "4", "--starts", "1", "--max-iters", "20"],
     "embedding_certificate.py": ["--nexp", "2", "--samples", "10"],
     "exact_fingerprint.py": ["--quick"],
+    "mc_fingerprint.py": ["--quick"],
     "section_scan.py": ["--family", "cube", "--n", "2", "--trials", "1"],
 }
 # runs perfbench in two whole checkouts, pair after pair: a benchmark driver
@@ -91,6 +93,27 @@ def test_exact_fingerprint_compare_flags_any_difference(tmp_path):
     assert run_script("exact_fingerprint.py", ["--compare", str(a), str(a)]).returncode == 0
     differ = run_script("exact_fingerprint.py", ["--compare", str(a), str(b)])
     assert differ.returncode == 1 and "vol=9" in differ.stdout
+
+
+def test_mc_fingerprint_compare_flags_a_one_bit_change(tmp_path):
+    proc = run_script("mc_fingerprint.py", ["--quick"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # both halves of a sampling product, a CLI volume, the capacity product
+    # volume, the cube4 section and its polar, and six criterion-4 products
+    assert len(lines) == 18
+    assert all(" value=0x" in x and " ci=0x" in x and " hits=" in x for x in lines)
+    assert sum("criterion 4" in x for x in lines) == 12
+    again = run_script("mc_fingerprint.py", ["--quick"])
+    assert again.stdout == proc.stdout  # deterministic
+    value = lines[0].split(" value=")[1].split()[0]
+    flipped = np.nextafter(float.fromhex(value), np.inf).hex()  # one bit up
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(proc.stdout)
+    b.write_text(proc.stdout.replace(value, flipped, 1))
+    assert run_script("mc_fingerprint.py", ["--compare", str(a), str(a)]).returncode == 0
+    differ = run_script("mc_fingerprint.py", ["--compare", str(a), str(b)])
+    assert differ.returncode == 1 and flipped in differ.stdout
 
 
 def test_exact_fingerprint_prints_both_polar_routes_alike():
