@@ -1242,6 +1242,7 @@ _BODY_FIELDS = {
     "polar": ("body",), "section": ("body", "normal"),
     "projection": ("body", "normal"), "linimg": ("body", "matrix"),
     "product": ("body",), "l1sum": ("body", "dual"), "scaled": ("core", "scales2"),
+    "slice_numeric": ("body", "basis"), "image_numeric": ("body", "matrix"),
 }
 
 
@@ -1268,6 +1269,17 @@ def _matrix_field(t: str, name: str, value) -> list:
                             f"rows of {width} and {len(row)} entries")
         _vector_field(t, name, row)
     return value
+
+
+def _float_matrix_field(t: str, name: str, value) -> np.ndarray:
+    """A `_matrix_field` of finite floats."""
+    try:
+        M = np.array(_matrix_field(t, name, value), dtype=float)
+    except (ValueError, OverflowError) as e:
+        raise BodyError(f"{t!r} field {name!r} entries must be numbers: {e}") from e
+    if not np.isfinite(M).all():
+        raise BodyError(f"{t!r} field {name!r} entries must be finite")
+    return M
 
 
 def _dim_field(t: str, value) -> int:
@@ -1340,6 +1352,19 @@ def parse_body(description) -> ConvexBody:
             raise BodyError("'scaled' core must be an exact polytope")
         scales2 = _vector_field(t, "scales2", description["scales2"])
         return DiagonalImageBody(core, [parse_rational(s) for s in scales2])
+    if t in ("slice_numeric", "image_numeric"):
+        # the float cuts and images ``describe`` writes; a slice's basis is
+        # the transpose of the matrix of its polar, an image
+        child = parse_body(description["body"])
+        name, body = ("basis", SliceBody) if t == "slice_numeric" else ("matrix", ImageBody)
+        M = _float_matrix_field(t, name, description[name])
+        n = child.dim
+        shapes = ((n, n - 1), (n, n)) if t == "slice_numeric" else ((n - 1, n), (n, n))
+        if M.shape not in shapes or np.linalg.matrix_rank(M) < min(M.shape):
+            raise BodyError(f"{t!r} field {name!r} of a body of dimension {n} must be a "
+                            f"full-rank {shapes[0][0]} x {shapes[0][1]} or {n} x {n} matrix, "
+                            f"got {M.shape[0]} x {M.shape[1]}")
+        return body(child, M)
     raise BodyError(f"unknown body type {t!r}")
 
 

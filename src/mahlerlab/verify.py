@@ -18,6 +18,9 @@ from . import embedding as E
 from . import symplectic as SY
 from . import volume as V
 
+# the relative drop of a reduced capacity estimate that capacity-monotone allows
+CAPACITY_SLACK = 0.02
+
 
 def random_rational_normal(rng: np.random.Generator, dim: int,
                            max_num: int = 9, max_den: int = 9):
@@ -80,17 +83,15 @@ def suite_sections_lp(p_values=(1.5, 3.0), n_values=(3,), trials: int = 5,
                                   "samples": samples, "seed": seed}, cases)
 
 
-def suite_sections_hanner(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
-                          cube_only: bool = False) -> dict:
+def suite_sections_hanner(n_values=(3, 4, 5), trials: int = 10, seed: int = 0) -> dict:
     """Exact volume products of random rational central sections of Hanner
-    polytopes (or cubes): product >= 4^(n-1)/(n-1)! as exact rationals."""
+    polytopes: product >= 4^(n-1)/(n-1)! as exact rationals."""
     cases = []
     rng = np.random.default_rng(seed)
     for n in n_values:
         bound = V.mahler_bound(n - 1)
         for t in range(trials):
-            expr = "X(" + ", ".join(["S"] * n) + ")" if cube_only \
-                else random_hanner_expr(n, rng)
+            expr = random_hanner_expr(n, rng)
             body = B.hanner_body(expr)
             u = random_rational_normal(rng, n)
             sec = B.hyperplane_section(body, u)
@@ -103,8 +104,7 @@ def suite_sections_hanner(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
                 "passed": bool(ok),
             })
     return _suite("sections-hanner", {"n_values": list(n_values),
-                                      "trials": trials, "seed": seed,
-                                      "cube_only": cube_only}, cases)
+                                      "trials": trials, "seed": seed}, cases)
 
 
 def suite_polytopes_2n2(n: int = 3, trials: int = 20, seed: int = 0) -> dict:
@@ -138,9 +138,8 @@ def suite_polytopes_2n2(n: int = 3, trials: int = 20, seed: int = 0) -> dict:
     return _suite("polytopes-2n2", {"n": n, "trials": trials, "seed": seed}, cases)
 
 
-def suite_reduction_bound(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
-                          action_bound: int = 4) -> dict:
-    """vol S' >= (n/A) vol S, exactly, over random Hanner trees and random
+def suite_reduction_bound(n_values=(3, 4, 5), trials: int = 10, seed: int = 0) -> dict:
+    """vol S' >= (n/A) vol S, A = 4, exactly, over random Hanner trees and random
     rational normals; records where equality holds.  Checked on Hanner
     trees only: no theorem for general bodies (``reduction_volume_bound``)."""
     cases = []
@@ -150,7 +149,7 @@ def suite_reduction_bound(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
             expr = random_hanner_expr(n, rng)
             body = B.hanner_body(expr)
             u = random_rational_normal(rng, n)
-            rep = V.reduction_volume_bound(body, u, Fraction(action_bound))
+            rep = V.reduction_volume_bound(body, u)
             cases.append({
                 "n": int(n), "trial": t, "tree": expr,
                 "normal": [str(x) for x in u],
@@ -159,16 +158,16 @@ def suite_reduction_bound(n_values=(3, 4, 5), trials: int = 10, seed: int = 0,
             })
     return _suite("reduction-bound", {"n_values": list(n_values),
                                       "trials": trials, "seed": seed,
-                                      "A": action_bound}, cases)
+                                      "A": V.ACTION_BOUND}, cases)
 
 
 def suite_capacity_monotone(trials: int = 10, seed: int = 0, m: int = 48,
-                            starts: int = 12, image_trials: int | None = None,
-                            rel_slack: float = 0.02) -> dict:
-    """Capacity does not drop (within ``rel_slack``) under one-step linear
+                            starts: int = 12, image_trials: int | None = None) -> dict:
+    """Capacity does not drop (within ``CAPACITY_SLACK``) under one-step linear
     reduction along a random rational normal u: the estimate on S = K x K°
-    against the estimate on (K/L) x (K° ∩ L^perp).  Half the trials reduce
-    cross3 x cube3, half products of random linear images of cross3.
+    against the estimate on (K/L) x (K° ∩ L^perp).  ``image_trials`` of the
+    trials (half by default) reduce products of random linear images of
+    cross3, the rest cross3 x cube3.
 
     Every reduced body is again some K' x K'°, whose capacity is exactly 4,
     so each case also reports ``c_reduced_rel_err_vs_4`` = |c - 4|/4, the
@@ -188,7 +187,7 @@ def suite_capacity_monotone(trials: int = 10, seed: int = 0, m: int = 48,
         except Exception as e:  # noqa: BLE001 - per-case reporting
             return {**case, "error": f"{type(e).__name__}: {e}", "holds": False,
                     "passed": False}
-        holds = bool(c >= c_original * (1.0 - rel_slack))
+        holds = bool(c >= c_original * (1.0 - CAPACITY_SLACK))
         return {**case, "c_original": c_original, "c_reduced": c, "holds": holds,
                 "c_reduced_rel_err_vs_4": abs(c - 4.0) / 4.0, "passed": holds}
 
@@ -214,8 +213,9 @@ def suite_capacity_monotone(trials: int = 10, seed: int = 0, m: int = 48,
         c = C.capacity_estimate(S, m=m, starts=starts, seed=s).value
         cases.append({"body": f"image{t}", "matrix": [[str(x) for x in r] for r in M],
                       **reduction_case(S, c, np.random.default_rng(s), s + 1000)})
-    return _suite("capacity-monotone", {"trials": trials, "seed": seed,
-                                        "m": m, "starts": starts}, cases)
+    return _suite("capacity-monotone", {"trials": trials, "seed": seed, "m": m,
+                                        "starts": starts, "image_trials": image_trials},
+                  cases)
 
 
 def suite_crofton(epsilons=(0.05,), g_exprs=("q2^3",), samples: int = 10**4,

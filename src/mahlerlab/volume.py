@@ -39,6 +39,8 @@ MC_BLOCK = 1 << 16
 # and 2^15 was slower than 2^14 on the n = 4 sections
 MC_ROWS = 1 << 14
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# the capacity of every K x K°, the A of the reduction bound vol S' >= (n/A) vol S
+ACTION_BOUND = 4
 POLAR_STREAM = 1
 
 
@@ -269,8 +271,9 @@ class ReductionVolumeReport:
     equality: bool = False
 
 
-def reduction_volume_bound(body: PolytopeBody, u, action_bound=Fraction(4)) -> ReductionVolumeReport:
-    """Check vol(S') >= (n / A) vol(S) for S = K x K° and one reduction step.
+def reduction_volume_bound(body: PolytopeBody, u) -> ReductionVolumeReport:
+    """Check vol(S') >= (n / A) vol(S), A = ``ACTION_BOUND``, for S = K x K°
+    and one reduction step.
 
     S' = (K/L) x (K° ∩ L^perp) with L = span(u), and K° ∩ L^perp is the
     polar of K/L in the shared frame of u^perp, so both sides are Mahler
@@ -290,7 +293,7 @@ def reduction_volume_bound(body: PolytopeBody, u, action_bound=Fraction(4)) -> R
     if not isinstance(projection, DiagonalImageBody):
         raise BodyError("reduction volume bound needs a rational normal")
     lhs = mahler_product(projection).exact_product
-    rhs = Fraction(n, 1) / Fraction(action_bound) * mahler_product(body).exact_product
+    rhs = Fraction(n, ACTION_BOUND) * mahler_product(body).exact_product
     return ReductionVolumeReport(
         lhs=float(lhs),
         rhs=float(rhs),

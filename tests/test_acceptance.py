@@ -200,14 +200,14 @@ def test_criterion_10_reduction_volume_bound():
             expr = random_hanner_expr(n, rng)
             body = B.hanner_body(expr)
             u = random_rational_normal(rng, n)
-            rep = V.reduction_volume_bound(body, u, Fraction(4))
+            rep = V.reduction_volume_bound(body, u)
             assert rep.holds, (expr, u)
             count += 1
     for n in (3, 4, 5):
         cube = B.PolytopeBody.cube(n)
         for axis in range(n):
             u = tuple(Fraction(1 if i == axis else 0) for i in range(n))
-            rep = V.reduction_volume_bound(cube, u, Fraction(4))
+            rep = V.reduction_volume_bound(cube, u)
             assert rep.equality, (n, axis)
     dt = time.time() - t0
     report(10, True,

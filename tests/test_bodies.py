@@ -3,6 +3,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -96,22 +97,42 @@ def test_parse_rejects_bad_input():
         B.parse_body({"type": "hanner", "expr": "X(S"})
 
 
+LP3 = {"type": "lp_ball", "p": 3, "dim": 3}
+FLOAT_CUT = {"type": "section", "body": LP3, "normal": [1, 2, 3]}
+# descriptions whose bodies describe themselves with every type `describe` writes
+ROUNDTRIP_DESCRIPTIONS = [
+    {"type": "cube", "dim": 3}, {"type": "cross", "dim": 3}, LP3,
+    {"type": "hanner", "expr": "L(S, X(S, S))"},
+    {"type": "vpoly", "vertices": [["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]]},
+    {"type": "hpoly", "A": [[2, 0], [0, 1], [-2, 0], [0, -1]], "b": [1, 1, 1, 1]},
+    {"type": "section", "body": {"type": "cube", "dim": 3}, "normal": [1, 2, 3]},
+    FLOAT_CUT, {"type": "polar", "body": FLOAT_CUT},
+    {"type": "projection", "body": LP3, "normal": [1, 2, 3]},
+    {"type": "section", "body": {"type": "cube", "dim": 4}, "normal": [0.3, -0.7, 0.5, 0.41]},
+    {"type": "linimg", "body": LP3, "matrix": [[1, 0.5, 0], [0, 2, 0], [0.1, 0, 1]]},
+    {"type": "product", "body": FLOAT_CUT},
+    {"type": "polar", "body": {"type": "product", "body": FLOAT_CUT}},
+    {"type": "polar", "body": {"type": "product", "body": {"type": "lp_ball", "p": 3, "dim": 2}}},
+    {"type": "polar", "body": {"type": "product", "body": {"type": "cross", "dim": 2},
+                               "dual": {"type": "hanner", "expr": "L(S, S)"}}},
+]
+
+
 def test_describe_roundtrip():
-    descs = [
-        {"type": "cube", "dim": 3},
-        {"type": "hanner", "expr": "L(S, X(S, S))"},
-        {"type": "lp_ball", "p": 1.5, "dim": 4},
-        {"type": "vpoly", "vertices": [["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]]},
-        {"type": "polar", "body": {"type": "product", "body": {"type": "lp_ball", "p": 3, "dim": 2}}},
-        {"type": "polar", "body": {"type": "product", "body": {"type": "cross", "dim": 2},
-                                   "dual": {"type": "hanner", "expr": "L(S, S)"}}},
-    ]
-    for d in descs:
+    """``parse_body(body.describe())`` rebuilds every body type ``describe``
+    writes, the float cuts and images included, with the same description
+    and the same gauge bytes."""
+    rng = np.random.default_rng(0)
+    types = set()
+    for d in ROUNDTRIP_DESCRIPTIONS:
         body = B.parse_body(d)
-        body2 = B.parse_body(json.dumps(body.describe()))
-        assert body2.dim == body.dim
-        x = np.full(body.dim, 0.123)
-        assert math.isclose(float(body.gauge(x)), float(body2.gauge(x)), rel_tol=1e-12)
+        again = B.parse_body(json.dumps(body.describe()))
+        assert again.dim == body.dim and again.describe() == body.describe(), d
+        x = rng.normal(size=(64, body.dim))
+        assert np.asarray(again.gauge(x)).tobytes() == np.asarray(body.gauge(x)).tobytes(), d
+        types |= {m.group(1) for m in re.finditer(r'"type": "(\w+)"', json.dumps(body.describe()))}
+    # every type but the operations a description may ask for
+    assert types == set(B._BODY_FIELDS) - {"polar", "section", "projection", "linimg"}
 
 
 def test_scaled_body_roundtrips_exactly():

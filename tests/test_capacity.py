@@ -496,3 +496,6 @@ def test_capacity_monotone_case_keys(monkeypatch):
     assert rep["cases"][1]["error"] == "BodyError: no support witness"
     assert [case["passed"] for case in rep["cases"]] == [True, False, True]
     assert not rep["passed"]
+    assert rep["params"] == {"trials": 3, "seed": 0, "m": 8, "starts": 2, "image_trials": 2}
+    # the default split, half the trials on images, is reported as the number used
+    assert suite_capacity_monotone(trials=3, m=8, starts=2)["params"]["image_trials"] == 1

@@ -1,6 +1,7 @@
 """CLI behavior: output, exit codes, logging, replay."""
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
@@ -14,6 +15,9 @@ from mahlerlab import bodies as B
 from mahlerlab import cli
 from mahlerlab import embedding as E
 from mahlerlab.verify import SUITES, suite_embedding
+
+
+LP3 = '{"type":"lp_ball","p":3,"dim":3}'
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +230,31 @@ def test_suite_without_cases_does_not_pass():
     assert rep["cases"] == [] and not rep["passed"]
 
 
+# every parameter of each suite, at small values
+SUITE_ARGUMENTS = {
+    "sections-lp": {"p_values": (3.0,), "n_values": (3,), "trials": 1, "samples": 100,
+                    "seed": 1},
+    "sections-hanner": {"n_values": (3,), "trials": 1, "seed": 1},
+    "polytopes-2n2": {"n": 2, "trials": 1, "seed": 1},
+    "reduction-bound": {"n_values": (3,), "trials": 1, "seed": 1},
+    "capacity-monotone": {"trials": 2, "seed": 1, "m": 4, "starts": 1, "image_trials": 2},
+    "crofton": {"epsilons": (0.05,), "g_exprs": ("q2^3",), "samples": 100, "seed": 1},
+    "embedding": {"alphas": (2.0,), "copies": 2, "n_exp": 2, "samples": 10, "seed": 1},
+}
+
+
+def test_every_suite_reports_its_arguments():
+    """A suite's params name each argument it was called with, at the value
+    it used, so runs that differ in any argument report different params."""
+    assert set(SUITE_ARGUMENTS) == set(SUITES)
+    for suite, args in SUITE_ARGUMENTS.items():
+        assert set(args) == set(inspect.signature(SUITES[suite]).parameters), suite
+        params = SUITES[suite](**args)["params"]
+        for name, value in args.items():
+            assert params[name] == (list(value) if isinstance(value, tuple) else value), \
+                (suite, name)
+
+
 def test_usage_error_exit_one(capsys):
     code = cli.main(["--no-log", "volume", "--body", '{"type":"nope"}'])
     assert code == 1
@@ -295,17 +324,24 @@ def test_embed_runs_the_map_certificates(capsys, alpha, nexp, code):
 
 def test_log_record_and_replay(tmp_path, capsys):
     log = tmp_path / "exp.jsonl"
-    code, out1 = run_cli(capsys, "--log", str(log), "mahler",
-                         "--body", '{"type":"cross","dim":3}')
-    assert code == 0
-    rec = json.loads(log.read_text().splitlines()[-1])
-    assert rec["command"] == "mahler"
-    assert rec["version"]
-    assert len(rec["body_hash"]) == 40  # git-style sha1
-    # replay: rerunning the logged command reproduces the exact result
-    code, out2 = run_cli(capsys, "--no-log", "mahler",
-                         "--body", json.dumps(rec["body"]))
-    assert out2["exact_product"] == out1["exact_product"]
+    # a float section of an l_p ball is logged as the slice_numeric it
+    # describes itself as, which --body reads back
+    for body, extra in (('{"type":"cross","dim":3}', []),
+                        ('{"type":"section","body":%s,"normal":[1,2,3]}' % LP3,
+                         ["--samples", "1000"])):
+        code, out1 = run_cli(capsys, "--log", str(log), "mahler", "--body", body, *extra)
+        assert code == 0
+        rec = json.loads(log.read_text().splitlines()[-1])
+        assert rec["command"] == "mahler"
+        assert rec["version"]
+        assert len(rec["body_hash"]) == 40  # git-style sha1
+        # replay: rerunning the logged command reproduces the result and
+        # logs the same body
+        code, out2 = run_cli(capsys, "--log", str(log), "mahler",
+                             "--body", json.dumps(rec["body"]), *extra)
+        assert code == 0 and out2 == out1
+        again = json.loads(log.read_text().splitlines()[-1])
+        assert (again["body"], again["body_hash"]) == (rec["body"], rec["body_hash"])
 
 
 def test_mc_replay_matches_seed(tmp_path, capsys):
@@ -478,6 +514,37 @@ def test_bad_linear_image_matrix_exit_one(capsys, body, message):
     """The matrix's shape is checked against the body's dimension for
     every body, and an entry that is not a number says so."""
     code = cli.main(["--no-log", "volume", "--body", body])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"type":"slice_numeric","body":%s}' % LP3, "lacks field(s) basis"),
+    ('{"type":"slice_numeric","body":%s,"basis":5}' % LP3, "'basis' must be a non-empty list"),
+    ('{"type":"slice_numeric","body":%s,"basis":[[1,0],[0,"x"],[0,0]]}' % LP3,
+     "'basis' entries must be numbers"),
+    ('{"type":"slice_numeric","body":%s,"basis":[[1,0],[0,1e400],[0,0]]}' % LP3,
+     "'basis' entries must be finite"),
+    ('{"type":"slice_numeric","body":%s,"basis":[[1,0],[0,%d],[0,0]]}' % (LP3, 10**400),
+     "'basis' entries must be numbers"),
+    ('{"type":"slice_numeric","body":%s,"basis":[[1,0,0],[0,1,0]]}' % LP3,
+     "must be a full-rank 3 x 2 or 3 x 3 matrix, got 2 x 3"),
+    ('{"type":"slice_numeric","body":%s,"basis":[[1],[0],[0]]}' % LP3,
+     "must be a full-rank 3 x 2 or 3 x 3 matrix, got 3 x 1"),
+    ('{"type":"slice_numeric","body":%s,"basis":[[1,1],[0,0],[0,0]]}' % LP3, "full-rank"),
+    ('{"type":"image_numeric","body":%s,"matrix":[[1,0],[0,1],[0,0]]}' % LP3,
+     "must be a full-rank 2 x 3 or 3 x 3 matrix, got 3 x 2"),
+    ('{"type":"image_numeric","body":%s,"matrix":[[1,0,0],[0,1,0],[0,0,0]]}' % LP3,
+     "full-rank"),
+    ('{"type":"image_numeric","body":{"type":"nope"},"matrix":[[1]]}', "unknown body type"),
+], ids=["no-basis", "basis-5", "basis-x", "basis-inf", "basis-overflow", "basis-wide",
+        "basis-thin", "basis-rank", "image-tall", "image-singular", "image-child"])
+def test_bad_numeric_body_exit_one(capsys, body, message):
+    """The float cuts and images that ``describe`` writes are read back as
+    any body is: a malformed one exits 1 with a message."""
+    code = cli.main(["--no-log", "volume", "--method", "mc", "--samples", "100",
+                     "--body", body])
     assert code == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
