@@ -50,22 +50,25 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-import workloads as W  # noqa: E402
-from mahlerlab import bodies as B  # noqa: E402
-from mahlerlab import capacity as C  # noqa: E402
-from mahlerlab import symplectic as SY  # noqa: E402
-from mahlerlab import volume as V  # noqa: E402
-from mahlerlab.verify import (  # noqa: E402
-    random_hanner_expr, random_rational_normal, suite_sections_lp)
-
 SEED = 71  # the workload seed of the `mc` and `sampling` lines
 SAMPLING_SEEDS = range(71, 81)
 MODULES = ("bodies", "volume", "symplectic", "capacity", "crofton", "embedding", "cli")
 CUBE4_NORMAL = (0.3, -0.7, 0.5, 0.41)
 CRITERION4 = {"p_values": (1.5, 3.0, 6.0), "n_values": (3, 4), "trials": 1,
               "samples": 10**6, "seed": 4}
+
+
+def import_library() -> None:
+    """Import mahlerlab and perfbench/workloads.py as this module's globals.
+    Only printing needs them; `--compare` reads two text files alone."""
+    global W, B, C, SY, V, random_hanner_expr, random_rational_normal, suite_sections_lp
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads as W
+    from mahlerlab import bodies as B
+    from mahlerlab import capacity as C
+    from mahlerlab import symplectic as SY
+    from mahlerlab import volume as V
+    from mahlerlab.verify import random_hanner_expr, random_rational_normal, suite_sections_lp
 
 
 def first(items, quick: bool) -> list:
@@ -357,6 +360,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    import_library()
     for kind, lines in KINDS.items():
         for line in lines(args.quick):
             print(f"{kind} {line}", flush=True)

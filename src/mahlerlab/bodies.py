@@ -410,9 +410,11 @@ def _lp_norm(planes: np.ndarray, p: float, power=abs_power) -> np.ndarray:
     A nonzero point whose power sum falls below the smallest normal float
     (its |x_i|^p underflow), or a finite one whose sum overflows, is
     divided by its largest |x_i| first and the norm scaled back; every
-    other point keeps the bytes of the plain sum."""
-    s = row_sum(power(planes, p))
-    out = s ** (1.0 / p)
+    other point keeps the bytes of the plain sum.  The plain pass runs with
+    overflow and underflow ignored, since the rescale mends them."""
+    with np.errstate(over="ignore", under="ignore"):
+        s = row_sum(power(planes, p))
+        out = s ** (1.0 / p)
     redo = (s < _TINY) | (s == np.inf)
     if redo.any():
         out = np.array(out)

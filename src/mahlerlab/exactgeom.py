@@ -20,7 +20,8 @@ Provides:
   count; ``invert_rational_matrix`` reads ``d M^-1`` off one pass over
   ``[M | I]``; the double description takes its first independent rows
   from the pivot columns of the transpose and its starting rays from the
-  same inverse.
+  same inverse; a simple hull's volume reads ``+-det M`` and
+  ``+-det M M^-T C`` off one pass over ``[M^T | C]``.
 * ``dd_vertices`` -- the one conversion: the vertices of the bounded
   polytope ``{x : <a, x> <= 1}`` of a list of normals, by the double
   description method on the homogenization cone, each ray's incidence
@@ -31,9 +32,13 @@ Provides:
   each closed under negation: one incidence pass, ``<A, X> == t s`` for the
   normal ``(A, t)`` and the point ``(X, s)``, one rank rule for vertices and
   facets alike, and ``polar`` swapping the two sides.  The exact volume
-  cones from the origin over a pulling triangulation of one facet of each
-  +- pair, built on the incidence bitmasks (Bueler, Enge and Fukuda, *Exact
-  volume computation for polytopes: a practical study*, 2000): the sum of
+  takes one of two routes, read off the incidence (Bueler, Enge and Fukuda,
+  *Exact volume computation for polytopes: a practical study*, 2000).  A
+  simple hull, every vertex on d facets, and the polar of one, every facet
+  with d vertices, share one pass of Lawrence's formula that gives both
+  volumes: one Gauss-Jordan elimination per +- pair of vertices.  Any other
+  hull cones from the origin over a pulling triangulation of one facet of
+  each +- pair, built on the incidence bitmasks: the sum of
   ``|det X_sigma| / (d! prod s_sigma)``, doubled.
 * ``map_points`` -- the exact image of a point list under integer columns
   over a common denominator: one integer dot product per entry.
@@ -308,7 +313,12 @@ class ExactHull:
 
     ``points`` and ``rows`` are the two lists as given, ``vertices`` and
     ``normals`` the ones that pass, in order; ``vertex_points`` and
-    ``facets`` are the last two as Fractions.  ``volume`` cones from the
+    ``facets`` are the last two as Fractions.  ``volume`` reads the
+    incidence of the vertices and the passing normals.  When every vertex
+    lies on exactly ``dim`` facets (a simple hull), or every facet holds
+    exactly ``dim`` vertices (the polar of a simple hull), one pass of
+    Lawrence's formula over the simple side fills the volumes of the hull
+    and of its polar, which ``polar`` shares.  Any other hull cones from the
     origin over a pulling triangulation of one facet of each +- pair
     (``facet_simplices``, tuples of point indices) and doubles the sum.
     """
@@ -338,23 +348,28 @@ class ExactHull:
             normal_masks.append(mask)
         self._set(points, normals, (point_masks, normal_masks),
                   (_full_rank(normals, point_masks, point_twins, d),
-                   _full_rank(points, normal_masks, normal_twins, d)))
+                   _full_rank(points, normal_masks, normal_twins, d)), [None, None], 0)
 
-    def _set(self, points, rows, incidence, ids) -> None:
+    def _set(self, points, rows, incidence, ids, volumes, side) -> None:
         """The lists, incidence masks and passing indices, each as a pair
-        (points, normals); the triangulation's masks keep the vertices."""
+        (points, normals); the triangulation's masks keep the vertices.
+        ``volumes`` is the list of the two volumes that the hull and its
+        polar share, and ``side`` the hull's place in it."""
         self.dim = len(points[0][0])
         self.points, self.rows, self._incidence, self._ids = points, rows, incidence, ids
         self.vertices = tuple(points[i] for i in ids[0])
         self.normals = tuple(rows[j] for j in ids[1])
         vmask = sum(1 << i for i in ids[0])
         self._masks = [incidence[1][j] & vmask for j in ids[1]]
-        self._simplices = self._volume = None
+        self._simplices = None
+        self._volumes, self._side = volumes, side
 
     def polar(self) -> "ExactHull":
-        """The polar's hull: the lists, incidence and indices swapped."""
+        """The polar's hull: the lists, incidence and indices swapped, and
+        the volumes shared."""
         hull = ExactHull.__new__(ExactHull)
-        hull._set(self.rows, self.points, self._incidence[::-1], self._ids[::-1])
+        hull._set(self.rows, self.points, self._incidence[::-1], self._ids[::-1],
+                  self._volumes, 1 - self._side)
         return hull
 
     @property
@@ -386,20 +401,83 @@ class ExactHull:
         return list(fractions(self.vertices))
 
     def volume(self) -> Fraction:
-        """``2 sum |det X_sigma| / (d! prod s_sigma)`` over the simplices,
-        summed in integers per denominator ``prod s_sigma`` and put over
+        """The exact volume.  A simple hull, or the polar of one, fills its
+        own volume and its polar's by Lawrence's formula (``_simple_volumes``);
+        any other hull sums ``2 |det X_sigma| / (d! prod s_sigma)`` over its
+        simplices, in integers per denominator ``prod s_sigma`` and put over
         their lcm once."""
-        if self._volume is None:
-            pts = self.points
-            sums: dict[int, int] = {}
-            for simplex in self.facet_simplices:
-                det = abs(bareiss_det([pts[i][0] for i in simplex]))
-                den = math.prod(pts[i][1] for i in simplex)
-                sums[den] = sums.get(den, 0) + det
-            lcm = math.lcm(*sums)
-            total = sum(v * (lcm // k) for k, v in sums.items())
-            self._volume = Fraction(2 * total, math.factorial(self.dim) * lcm)
-        return self._volume
+        volumes, side = self._volumes, self._side
+        if volumes[side] is None:
+            inc, ids = self._incidence, self._ids
+            if own := _simple_volumes(self.points, self.rows, inc[0], ids):
+                volumes[side], volumes[1 - side] = own
+            elif polar := _simple_volumes(self.rows, self.points, inc[1], ids[::-1]):
+                volumes[1 - side], volumes[side] = polar
+            else:
+                pts = self.points
+                sums: dict[int, int] = {}
+                for simplex in self.facet_simplices:
+                    det = abs(bareiss_det([pts[i][0] for i in simplex]))
+                    den = math.prod(pts[i][1] for i in simplex)
+                    sums[den] = sums.get(den, 0) + det
+                volumes[side] = _over_lcm(sums, math.factorial(self.dim))
+        return volumes[side]
+
+
+def _over_lcm(sums: dict[int, int], factorial: int) -> Fraction:
+    """``2 / factorial`` times the sum of ``v / k`` over the items ``k: v``:
+    the ``v`` put over the lcm of the ``|k|`` in integers, one Fraction
+    built."""
+    lcm = math.lcm(*sums)
+    return Fraction(2 * sum(v * (lcm // k) for k, v in sums.items()), factorial * lcm)
+
+
+def _simple_volumes(points: Sequence[Point], rows: Sequence[Point],
+                    point_masks: Sequence[int], ids) -> tuple[Fraction, Fraction] | None:
+    """The volumes of a simple hull P and of its polar, or None when some
+    vertex lies on more than d facets.
+
+    Lawrence, *Polytope volume computation* (Math. Comp. 57, 1991): with M
+    the integer normals of the d facets at the vertex ``(X, s)`` and
+    ``M^T gamma = C`` for a C orthogonal to no edge,
+    ``vol P = (1/d!) sum <C, X / s>^d / (|det M| prod gamma)``.  One
+    Gauss-Jordan pass over ``[M^T | C]`` ends as ``[p I | y]``, ``p = +-det
+    M`` and ``y = p gamma``, so a vertex's term is
+    ``<C, X>^d p^d / (|p| prod y s^d)``; a vertex and its twin give equal
+    terms, so one of each +- pair is summed and the sum doubled.  C runs
+    along the moment curve ``(1, t, t^2, ...)`` from t = 2 until no ``y_i``
+    is 0, which each edge allows for at most d - 1 values of t.  P° is
+    simplicial, with one facet ``conv(A_j / t_j)`` per vertex of P, so the
+    same ``|p|`` give ``vol P° = (2/d!) sum |p| / prod t_j``.
+    """
+    d = len(points[0][0])
+    fmask = sum(1 << j for j in ids[1])
+    cones = []  # (X, s, the columns of M, prod t_j)
+    for i in ids[0]:
+        tight = point_masks[i] & fmask
+        if tight.bit_count() != d:
+            return None
+        X, s = points[i]
+        if X > tuple(-x for x in X):
+            normals = [rows[j] for j in _bits(tight)]
+            cones.append((X, s, list(zip(*(A for A, _ in normals))),
+                          math.prod(offset for _, offset in normals)))
+    t = 2
+    while True:
+        C = [t**k for k in range(d)]
+        sums: dict[int, int] = {}
+        polar: dict[int, int] = {}
+        for X, s, columns, offsets in cones:
+            m = _eliminate([col + (c,) for col, c in zip(columns, C)], jordan=True, stop=d)[0]
+            p, prod_y = m[-1][d - 1], math.prod(r[d] for r in m)
+            if not prod_y:
+                break
+            den = abs(p) * prod_y * s**d
+            sums[den] = sums.get(den, 0) + (_dot(C, X) * p) ** d
+            polar[offsets] = polar.get(offsets, 0) + abs(p)
+        else:
+            return _over_lcm(sums, math.factorial(d)), _over_lcm(polar, math.factorial(d))
+        t += 1
 
 
 # ---------------------------------------------------------------------------

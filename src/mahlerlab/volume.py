@@ -162,7 +162,10 @@ def mc_volume(body: ConvexBody, samples: int, seed: int, *, stream: int = 0) -> 
     """
     if samples <= 0:
         raise BodyError("need a positive number of samples")
-    half = body.bounding_halfwidths()
+    # a box that overflows or is NaN, as a subnormal basis gives, is
+    # refused below, so the warnings on the way to it say nothing more
+    with np.errstate(all="ignore"):
+        half = body.bounding_halfwidths()
     if not np.all(np.isfinite(half)) or np.any(half <= 0):
         raise BodyError("body has an invalid bounding box")
     box_vol = float(np.prod(2.0 * half))

@@ -1281,6 +1281,17 @@ def test_power_sums_that_underflow_or_overflow_are_rescaled():
     assert B.LpBallBody(6.0, 2).gauge([1e300, -1e300]) == pytest.approx(1e300 * 2 ** (1 / 6))
 
 
+@pytest.mark.filterwarnings("error")
+def test_lp_norm_rescales_without_a_warning():
+    """A point whose power sum overflows (1e200) or underflows (1e-200)
+    warns nothing and gets the norm of its rescaled copy, bytes and all."""
+    planes = np.array([[1e200, 1e-200, 3.0], [1e200, -1e-200, 4.0], [0.0, 0.0, 0.0]])
+    big = np.array([1e200, 1e-200])
+    rescaled = B.row_sum(B.abs_power(planes[:, :2] / big, 3.0)) ** (1.0 / 3.0) * big
+    plain = B.row_sum(B.abs_power(planes[:, 2:], 3.0)) ** (1.0 / 3.0)
+    assert B._lp_norm(planes, 3.0).tobytes() == np.r_[rescaled, plain].tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=st.floats(1.001, 1e4), d=st.integers(1, 10), data=st.data())
 def test_lp_norm_matches_high_precision_reference(p, d, data):

@@ -683,6 +683,21 @@ def test_overflowing_normal_warns_nothing(capsys, command):
     assert "finite" in capsys.readouterr().err
 
 
+def test_subnormal_basis_warns_nothing(capsys):
+    """A float section of the l_3 ball by a subnormal basis passes the
+    parser; its bounding box is not finite, and the Monte Carlo volume
+    refuses it with the message alone."""
+    body = '{"type":"slice_numeric","body":%s,"basis":[[1e-320,0],[0,1e-320],[0,0]]}' % LP3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["--no-log", "volume", "--method", "mc", "--samples", "100",
+                         "--body", body])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: body has an invalid bounding box\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: no argv ends in a traceback
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull as QHull
 
+from conftest import small_fractions
 from mahlerlab import bodies as B
 from mahlerlab import exactgeom
 from mahlerlab.exactgeom import (
@@ -774,3 +775,114 @@ def test_hull_integers_stay_near_the_point_size():
         assert_primitive(hull.normals)
         assert max(bits(hull.points), bits(hull.vertices), bits(hull.normals)) <= limit
     assert math.lcm(*(s for _, s in polar._vertices)).bit_length() > 1000 > limit
+
+
+# ---------------------------------------------------------------------------
+# simple hulls: Lawrence's formula for the hull and its polar
+
+
+def is_simple(hull):
+    """Every vertex on exactly dim facets, counted in Fractions."""
+    facets = hull.facets()
+    return all(sum(sum(x * y for x, y in zip(a, v)) == c for a, c in facets) == hull.dim
+               for v in hull.vertex_points())
+
+
+def assert_both_volumes(hull):
+    """The hull's volume and its polar's are the reference hulls', whichever
+    is asked first, and neither builds a triangulation."""
+    want = reference_hull(hull.vertex_points())["volume"]
+    want_polar = reference_hull(fractions(hull.normals))["volume"]
+    for polar_first in (False, True):
+        fresh = ExactHull(hull.points, hull.rows)
+        polar = fresh.polar()
+        if polar_first:
+            assert polar.volume() == want_polar
+        assert (fresh.volume(), polar.volume()) == (want, want_polar)
+        assert fresh._simplices is None and polar._simplices is None
+
+
+@st.composite
+def simple_hulls(draw):
+    """Simple polytopes: a rational image of a cube of dimension 2..5, a
+    central section of a cube of dimension 3..6 by a normal that misses
+    every vertex (entries odd times distinct powers of two, so every signed
+    sum is odd), or the product of two symmetric polygons."""
+    kind = draw(st.sampled_from(["image", "section", "polygons"]))
+    if kind == "image":
+        n = draw(st.integers(2, 5))
+        M = draw(st.lists(st.tuples(*[small_fractions()] * n), min_size=n, max_size=n))
+        assume(int_rank([reference_scale(row) for row in M]) == n)
+        cube = itertools.product((-1, 1), repeat=n)
+        return hull_of([tuple(sum(m * x for m, x in zip(row, v)) for row in M) for v in cube])
+    if kind == "section":
+        n = draw(st.integers(3, 6))
+        odd = draw(st.lists(st.integers(-7, 7).map(lambda k: 2 * k + 1), min_size=n, max_size=n))
+        powers = draw(st.permutations(range(n)))
+        u = tuple(Fraction(m * 2**e) for m, e in zip(odd, powers))
+        return B.hyperplane_section(B.PolytopeBody.cube(n), u).core.hull()
+    polygons = []
+    for _ in range(2):
+        gens = draw(st.lists(st.tuples(small_fractions(), small_fractions()),
+                             min_size=2, max_size=4))
+        assume(int_rank([reference_scale(g) for g in gens]) == 2)
+        polygons.append(hull_of(gens + [tuple(-x for x in g) for g in gens]).vertex_points())
+    return hull_of([p + q for p in polygons[0] for q in polygons[1]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(simple_hulls())
+def test_simple_hulls_and_their_polars_match_the_reference(hull):
+    assert is_simple(hull)
+    assert_both_volumes(hull)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_cube7_and_cube8_and_their_polars(n):
+    cube = B.PolytopeBody.cube(n)
+    assert cube.volume_exact() == 2**n
+    assert cube.polar().volume_exact() == Fraction(2**n, math.factorial(n))
+    assert B.PolytopeBody.cross(n).volume_exact() == Fraction(2**n, math.factorial(n))
+
+
+def test_a_zero_gamma_takes_the_next_point_of_the_moment_curve(monkeypatch):
+    """The parallelogram spanned by (2, -1) and (0, 1) has an edge along
+    (2, -1), orthogonal to the first C = (1, 2): a y_i is 0 and the pass
+    runs again at C = (1, 3)."""
+    seen = []
+    eliminate = exactgeom._eliminate
+
+    def recording(rows, *args, **kw):
+        rows = [list(r) for r in rows]
+        seen.append(tuple(r[-1] for r in rows))
+        return eliminate(rows, *args, **kw)
+
+    hull = hull_of([(2, 0), (2, -2), (-2, 0), (-2, 2)])
+    want_polar = reference_hull(fractions(hull.normals))["volume"]
+    monkeypatch.setattr(exactgeom, "_eliminate", recording)
+    assert hull.volume() == 8
+    assert seen[0] == (1, 2) and seen[-1] == (1, 3)
+    assert hull.polar().volume() == want_polar
+
+
+def test_simple_hulls_and_their_polars_build_no_triangulation(monkeypatch):
+    """A cube, a prism over a polygon and their polars take Lawrence's
+    route; a hull that is neither simple nor simplicial, a segment times an
+    octahedron, and its polar triangulate."""
+    def refuse(*args):
+        raise AssertionError("a simple hull triangulated")
+
+    for expr in ("X(S, S, S, S)", "L(S, S, S, S)", "X(S, L(S, S))", "L(S, X(S, S))"):
+        hull = B.hanner_body(expr).hull()
+        assert_both_volumes(hull)
+        with monkeypatch.context() as m:
+            m.setattr(exactgeom, "_pulling", refuse)
+            m.setattr(exactgeom, "bareiss_det", refuse)
+            fresh = ExactHull(hull.points, hull.rows)
+            assert fresh.volume() == hull.volume()
+            assert fresh.polar().volume() == hull.polar().volume()
+    hull = B.hanner_body("X(S, L(S, S, S))").hull()
+    assert not is_simple(hull) and not is_simple(hull.polar())
+    assert hull.volume() == Fraction(8, 3) and hull._simplices
+    polar = hull.polar()
+    assert polar.volume() == 4 and polar._simplices

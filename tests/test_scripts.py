@@ -100,6 +100,21 @@ def test_fingerprint_is_deterministic(fingerprint):
     assert run_script("fingerprint.py", ["--quick"]).stdout == fingerprint.stdout
 
 
+def test_fingerprint_compare_runs_without_the_library(tmp_path):
+    """`--compare` reads two text files and nothing else: it runs from any
+    directory with no PYTHONPATH."""
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("exact cube3 body vol=8\n")
+    b.write_text("exact cube3 body vol=9\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for other, code in ((a, 0), (b, 1)):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "fingerprint.py"), "--compare",
+                               str(a), str(other)], capture_output=True, text=True,
+                              timeout=60, cwd=tmp_path, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert f"{code} of 1 lines differ" in proc.stderr
+
+
 def test_fingerprint_compare_flags_a_shorter_output(fingerprint, compare):
     short = "\n".join(fingerprint.stdout.splitlines()[:-1]) + "\n"
     code, out = compare(fingerprint.stdout, short)
