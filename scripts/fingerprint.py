@@ -33,7 +33,10 @@ Each line starts with its kind:
 Workload constants and operations are read from perfbench/workloads.py.
 `--quick` keeps only the first case of every kind.  Two checkouts whose
 outputs are bit-identical print the same lines; `--compare` reads two such
-outputs and exits 1 on any difference, naming each differing line.
+outputs and exits 1 on any difference, naming each differing line.  It
+also prints to stderr, per kind, the number of differing lines and the
+largest relative move between the hex floats of those lines, paired in
+order, so a change that moves floats by rounding can state its moves.
 """
 from __future__ import annotations
 
@@ -43,6 +46,8 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
+import re
 import sys
 import types
 from fractions import Fraction
@@ -341,6 +346,17 @@ KINDS = {"exact": exact_lines, "capacity": capacity_lines, "mc": mc_lines,
          "sampling": sampling_lines}
 
 
+HEX_FLOAT = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]\d+")
+
+
+def relative_move(x: str, y: str) -> float | None:
+    """The largest relative move from the hex floats of line x to those of
+    line y, paired in order; None when x has none."""
+    moves = [abs(b - a) / abs(a) if a else (0.0 if b == 0 else math.inf)
+             for a, b in zip(*(map(float.fromhex, HEX_FLOAT.findall(t)) for t in (x, y)))]
+    return max(moves, default=None)
+
+
 def compare(a: Path, b: Path) -> int:
     la, lb = a.read_text().splitlines(), b.read_text().splitlines()
     differ = [(x, y) for x, y in zip(la, lb) if x != y]
@@ -348,6 +364,11 @@ def compare(a: Path, b: Path) -> int:
         print(f"- {x}\n+ {y}")
     if len(la) != len(lb):
         print(f"line counts differ: {len(la)} != {len(lb)}")
+    for kind in KINDS:
+        moves = [relative_move(x, y) for x, y in differ if x.split(" ", 1)[0] == kind]
+        floats = [m for m in moves if m is not None]
+        largest = f", largest relative move {max(floats):.3g}" if floats else ""
+        print(f"{kind}: {len(moves)} lines differ{largest}", file=sys.stderr)
     print(f"{len(differ)} of {min(len(la), len(lb))} lines differ", file=sys.stderr)
     return 1 if differ or len(la) != len(lb) else 0
 

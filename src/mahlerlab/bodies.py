@@ -261,45 +261,48 @@ def _certify_lp_fibers(ball: "LpBallBody", x0: np.ndarray, u: np.ndarray, t: np.
     ``x0`` is rows (rows, n); a row view of coordinate planes, as
     ``ImageBody.contains_batch`` passes, is read without a copy.  A probe
     y = x0 + t u is a hit when ball.gauge(y) <= level, the test golden
-    section applies (``row_sum`` gives the gauge's bytes, and the same
-    side of the level where the power sum underflows or overflows).  With
+    section applies (the plain power sum gives the gauge's bytes, and the
+    same side of the level where it underflows or overflows).  With
     s = sign(y)|y|^(r-1) and w = s - <s,u> u, so that w is orthogonal to
     u, Hölder's inequality gives ||x0 + t'u||_r >= <x0, w> / ||w||_{r*}
     for every t'; the probe is a miss when that bound clears level * (1 +
-    MISS_MARGIN), the margin of ``_convex_floor``, and is finite.  The first probe is at ``t`` (the
-    Euclidean foot); up to CERTIFY_STEPS more close in on the root of
-    phi(t) = <u, s>, which is nondecreasing and vanishes at the fiber's
-    minimizer: a Newton step while the root is bracketed from one side
-    only, and Illinois regula falsi once both sides are known.  When r < 2
-    the first Newton step is scaled by r - 1, which makes it exact where
-    one coordinate's sign(y_i)|y_i|^(r-1) dominates phi; a full step
-    would overshoot there by a factor 1/(r - 1).  A row whose next probe is not finite drops out, so a NaN or an
-    inf decides nothing.
+    MISS_MARGIN), the margin of ``_convex_floor``, and is finite.  The
+    first probe is at ``t`` (the Euclidean foot); up to CERTIFY_STEPS more
+    close in on the root of phi(t) = <u, s>, which is nondecreasing and
+    vanishes at the fiber's minimizer: a Newton step while the root is
+    bracketed from one side only, and Illinois regula falsi once both sides
+    are known.  When r < 2 the first Newton step is scaled by r - 1, which
+    makes it exact where one coordinate's sign(y_i)|y_i|^(r-1) dominates
+    phi; a full step would overshoot there by a factor 1/(r - 1).  A row
+    whose next probe is not finite drops out, so a NaN or an inf decides
+    nothing.  Every sum over the coordinates is ``coordinate_sum``.
     """
     r = ball.p
     rows = np.arange(len(t))
     hit = np.zeros(len(t), dtype=bool)
     miss = np.zeros(len(t), dtype=bool)
-    x = np.ascontiguousarray(x0.T)  # coordinate planes (n, rows)
+    x = _planes(x0)
+    uc = u[:, None]  # a column against the planes
     lo, hi = np.full(len(t), -np.inf), np.full(len(t), np.inf)  # brackets the root
     phi_lo, phi_hi = np.zeros(len(t)), np.zeros(len(t))  # phi at lo and hi
     last = np.zeros(len(t))  # end replaced last: -1 lo, +1 hi
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(CERTIFY_STEPS + 1):
-            y = x + u[:, None] * t
+            y = x + uc * t
             pw = abs_power(y, r)
             s = np.divide(pw, y, out=np.zeros_like(y), where=y != 0)
-            phi = u @ s
-            w = s - u[:, None] * phi
+            phi = coordinate_sum(uc * s)
+            w = s - uc * phi
             bound = coordinate_sum(x * w) / coordinate_sum(abs_power(w, ball.q)) ** (1.0 / ball.q)
-            settled_hit = row_sum(pw) ** (1.0 / r) <= level
+            settled_hit = coordinate_sum(pw) ** (1.0 / r) <= level
             settled_miss = (bound > level * (1.0 + MISS_MARGIN)) & (bound < np.inf)
             hit[rows[settled_hit]] = True
             miss[rows[settled_miss]] = True
             if step == CERTIFY_STEPS:
                 break
             # phi' = (r - 1) sum u_i^2 |y_i|^(r-2), a zero coordinate counting 0
-            dphi = (r - 1.0) * ((u * u) @ np.divide(s, y, out=np.zeros_like(y), where=y != 0))
+            dphi = (r - 1.0) * coordinate_sum(
+                uc * uc * np.divide(s, y, out=np.zeros_like(y), where=y != 0))
             up = phi > 0  # the root lies below t
             # Illinois: an end kept twice in a row has its value halved
             phi_lo = np.where(up & (last == 1), 0.5 * phi_lo, np.where(up, phi_lo, phi))
@@ -357,7 +360,7 @@ def abs_power(x: np.ndarray, p: float) -> np.ndarray:
         for _ in range(int(p) - 1):
             out *= a
         return out
-    if (2 * p) == int(2 * p) and 1 <= p <= 8:
+    if 1 <= p <= 8 and (2 * p) == int(2 * p):
         out = np.sqrt(a)
         for _ in range(int(p - 0.5)):
             out *= a
@@ -366,35 +369,18 @@ def abs_power(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def coordinate_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum of the coordinate planes (d, ...), added in order from the first.
+    """Sum of the coordinate planes (d, ...), added in order from the first,
+    whatever the batch shape and the memory layout: the one order in which
+    every float sum over coordinates is taken, so a point's sum does not
+    depend on its batch-mates or on how its coordinates lie in memory.
 
-    NumPy reduces along an outer axis one whole plane at a time, so this is
-    the in-order sum whenever each plane holds more than one element (a
-    reduction over a single-element plane runs along a contiguous axis,
-    pairwise from 8 terms).  Below 8 terms the in-order sum is the order
-    np.add.reduce takes along a contiguous last axis, so for d < 8 it gives
-    the bytes of summing rows (..., d)."""
-    return np.add.reduce(planes, axis=0)
-
-
-def row_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum of the coordinate planes (d, ...) in the order NumPy sums a
-    contiguous row of d terms, so the bytes are those of summing rows at
-    every d.  Below 8 terms that is the in-order sum (``coordinate_sum``);
-    up to 128 terms, eight running sums r_k over the planes 8j + k, joined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the planes
-    past the last multiple of 8 in order; past 128 terms, the same for two
-    halves, the first a multiple of 8 (NumPy's pairwise summation)."""
-    d = len(planes)
-    if d < 8:
-        return coordinate_sum(planes)
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        return row_sum(planes[:half]) + row_sum(planes[half:])
-    full = d - d % 8
-    r = coordinate_sum(planes[:full].reshape((full // 8, 8) + planes.shape[1:]))
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for plane in planes[full:]:
+    ``np.add.reduce`` over the outer axis of C-contiguous planes adds whole
+    planes in order; over single-element planes it would run along a
+    contiguous axis, pairwise from 8 terms, so those are added by a loop."""
+    if planes[0].size > 1:
+        return np.add.reduce(np.ascontiguousarray(planes), axis=0)
+    out = planes[0] + 0.0
+    for plane in planes[1:]:
         out = out + plane
     return out
 
@@ -404,8 +390,8 @@ _TINY = np.finfo(float).tiny
 
 def _lp_norm(planes: np.ndarray, p: float, power=abs_power) -> np.ndarray:
     """||x||_p of each point of coordinate planes (d, ...):
-    ``row_sum(power(x, p)) ** (1/p)``, with ``power`` abs_power, or np.power
-    on planes that are already |x|.
+    ``coordinate_sum(power(x, p)) ** (1/p)``, with ``power`` abs_power, or
+    np.power on planes that are already |x|.
 
     A nonzero point whose power sum falls below the smallest normal float
     (its |x_i|^p underflow), or a finite one whose sum overflows, is
@@ -413,8 +399,8 @@ def _lp_norm(planes: np.ndarray, p: float, power=abs_power) -> np.ndarray:
     other point keeps the bytes of the plain sum.  The plain pass runs with
     overflow and underflow ignored, since the rescale mends them."""
     with np.errstate(over="ignore", under="ignore"):
-        s = row_sum(power(planes, p))
-        out = s ** (1.0 / p)
+        s = coordinate_sum(power(planes, p))
+        out = np.power(s, 1.0 / p)  # not the scalar **: a single point rounds as in a batch
     redo = (s < _TINY) | (s == np.inf)
     if redo.any():
         out = np.array(out)
@@ -423,7 +409,7 @@ def _lp_norm(planes: np.ndarray, p: float, power=abs_power) -> np.ndarray:
         big = np.maximum.reduce(np.abs(flat[:, rows]), axis=0)
         ok = (big > 0) & (big < np.inf)
         rows, big = rows[ok], big[ok]
-        out.reshape(-1)[rows] = row_sum(power(flat[:, rows] / big, p)) ** (1.0 / p) * big
+        out.reshape(-1)[rows] = coordinate_sum(power(flat[:, rows] / big, p)) ** (1.0 / p) * big
         out = out[()]
     return out
 
@@ -441,35 +427,44 @@ def _as_rows(planes: np.ndarray) -> np.ndarray:
 
 
 def _product(M: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """The planes of the rows x @ M.T, as one product M @ planes, which
-    rounds each entry as the row product does when M has two or more rows.
-    A single point (d,) keeps its one-row product."""
-    if planes.ndim == 1:
-        return planes @ M.T
-    out = M @ planes.reshape(len(planes), -1)
-    return out.reshape((len(M),) + planes.shape[1:])
+    """The planes of the rows x @ M.T, as one product M @ planes.  NumPy
+    takes a product with one column in a matrix-vector kernel, which rounds
+    otherwise than the matrix-matrix one, so a single point or a one-row
+    batch goes in beside a zero column: a row's entries do not depend on
+    its batch."""
+    flat = planes.reshape(len(planes), -1)
+    cols = flat.shape[1]
+    if cols == 1:
+        flat = np.concatenate([flat, np.zeros_like(flat)], axis=1)
+    return (M @ flat)[:, :cols].reshape((len(M),) + planes.shape[1:])
 
 
 class ConvexBody:
+    """A centrally symmetric convex body of R^dim.
+
+    Operations take points as rows (..., d) and compute on coordinate
+    planes (d, ...): sums over coordinates are ``coordinate_sum``, maxima
+    run over planes, and linear maps are one product ``M @ planes``.  Rows
+    that are a view of C-contiguous planes, ``planes.T`` (as
+    ``volume.mc_volume`` passes them), are read without a copy; other rows
+    are copied into planes once.
+
+    The float contract: exact outputs (the Fractions and ``r*sqrt(d)`` of
+    rational polytopes) are bit-identical; float outputs do not depend on
+    the memory layout of the input or on a row's batch-mates; and float
+    values are bounded by oracles (the row-wise sums of the tests, closed
+    forms, ``c(K x K°) = 4``), not by a summation order.
+    """
+
     dim: int
 
     def contains_batch(self, x) -> np.ndarray:
-        """Vectorized membership, rows (..., d) -> (...), under the layout
-        contract of ``gauge``; bodies may override with a cheaper test than
-        a full gauge evaluation."""
+        """Vectorized membership, rows (..., d) -> (...); bodies may
+        override with a cheaper test than a full gauge evaluation."""
         return np.asarray(self.gauge(x)) <= 1.0 + MEMBERSHIP_TOL
 
     def gauge(self, x):
-        """The gauge of each row, (..., d) -> (...).
-
-        Bodies compute on coordinate planes (d, ...): sums and maxima run
-        over planes and linear maps are one product ``M @ planes``.  Rows
-        that are a view of C-contiguous planes, ``planes.T`` (as
-        ``volume.mc_volume`` passes them), are read without a copy; other
-        rows are copied into planes once.  The values do not depend on the
-        layout of x, and are the bytes of the same sums and products taken
-        on C-ordered rows.
-        """
+        """The gauge of each row, (..., d) -> (...)."""
         raise NotImplementedError
 
     def support(self, u):
@@ -479,11 +474,10 @@ class ConvexBody:
         """Point(s) of the body attaining the support value in direction u,
         rows (..., d) -> (..., d).
 
-        The values do not depend on the memory layout of u.  Rows that are a
-        view of coordinate planes, ``planes.reshape(d, -1).T``, give a
-        result whose transpose is C-contiguous planes again, so a caller
-        that holds planes reads the witnesses as ``w.T.reshape(planes.shape)``
-        and copies nothing.
+        Rows that are a view of coordinate planes, ``planes.reshape(d,
+        -1).T``, give a result whose transpose is C-contiguous planes again,
+        so a caller that holds planes reads the witnesses as
+        ``w.T.reshape(planes.shape)`` and copies nothing.
         """
         raise BodyError(f"{type(self).__name__} has no support witness")
 
@@ -494,12 +488,8 @@ class ConvexBody:
         raise NotImplementedError
 
     def bounding_halfwidths(self) -> np.ndarray:
-        h = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            h[i] = float(self.support(e))
-        return h
+        """The support in each coordinate direction, one batched call."""
+        return np.asarray(self.support(np.eye(self.dim)), dtype=float)
 
 
 class PolytopeBody(ConvexBody):
@@ -778,14 +768,6 @@ class SliceBody(ConvexBody):
     def polar(self) -> "ImageBody":
         return ImageBody(self.child.polar(), self.basis.T)
 
-    def bounding_halfwidths(self) -> np.ndarray:
-        """For an l_p child, one batched gauge of the polar, whose rows are
-        each the bytes of ``support`` alone; a polytope's gauge is a matrix
-        product that rounds by the batch shape, so it keeps the loop."""
-        if not isinstance(self.child, LpBallBody):
-            return super().bounding_halfwidths()
-        return self.polar().gauge(np.eye(self.dim))
-
     def describe(self) -> dict:
         return {
             "type": "slice_numeric",
@@ -856,14 +838,12 @@ class ImageBody(ConvexBody):
         single = x.ndim == 1
         p = self.child.p
         n = self.child.dim
-        x0 = self._pinv @ _planes(np.atleast_2d(x))  # planes (n, rows)
+        x0 = _product(self._pinv, _planes(np.atleast_2d(x)))  # planes (n, rows)
         u = self._kernel
-        # the foot is a matrix-vector product on rows: no product on planes
-        # rounds as it does
-        t2 = -(np.ascontiguousarray(x0.T) @ u)
+        t2 = -coordinate_sum(u[:, None] * x0)  # the Euclidean foot
         x2 = x0 + u[:, None] * t2
         upper = np.asarray(self.child.gauge(_as_rows(x2)), dtype=float)
-        d2 = np.sqrt(row_sum(x2 * x2))
+        d2 = np.sqrt(coordinate_sum(x2 * x2))
         lower = d2 * (n ** (1.0 / p - 0.5)) if p > 2.0 else d2
         out = upper <= level
         ambiguous = np.flatnonzero((~out) & (lower <= level))
@@ -878,17 +858,18 @@ class ImageBody(ConvexBody):
                 out[rest] = vals <= level
         return out[0:1].reshape(()) if single else out
 
+    def _pullback(self, u):
+        """The rows u @ M, as a row view of planes."""
+        return _as_rows(_product(self.M.T, _planes(np.asarray(u, dtype=float))))
+
     def support(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.child.support(u @ self.M)
+        return self.child.support(self._pullback(u))
 
     def support_witness(self, u):
         """M times the child's witnesses, one product M @ (witness planes),
         so the result is a row view of planes."""
-        u = np.asarray(u, dtype=float)
-        w = self.child.support_witness(u @ self.M)
-        planes = self.M @ w.reshape(-1, w.shape[-1]).T
-        return planes.T.reshape(w.shape[:-1] + (self.dim,))
+        w = self.child.support_witness(self._pullback(u))
+        return _as_rows(_product(self.M, _planes(w)))
 
     def polar(self) -> SliceBody:
         return SliceBody(self.child.polar(), self.M.T)
@@ -915,8 +896,16 @@ class DiagonalImageBody(ConvexBody):
             raise BodyError("scale count mismatch")
         if any(s <= 0 for s in self.scales2):
             raise BodyError("scales must be positive")
+        try:
+            floats = [float(s) for s in self.scales2]
+        except OverflowError:
+            floats = [math.inf]
+        # the polar inverts each scale
+        if not all(0.0 < f < math.inf and 1.0 / f < math.inf for f in floats):
+            raise BodyError("'scaled' field 'scales2' needs squared scales that are, with their "
+                            "inverses, finite nonzero floats")
         self.dim = core.dim
-        self.scales = np.array([math.sqrt(float(s)) for s in self.scales2])
+        self.scales = np.array([math.sqrt(f) for f in floats])
 
     def gauge(self, x):
         x = np.asarray(x, dtype=float)
@@ -945,12 +934,6 @@ class DiagonalImageBody(ConvexBody):
             "core": self.core.describe(),
             "scales2": [format_rational(s) for s in self.scales2],
         }
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a, b> per row, summed as np.einsum sums C-ordered rows, whatever the
-    layout of a and b (einsum's order of addition follows the layout)."""
-    return np.einsum("...i,...i->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 class TwoBlockBody(ConvexBody):
@@ -1024,10 +1007,11 @@ class L1SumBody(TwoBlockBody):
 
     def support_witness(self, u):
         """The witness of the block with the larger support value, zeros in
-        the other block."""
+        the other block; each value is <u, w> summed over the block's
+        planes."""
         up, uq = self._split(u)
         wp, wq = self.dual.support_witness(up), self.base.support_witness(uq)
-        hp, hq = _row_dot(up, wp), _row_dot(uq, wq)
+        hp, hq = (coordinate_sum(_planes(a) * _planes(b)) for a, b in ((up, wp), (uq, wq)))
         in_p = (hp >= hq)[..., None]
         w = self._witness_rows(up.shape[:-1])
         np.copyto(w[..., : self.n], wp, where=in_p)

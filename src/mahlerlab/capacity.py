@@ -147,9 +147,9 @@ def _minimize_quotient(
     (best values, best loops (B, m, d), iterations used, restart count,
     stalled mask).
 
-    The loops are held as coordinate planes (d, B, m), so sums over the
-    coordinates are adds of whole planes; every sum keeps the order it has
-    over rows, so the estimates do not depend on the layout.  Only the
+    The loops are held as coordinate planes (d, B, m): a sum over the
+    coordinates is ``coordinate_sum`` and a sum over the vertices runs
+    along the last axis, each taken on the planes as they lie.  Only the
     starts still descending are stepped and evaluated: the working arrays
     hold their entries, ``idx`` names them, and a start's best value and
     loop go back to ``best_q``/``best_z`` when it finishes.
@@ -190,8 +190,8 @@ def _minimize_quotient(
             tries += 1
         return (*ev, zf)
 
-    def mean_square(x):
-        return np.add.reduce(coordinate_sum(x**2), axis=-1) / m_repr
+    def square_sum(x):
+        return np.add.reduce(coordinate_sum(x**2), axis=-1)
 
     q, length, action, w, zn, zf = evaluate_with_restarts(z)
     best_q = np.empty(B)
@@ -210,19 +210,15 @@ def _minimize_quotient(
         g = _gradient(zf, zn, prv, length, action, w)
         if symmetric:
             g = g[..., :m_repr] - g[..., m_repr:]
-        # the norm sums over (m, d) jointly, in row order
-        gnorm = np.sqrt(np.add.reduce(g.transpose(1, 2, 0).copy()**2, axis=(1, 2)))
+        gnorm = np.sqrt(square_sum(g))
         gnorm = np.where(gnorm > 0, gnorm, 1.0)
-        scale = np.sqrt(mean_square(z))
+        scale = np.sqrt(square_sum(z) / m_repr)
         g *= (alpha * scale / gnorm)[:, None]
         z -= g
         # renormalize: Q is invariant under translation and scaling
         if not symmetric:
-            # the sum over the vertices in its row order: sequential, as
-            # along the outer axis of an (m, d·B) copy
-            c = np.add.reduce(z.reshape(-1, m_repr).T.copy(), axis=0)
-            z -= c.reshape(d, -1, 1) / m_repr
-        rms = np.sqrt(mean_square(z))
+            z -= np.add.reduce(z, axis=-1)[..., None] / m_repr
+        rms = np.sqrt(square_sum(z) / m_repr)
         rms = np.where(rms > 0, rms, 1.0)
         z /= rms[:, None]
 

@@ -98,8 +98,10 @@ def build_profile(alpha: float, n_exp: int) -> EmbeddingProfile:
     1 - I_t(1/u, 1/v) of a quarter, I the regularized incomplete beta
     function (DLMF 8.17)."""
     alpha = float(alpha)
-    if not 1.0 < alpha < math.inf:
-        raise EmbeddingError("alpha must be finite and exceed 1")
+    # from about 2^53 the conjugate alpha / (alpha - 1) rounds to 1, the l_1 limit
+    if not (1.0 < alpha < math.inf and alpha / (alpha - 1.0) > 1.0):
+        raise EmbeddingError("alpha must be finite and exceed 1, and its conjugate "
+                             "alpha / (alpha - 1) must exceed 1 in floats")
     n_exp = int(n_exp)
     if n_exp < 1:
         raise EmbeddingError("n_exp must be a positive integer")

@@ -35,8 +35,7 @@ from .bodies import (
 def j_rotate(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """J on the coordinate axis, with <Jv, z> = omega(v, z): (p, q) -> (-q, p)."""
     n = v.shape[axis] // 2
-    # a C-contiguous copy, so sums over its rows keep their memory order
-    out = v.take(np.arange(-n, n), axis=axis)  # (q, p)
+    out = v.take(np.arange(-n, n), axis=axis)  # a copy, (q, p)
     p = out[(slice(None),) * (axis % v.ndim) + (slice(0, n),)]
     np.negative(p, out=p)
     return out

@@ -84,7 +84,7 @@ def test_capacity_of_a_product_polar(capsys):
                         '"body":{"type":"cross","dim":2},"dual":{"type":"cube","dim":2}}}',
                         "--points", "32", "--starts", "6", "--seed", "3", "--no-loop")
     assert code == 0
-    assert out["value"] == 1.3804269710694732
+    assert out["value"] == pytest.approx(1.3804269710694732, rel=1e-9)
 
 
 def test_mahler_of_product_beyond_dimension_eight(capsys):
@@ -322,6 +322,24 @@ def test_embed_runs_the_map_certificates(capsys, alpha, nexp, code):
     assert out["eps"] == 4.0 / c_n - 1.0
 
 
+@pytest.mark.parametrize("alpha", ["1e100", "1e308"])
+def test_embed_refuses_an_alpha_whose_conjugate_rounds_to_one(capsys, alpha):
+    # beta = alpha / (alpha - 1) is 1.0 in floats, the l_1 limit
+    code = cli.main(["--no-log", "embed", "--alpha", alpha, "--nexp", "8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "conjugate" in err and "Traceback" not in err
+
+
+def test_mc_volume_of_an_lp_ball_of_huge_exponent(capsys):
+    """p = 1e308 is not a small exponent of ``abs_power``; its ball is the
+    square up to rounding."""
+    code, out = run_cli(capsys, "--no-log", "volume", "--method", "mc", "--samples", "2000",
+                        "--body", '{"type":"lp_ball","p":1e308,"dim":2}')
+    assert code == 0
+    assert out["value"] == 4.0
+
+
 def test_log_record_and_replay(tmp_path, capsys):
     log = tmp_path / "exp.jsonl"
     # a float section of an l_p ball is logged as the slice_numeric it
@@ -538,8 +556,13 @@ def test_bad_linear_image_matrix_exit_one(capsys, body, message):
     ('{"type":"image_numeric","body":%s,"matrix":[[1,0,0],[0,1,0],[0,0,0]]}' % LP3,
      "full-rank"),
     ('{"type":"image_numeric","body":{"type":"nope"},"matrix":[[1]]}', "unknown body type"),
+    # a squared scale beyond the float range, or one whose inverse (the
+    # polar's) is
+    ('{"type":"scaled","core":{"type":"cross","dim":2},"scales2":["1e400","1"]}', "'scales2'"),
+    ('{"type":"scaled","core":{"type":"cross","dim":2},"scales2":["1e-400","1"]}', "'scales2'"),
 ], ids=["no-basis", "basis-5", "basis-x", "basis-inf", "basis-overflow", "basis-wide",
-        "basis-thin", "basis-rank", "image-tall", "image-singular", "image-child"])
+        "basis-thin", "basis-rank", "image-tall", "image-singular", "image-child",
+        "scales2-overflow", "scales2-underflow"])
 def test_bad_numeric_body_exit_one(capsys, body, message):
     """The float cuts and images that ``describe`` writes are read back as
     any body is: a malformed one exits 1 with a message."""
@@ -548,6 +571,16 @@ def test_bad_numeric_body_exit_one(capsys, body, message):
     assert code == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_mahler_of_a_scale_whose_inverse_underflows_exit_one(capsys):
+    """The polar of a scaled body inverts its squared scales, so 1e-400 is
+    refused when the body is read, before ``mahler`` takes the polar."""
+    code = cli.main(["--no-log", "mahler", "--body", '{"type":"scaled","core":'
+                     '{"type":"cross","dim":2},"scales2":["1e-400","1"]}'])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "'scales2'" in err and "Traceback" not in err
 
 
 def test_linear_image_takes_rational_strings_for_every_body(capsys):

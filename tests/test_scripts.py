@@ -115,6 +115,36 @@ def test_fingerprint_compare_runs_without_the_library(tmp_path):
         assert f"{code} of 1 lines differ" in proc.stderr
 
 
+def test_fingerprint_compare_summarizes_moves_by_kind(tmp_path):
+    """A capacity value moved by 1e-6 relative, an mc value by one bit, and
+    an exact volume changed: each kind's count and largest move go to
+    stderr, and the per-line output and the exit code stay."""
+    lines = ["exact cube3 body vol=8 V=x",
+             f"capacity full cross3 {(4.0).hex()} abc iterations=7",
+             f"capacity full lp1.5 {(4.5).hex()} def iterations=9",
+             f"mc 00.00 cube value={(2.0).hex()} ci={(0.25).hex()} hits=5",
+             f"sampling reduce_ball value={(-3.0).hex()}"]
+    moved = list(lines)
+    moved[0] = "exact cube3 body vol=9 V=x"
+    moved[1] = lines[1].replace((4.0).hex(), (4.0 * (1 + 1e-6)).hex())
+    moved[3] = lines[3].replace((2.0).hex(), np.nextafter(2.0, 3.0).hex())
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("\n".join(lines) + "\n")
+    b.write_text("\n".join(moved) + "\n")
+    main = load_script("fingerprint.py").main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--compare", str(a), str(b)])
+    assert code == 1
+    assert out.getvalue().count("\n+ ") == 3 and "vol=9" in out.getvalue()
+    summary = err.getvalue().splitlines()
+    assert summary == ["exact: 1 lines differ",
+                       "capacity: 1 lines differ, largest relative move 1e-06",
+                       "mc: 1 lines differ, largest relative move 2.22e-16",
+                       "sampling: 0 lines differ",
+                       "3 of 5 lines differ"]
+
+
 def test_fingerprint_compare_flags_a_shorter_output(fingerprint, compare):
     short = "\n".join(fingerprint.stdout.splitlines()[:-1]) + "\n"
     code, out = compare(fingerprint.stdout, short)

@@ -111,6 +111,11 @@ def test_coordinate_sum_matches_row_reduce(d, rng):
     # a transposed and a strided view, the coordinate axis still outermost
     for view in (p.transpose(0, 2, 1), p[:, ::2, 1::3]):
         assert SY.coordinate_sum(view).tobytes() == reference_coordinate_sum(view).tobytes()
+    # a single point, a batch of one, and rows whose transpose has the
+    # coordinate axis innermost: np.add.reduce would sum each of these as a
+    # contiguous run, pairwise from 8 terms
+    for view in (p[:, 0, 0], p[:, :1, :1], rows[0].T):
+        assert SY.coordinate_sum(view).tobytes() == reference_coordinate_sum(view).tobytes()
     zeros = np.full_like(p, -0.0)
     assert SY.coordinate_sum(zeros).tobytes() == reference_coordinate_sum(zeros).tobytes()
 
